@@ -515,19 +515,19 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
+def _cmd_lint(argv: list[str]) -> int:
     """Run the reprolint static analysis suite over this checkout.
 
     ``tools/reprolint`` ships in the repository, not the installed
     package: the rules encode invariants of *this* source tree, so the
-    command locates the checkout (pyproject.toml with a
-    ``[tool.reprolint]`` table) by walking up from the working directory
-    and puts its ``tools/`` directory on the path.
+    command locates the checkout (pyproject.toml next to
+    ``tools/reprolint``) by walking up from the working directory, puts
+    its ``tools/`` directory on the path, and hands ``argv`` unchanged to
+    reprolint's own parser (``repro lint -h`` prints reprolint's help).
     """
     from pathlib import Path
 
-    start = Path(args.root) if args.root else Path.cwd()
-    current = start.resolve()
+    current = Path.cwd().resolve()
     root = None
     for candidate in (current, *current.parents):
         if (candidate / "pyproject.toml").is_file() and (
@@ -538,7 +538,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if root is None:
         print(
             "repro lint: no checkout with tools/reprolint found above"
-            f" {start}; run from the repository (or pass --root)",
+            f" {current}; run from the repository",
             file=sys.stderr,
         )
         return 2
@@ -547,31 +547,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         sys.path.insert(0, tools_dir)
     from reprolint.__main__ import main as reprolint_main
 
-    forward = ["--root", str(root), "--format", args.format]
-    if args.only:
-        forward += ["--only", args.only]
-    if args.list_rules:
-        forward += ["--list-rules"]
-    if args.explain:
-        forward += ["--explain", args.explain]
-    if args.strict:
-        forward += ["--strict"]
-    if args.no_baseline:
-        forward += ["--no-baseline"]
-    if args.update_baseline:
-        forward += ["--update-baseline"]
-    if args.sarif_out:
-        forward += ["--sarif-out", args.sarif_out]
-    if args.stats:
-        forward += ["--stats"]
-    if args.changed_only:
-        forward += ["--changed-only"]
-    if args.changed_base:
-        forward += ["--changed-base", args.changed_base]
-    if args.no_cache:
-        forward += ["--no-cache"]
-    forward += args.paths
-    return reprolint_main(forward)
+    return reprolint_main(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -634,68 +610,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     loadtest.set_defaults(func=_cmd_loadtest)
 
-    lint = sub.add_parser(
-        "lint", help="run the reprolint project-invariant static analysis"
+    # Every argument after ``lint`` belongs to reprolint's own parser.
+    sub.add_parser(
+        "lint",
+        help="run the reprolint project-invariant static analysis",
+        add_help=False,
     )
-    lint.add_argument(
-        "paths", nargs="*",
-        help="files/directories to lint (default: [tool.reprolint] paths)",
-    )
-    lint.add_argument(
-        "--format", choices=("human", "json", "sarif"), default="human",
-    )
-    lint.add_argument(
-        "--sarif-out", default=None, metavar="PATH",
-        help="also write a SARIF 2.1.0 log to PATH",
-    )
-    lint.add_argument(
-        "--root", default=None, help="checkout root (default: walk up)"
-    )
-    lint.add_argument(
-        "--only", default=None, help="comma-separated rule IDs to run"
-    )
-    lint.add_argument(
-        "--strict", action="store_true",
-        help="also fail on stale baseline entries",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the checked-in baseline; report every finding",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from this run (new entries need a"
-        " human-written justification before CI passes)",
-    )
-    lint.add_argument(
-        "--stats", action="store_true",
-        help="print per-pass timings and incremental-cache counters",
-    )
-    lint.add_argument(
-        "--changed-only", action="store_true",
-        help="lint only git-changed files plus their reverse-dependency"
-        " closure",
-    )
-    lint.add_argument(
-        "--changed-base", default=None, metavar="REF",
-        help="with --changed-only, also diff against REF (e.g."
-        " origin/main)",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the on-disk incremental cache (.reprolint_cache/)",
-    )
-    lint.add_argument(
-        "--explain", default=None, metavar="RULE",
-        help="print a rule's rationale and fix recipe, then exit",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="list rule IDs with summaries and exit",
-    )
-    lint.set_defaults(func=_cmd_lint)
 
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        return _cmd_lint(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

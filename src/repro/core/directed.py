@@ -312,7 +312,8 @@ class DirectedHighwayCoverIndex(OracleBase):
         return stats
 
     def snapshot(self) -> "DirectedHighwayCoverIndex":
-        """A frozen copy (graph + both labellings) for concurrent reads."""
+        """A frozen copy (graph + both labellings) for concurrent reads,
+        shipped with its CSR views prebuilt."""
         clone = DirectedHighwayCoverIndex.__new__(DirectedHighwayCoverIndex)
         clone._graph = self._graph.copy()
         clone._forward = self._forward.copy()

@@ -262,7 +262,7 @@ class DistanceService:
         # conservative — growth is monotone) or the new one, never a
         # half-grown intermediate.
         self._vertex_count = writer.graph.num_vertices  # guarded-by: _wakeup
-        self._epochs = EpochStore(self._freeze_snapshot())
+        self._epochs = EpochStore(self._writer.snapshot())
         self.scheduler = CoalescingScheduler(policy, directed=self._directed)
         self.cache = QueryCache(
             cache_capacity, cache_mode, symmetric=not self._directed
@@ -345,20 +345,6 @@ class DistanceService:
     # ------------------------------------------------------------------
     # write path (single logical writer)
     # ------------------------------------------------------------------
-
-    def _freeze_snapshot(self) -> DistanceOracle:
-        """A publishable frozen copy of the writer's oracle.
-
-        CSR-backed oracles build their frozen array read view here — once
-        per epoch, on the writer thread, *before* the pointer flip — so
-        readers answer from immutable CSR kernels and never traverse (or
-        lazily re-freeze over) mutable adjacency sets.
-        """
-        frozen = self._writer.snapshot()
-        freeze = getattr(frozen, "ensure_csr", None)
-        if callable(freeze):
-            freeze()
-        return frozen
 
     def _check_accepting_locked(self) -> None:
         """Raise unless the service currently accepts updates.
@@ -523,7 +509,7 @@ class DistanceService:
                                 stats.affected_vertices, next_epoch
                             )
                         with span("publish_epoch"):
-                            self._epochs.publish(self._freeze_snapshot())
+                            self._epochs.publish(self._writer.snapshot())
                         self.metrics.record_publish(next_epoch)
             except BaseException as exc:
                 # Anywhere this fails — mid-repair (graph mutated before

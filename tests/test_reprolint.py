@@ -9,6 +9,7 @@ fail the self-check.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -41,6 +42,7 @@ from reprolint.rules.upd001 import EdgeUpdateFlagRule
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).resolve().parent.parent
+BASELINE = REPO_ROOT / "tools" / "reprolint" / "baseline.json"
 
 
 def run_fixture(name, rule, options=None):
@@ -416,6 +418,20 @@ def test_cli_baseline_gates_new_findings_only(tmp_path):
     assert main([*root, "--strict"]) == 0
 
 
+def test_lint_run_leaves_the_project_untouched(tmp_path):
+    # A lint run is read-only: no cache directory, no state files.
+    from reprolint.__main__ import main
+
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.reprolint]\npaths = ["."]\n', encoding="utf-8"
+    )
+    bad = FIXTURES.joinpath("conc003_bad.py").read_text(encoding="utf-8")
+    (tmp_path / "racy.py").write_text(bad, encoding="utf-8")
+    before = set(tmp_path.rglob("*"))
+    assert main(["--root", str(tmp_path), "--strict", "--stats"]) == 1
+    assert set(tmp_path.rglob("*")) == before
+
+
 # ---------------------------------------------------------------------------
 # SARIF 2.1.0 output
 # ---------------------------------------------------------------------------
@@ -574,8 +590,19 @@ def test_make_rules_only_filter():
 # ---------------------------------------------------------------------------
 
 
-def test_repro_tree_self_check_is_clean():
-    result = lint_project(REPO_ROOT)
+@pytest.fixture(scope="module")
+def tree_lint():
+    """One full-tree run shared by the self-checks, before any baseline
+    is applied (``apply_baseline`` records matches on the Baseline it is
+    given, so each test loads its own)."""
+    return lint_project(REPO_ROOT, use_baseline=False)
+
+
+def test_repro_tree_self_check_is_clean(tree_lint):
+    result = dataclasses.replace(
+        tree_lint,
+        findings=apply_baseline(tree_lint.findings, load_baseline(BASELINE)),
+    )
     assert result.errors == []
     assert result.files_checked > 50  # src/repro + tools + benches
     offending = [f.format_human() for f in result.active]
@@ -589,14 +616,13 @@ def test_repro_tree_self_check_is_clean():
         assert finding.baseline_reason, finding.format_human()
 
 
-def test_repro_baseline_is_justified_and_not_stale():
-    baseline = load_baseline(REPO_ROOT / "tools" / "reprolint" / "baseline.json")
+def test_repro_baseline_is_justified_and_not_stale(tree_lint):
+    baseline = load_baseline(BASELINE)
     assert baseline.entries, "expected the by-design pool entries"
     for entry in baseline.entries.values():
         assert entry["justification"], entry
         assert UNJUSTIFIED not in entry["justification"], entry
-    result = lint_project(REPO_ROOT, use_baseline=False)
-    live = {fingerprint(f) for f in result.findings if not f.suppressed}
+    live = {fingerprint(f) for f in tree_lint.findings if not f.suppressed}
     stale = [fp for fp in baseline.entries if fp not in live]
     assert stale == [], f"stale baseline entries: {stale}"
 
@@ -631,6 +657,16 @@ def test_lint_cli_subcommand_json_roundtrip():
     payload = json.loads(proc.stdout)
     assert payload["findings"] == []
     assert payload["files_checked"] > 50
+
+
+def test_lint_cli_hands_help_to_reprolint(capsys, monkeypatch):
+    from repro.cli import main as repro_main
+
+    monkeypatch.chdir(REPO_ROOT)
+    with pytest.raises(SystemExit) as exit_info:
+        repro_main(["lint", "-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: reprolint")
 
 
 def test_lint_cli_list_rules():

@@ -199,6 +199,40 @@ def test_index_snapshot_shares_no_mutable_state():
     assert frozen.check_minimality() == []
 
 
+@pytest.mark.parametrize("oracle", ["hcl", "hcl-directed"])
+def test_published_epoch_answers_without_a_csr_freeze(oracle, monkeypatch):
+    """The writer's ``snapshot()`` ships its CSR read views prebuilt, so
+    readers of a freshly published epoch never freeze the graph."""
+    from repro import DynamicDiGraph
+    from repro.graph.csr import CSRGraph
+
+    edges = [(i, i + 1) for i in range(9)]
+    graph_cls = DynamicDiGraph if oracle == "hcl-directed" else DynamicGraph
+    service = make_service(graph_cls.from_edges(edges), oracle=oracle)
+    service.insert_edge(0, 9)
+    service.flush()
+    assert service.epoch == 1
+
+    freezes = []
+
+    def counting(name):
+        original = getattr(CSRGraph, name)
+
+        def freeze(cls, graph):
+            freezes.append(name)
+            return original(graph)
+
+        return classmethod(freeze)
+
+    for name in ("from_graph", "from_digraph"):
+        monkeypatch.setattr(CSRGraph, name, counting(name))
+    for s in range(10):
+        for t in range(10):
+            service.distance(s, t)
+    assert service.distance(0, 9) == 1
+    assert freezes == []
+
+
 def test_cache_invalidates_before_epoch_publish(monkeypatch):
     """A reader holding the freshly published snapshot must never get a
     hit cached under the previous epoch: invalidation happens before the

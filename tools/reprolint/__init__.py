@@ -28,7 +28,6 @@ from reprolint.engine import (
     ModuleContext,
     Rule,
     discover_files,
-    rule_is_per_file,
     run_rules,
 )
 from reprolint.rules import ALL_RULES, MODULE_RULES, make_rules
@@ -54,7 +53,6 @@ __all__ = [
     "load_baseline",
     "load_config",
     "make_rules",
-    "rule_is_per_file",
     "run_rules",
     "write_baseline",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 
@@ -26,12 +27,8 @@ def main(argv: list[str] | None = None) -> int:
         load_baseline,
         load_config,
         make_rules,
+        run_rules,
         write_baseline,
-    )
-    from reprolint.incremental import (
-        dependency_cone,
-        execute,
-        git_changed_files,
     )
     from reprolint.sarif import format_sarif
     from reprolint.stats import RunStats
@@ -90,35 +87,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print per-pass timings and cache counters (stderr for human"
+        help="print parse, per-pass and total timings (stderr for human"
         " output; embedded under 'stats' for --format json)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="lint only git-changed files plus everything that"
-        " (transitively) imports them; skips the stale-baseline check,"
-        " which needs the full tree",
-    )
-    parser.add_argument(
-        "--changed-base",
-        metavar="REF",
-        default=None,
-        help="with --changed-only, also include files changed since"
-        " REF (e.g. origin/main for a PR diff)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk incremental cache for this run",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="incremental cache directory (default: [tool.reprolint]"
-        " cache-dir, .reprolint_cache/)",
     )
     parser.add_argument(
         "--explain",
@@ -160,29 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     rules = make_rules(config.rule_options, only)
     files = discover_files(root, args.paths or config.paths, config.exclude)
 
-    changed_only = args.changed_only
-    if changed_only:
-        changed = git_changed_files(root, args.changed_base)
-        if changed is None:
-            print(
-                "reprolint: --changed-only needs git; falling back to a"
-                " full run",
-                file=sys.stderr,
-            )
-            changed_only = False
-        else:
-            files = dependency_cone(root, files, changed)
-
     stats = RunStats()
-    result = execute(
-        root,
-        config,
-        rules,
-        files,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        stats=stats,
-    )
+    started = time.perf_counter()
+    result = run_rules(root, files, rules, stats)
+    stats.total_seconds = time.perf_counter() - started
 
     baseline = None
     baseline_path = config.baseline_path
@@ -190,13 +141,6 @@ def main(argv: list[str] | None = None) -> int:
         baseline = load_baseline(baseline_path)
 
     if args.update_baseline:
-        if changed_only:
-            print(
-                "reprolint: --update-baseline needs a full-tree run;"
-                " drop --changed-only",
-                file=sys.stderr,
-            )
-            return 2
         if baseline_path is None:
             print(
                 "reprolint: no baseline configured; set"
@@ -231,14 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.stats and args.format != "json":
         print(stats.format_table(), file=sys.stderr)
 
-    # Under --changed-only the run saw a slice of the tree, so an
-    # unmatched baseline entry proves nothing — its finding may live in
-    # a file outside the cone.  Staleness is a full-tree question.
-    stale = (
-        baseline.stale
-        if (args.strict and baseline is not None and not changed_only)
-        else []
-    )
+    stale = baseline.stale if (args.strict and baseline is not None) else []
     for entry in stale:
         print(
             f"reprolint: stale baseline entry for {entry['rule']} at"

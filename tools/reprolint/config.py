@@ -31,18 +31,12 @@ class LintConfig:
     rule_options: dict[str, dict[str, object]] = field(default_factory=dict)
     #: root-relative path of the findings baseline (None disables it).
     baseline: str | None = None
-    #: root-relative directory of the incremental cache.
-    cache_dir: str = ".reprolint_cache"
 
     @property
     def baseline_path(self) -> Path | None:
         if self.baseline is None:
             return None
         return self.root / self.baseline
-
-    @property
-    def cache_path(self) -> Path:
-        return self.root / self.cache_dir
 
 
 def _normalise(table: dict[str, object]) -> dict[str, object]:
@@ -77,9 +71,6 @@ def load_config(root: Path) -> LintConfig:
     baseline = table.get("baseline")
     if isinstance(baseline, str):
         config.baseline = baseline
-    cache_dir = table.get("cache-dir")
-    if isinstance(cache_dir, str):
-        config.cache_dir = cache_dir
     rules = table.get("rules", {})
     if isinstance(rules, dict):
         config.rule_options = {

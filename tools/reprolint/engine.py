@@ -327,34 +327,15 @@ def discover_files(
     return unique
 
 
-def rule_is_per_file(rule: Rule) -> bool:
-    """Whether a rule's findings depend on one file alone (so its
-    per-file output can be cached and reused on partial runs).  Rules
-    with a ``finalize`` or ``check_program`` override correlate across
-    modules and must re-run whenever *any* file changed."""
-    return (
-        type(rule).finalize is Rule.finalize
-        and type(rule).check_program is Rule.check_program
-    )
-
-
 def run_rules(
     root: Path,
     files: Iterable[Path],
     rules: Iterable[Rule],
     stats: RunStats | None = None,
-    reuse: dict[str, dict[str, list[Finding]]] | None = None,
-    per_file_out: dict[str, dict[str, list[Finding]]] | None = None,
 ) -> LintResult:
     """Parse ``files`` and run ``rules`` over them.
 
     ``stats`` (optional) accumulates parse and per-rule timings.
-    ``reuse`` maps relpath -> rule id -> previously computed findings
-    (pre-suppression); a hit skips that rule's ``check_module`` for that
-    file.  ``per_file_out`` is filled with this run's per-file findings
-    for every :func:`rule_is_per_file` rule — including empty lists, so
-    "ran and found nothing" is distinguishable from "didn't run" — which
-    is what the incremental cache persists.
     """
     stats = stats if stats is not None else RunStats()
     result = LintResult()
@@ -370,26 +351,12 @@ def run_rules(
             result.errors.append(f"{rel}: {exc}")
     stats.parse_seconds += time.perf_counter() - t0
     result.files_checked = len(contexts)
-    stats.files_analyzed = len(contexts)
     raw: list[tuple[Finding, ModuleContext | None]] = []
     for ctx in contexts:
-        file_reuse = reuse.get(ctx.relpath) if reuse is not None else None
-        if file_reuse is not None:
-            stats.files_from_cache += 1
         for rule in rules:
-            cached = (
-                file_reuse.get(rule.id)
-                if file_reuse is not None and rule_is_per_file(rule)
-                else None
-            )
-            if cached is not None:
-                found = cached
-            else:
-                t0 = time.perf_counter()
-                found = list(rule.check_module(ctx))
-                stats.add(rule.id, time.perf_counter() - t0)
-            if per_file_out is not None and rule_is_per_file(rule):
-                per_file_out.setdefault(ctx.relpath, {})[rule.id] = found
+            t0 = time.perf_counter()
+            found = list(rule.check_module(ctx))
+            stats.add(rule.id, time.perf_counter() - t0)
             for finding in found:
                 raw.append((finding, ctx))
     by_path = {ctx.relpath: ctx for ctx in contexts}

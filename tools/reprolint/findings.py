@@ -45,20 +45,3 @@ class Finding:
     def to_dict(self) -> dict[str, object]:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(data: dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_dict` (the incremental cache round-trip)."""
-        line = data.get("line", 0)
-        col = data.get("col", 0)
-        return Finding(
-            path=str(data.get("path", "")),
-            line=line if isinstance(line, int) else 0,
-            col=col if isinstance(col, int) else 0,
-            rule=str(data.get("rule", "")),
-            message=str(data.get("message", "")),
-            hint=str(data.get("hint", "")),
-            suppressed=bool(data.get("suppressed", False)),
-            suppress_reason=str(data.get("suppress_reason", "")),
-            baselined=bool(data.get("baselined", False)),
-            baseline_reason=str(data.get("baseline_reason", "")),
-        )

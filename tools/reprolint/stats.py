@@ -1,10 +1,10 @@
-"""Per-run timing and cache-effectiveness counters (``--stats``).
+"""Per-run timings (``--stats``).
 
 The CI static-analysis job runs the whole suite under a 30-second
 budget.  A budget regression used to be invisible until the job timed
 out; with ``--stats`` every run prints where the time went (parse,
-each rule, the program-model build) and what the incremental cache
-contributed, so a slow pass shows up in the log the day it lands.
+each rule, the program-model build), so a slow pass shows up in the log
+the day it lands.
 """
 
 from __future__ import annotations
@@ -14,19 +14,12 @@ from dataclasses import dataclass, field
 
 @dataclass
 class RunStats:
-    """Timings and cache counters for one lint run."""
+    """Timings for one lint run."""
 
     total_seconds: float = 0.0
     parse_seconds: float = 0.0
     #: rule id (or the ``(program-model)`` pseudo-pass) -> seconds spent.
     rule_seconds: dict[str, float] = field(default_factory=dict)
-    files_analyzed: int = 0
-    #: files whose per-file rule findings were served from the cache.
-    files_from_cache: int = 0
-    #: the whole run was answered from the run-level cache (no parsing).
-    fully_cached: bool = False
-    #: ``off`` | ``cold`` | ``partial`` | ``warm``
-    cache: str = "off"
 
     def add(self, key: str, seconds: float) -> None:
         self.rule_seconds[key] = self.rule_seconds.get(key, 0.0) + seconds
@@ -39,19 +32,11 @@ class RunStats:
                 key: round(value, 6)
                 for key, value in sorted(self.rule_seconds.items())
             },
-            "files_analyzed": self.files_analyzed,
-            "files_from_cache": self.files_from_cache,
-            "fully_cached": self.fully_cached,
-            "cache": self.cache,
         }
 
     def format_table(self) -> str:
         lines = [
             "reprolint stats:",
-            f"  cache            {self.cache}"
-            + (" (run served entirely from cache)" if self.fully_cached else ""),
-            f"  files            {self.files_analyzed} analyzed,"
-            f" {self.files_from_cache} from cache",
             f"  parse            {self.parse_seconds * 1000:9.1f} ms",
         ]
         for key, seconds in sorted(
