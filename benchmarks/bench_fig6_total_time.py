@@ -17,12 +17,10 @@ def test_fig6_total_time(run_table):
         batch_sizes=(50, 100, 250, 500),
         num_queries=150,
     )
-    # BHLp (simulated parallel) amortises no worse than BHL+ on aggregate.
-    # (Per-row comparison is dominated by query-timing noise: the update
-    # share of these per-query figures is tiny at small batch sizes.)
-    total_parallel = sum(r["BHLp_QT"] for r in table.rows)
-    total_sequential = sum(r["BHL+_QT"] for r in table.rows)
-    assert total_parallel <= total_sequential * 1.25
+    # BHLp charges the BHL+ run its makespan instead of its sequential
+    # update time over the same query load, so it never costs more.
+    for r in table.rows:
+        assert r["BHLp_QT"] <= r["BHL+_QT"], r
 
     # The indexed methods beat online search on the big dense replicas for
     # at least half of the batch sizes.

@@ -1,4 +1,4 @@
-"""Parallel-backend benchmark: sequential vs threads vs processes vs simulate.
+"""Parallel-backend benchmark: sequential vs threads vs processes.
 
 The paper's Section 6 claim is that landmark-level parallelism divides
 batch maintenance across cores.  This benchmark applies the *same*
@@ -6,10 +6,10 @@ fully-dynamic batch sequence to the same index under every execution
 backend and reports per-batch wall time, the search/repair/merge split,
 and the makespan the cost models predict:
 
-* ``sequential`` — the single-core baseline;
+* ``sequential`` — the single-core baseline; its makespan is the paper's
+  idealised one-core-per-landmark model (the slowest landmark's wall);
 * ``threads``    — GIL-bound thread pool (the honest CPython ceiling);
-* ``processes``  — landmark shards on the persistent worker-process pool;
-* ``simulate``   — the paper's idealised one-core-per-landmark makespan.
+* ``processes``  — landmark shards on the persistent worker-process pool.
 
 The default instance is a ≥50k-edge Barabási–Albert graph; the CSV lands
 in ``results/parallel_update.csv`` (CI uploads it as an artifact).  All
@@ -40,7 +40,7 @@ from repro.workloads.updates import fully_dynamic_workload
 
 _log = get_logger("repro.bench.parallel_update")
 
-MODES = ("sequential", "threads", "processes", "simulate")
+MODES = ("sequential", "threads", "processes")
 
 
 def experiment_parallel_update(
@@ -174,9 +174,9 @@ def experiment_parallel_update(
         " per mode (pool spawn + first shm publish/attach excluded)"
     )
     table.add_note(
-        "simulate's makespan_s is the idealised one-core-per-landmark"
-        " model; processes' is the max real shard wall (incl. snapshot"
-        " decode)"
+        "sequential's makespan_s is the idealised one-core-per-landmark"
+        " model; threads' is the max overlapped landmark wall; processes'"
+        " is the max real shard wall (incl. snapshot decode)"
     )
     return table
 

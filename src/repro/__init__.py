@@ -53,7 +53,6 @@ from repro.graph.digraph import DynamicDiGraph
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.weighted_graph import WeightedDynamicGraph, WeightUpdate
 from repro.parallel.pool import LandmarkShardPool
-from repro.parallel.sharded import ShardedHighwayCoverIndex  # reprolint: disable=API001 -- public compatibility re-export
 from repro.service.engine import DistanceService
 from repro.service.scheduler import FlushPolicy, FlushTrigger
 
@@ -70,7 +69,6 @@ __all__ = [
     "oracle_spec",
     "register_oracle",
     "HighwayCoverIndex",
-    "ShardedHighwayCoverIndex",
     "LandmarkShardPool",
     "DirectedHighwayCoverIndex",
     "WeightedHighwayCoverIndex",

@@ -1,7 +1,7 @@
 """The unified :class:`DistanceOracle` protocol and its shared base class.
 
-Every distance index in this reproduction — the highway cover family, the
-paper's baselines, the parallel sharding backend — speaks one API:
+Every distance index in this reproduction — the highway cover family and
+the paper's baselines — speaks one API:
 
 * ``distance(s, t)`` — exact distance, ``float('inf')`` when disconnected;
 * ``distances(pairs)`` — batched queries, one value per pair, in order;
@@ -54,7 +54,7 @@ class Capabilities:
     * ``dynamic``      — ``batch_update`` maintains the index incrementally
       (False means updates trigger a full rebuild);
     * ``parallel``     — ``batch_update`` accepts the ``parallel=`` backend
-      options (threads / processes / simulate);
+      options (threads / processes);
     * ``serializable`` — ``serialize(path)`` round-trips through
       :func:`repro.api.registry.load_oracle`.
     """

@@ -41,7 +41,6 @@ _log = get_logger("repro.api.registry")
 #: Modules whose import registers the built-in oracles.
 _BUILTIN_MODULES: tuple[str, ...] = (
     "repro.core.index",
-    "repro.parallel.sharded",
     "repro.core.directed",
     "repro.core.weighted",
     "repro.baselines.bibfs",

@@ -461,7 +461,7 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--parallel",
-        choices=("none", "threads", "processes", "simulate"),
+        choices=("none", "threads", "processes"),
         default="none",
         help="execution backend for flushes; 'processes' runs landmark"
         " shards on a persistent worker-process pool",

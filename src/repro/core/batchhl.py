@@ -20,9 +20,10 @@ Variants (Section 7.1):
 Parallelism: ``parallel="threads"`` runs landmarks on a thread pool (safe —
 disjoint writes — but GIL-bound in CPython); ``parallel="processes"`` ships
 landmark shards to a persistent worker-process pool
-(:mod:`repro.parallel`), the first backend that actually escapes the GIL;
-``parallel="simulate"`` runs sequentially, times each landmark, and reports
-the makespan ``max_r t(r)`` that the paper's 20-thread BHLp would pay.
+(:mod:`repro.parallel`), the backend that actually escapes the GIL.  Every
+backend times its shards: the in-process ones (sequential and threads)
+report one timing per landmark and the makespan ``max_r t(r)`` that the
+paper's one-thread-per-landmark BHLp would pay.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.obs.trace import get_tracer, span
 
 _log = get_logger("repro.core.batchhl")
 
-PARALLEL_MODES = (None, "threads", "processes", "simulate")
+PARALLEL_MODES = (None, "threads", "processes")
 
 
 def _record_phase_metrics(stats: UpdateStats, backend: str) -> None:
@@ -314,8 +315,7 @@ def _apply_one_batch(
         stats.labels_changed += changed
     stats.shard_timings = shard_timings
     stats.merge_seconds = merge_seconds
-    if parallel in ("simulate", "processes"):
-        stats.makespan_seconds = makespan
+    stats.makespan_seconds = makespan
     if phases_span is not None and parallel != "processes":
         # In-process backends have no per-shard tracks (the pool
         # synthesizes those for the processes backend from ShardTiming);
@@ -520,21 +520,17 @@ def process_landmarks(
 
     outcomes = [(n, s, r, c, a) for (n, s, r, c, a, _) in raw]
     makespan = max((t for (*_, t) in raw), default=0.0)
-    # One timing entry per landmark: under "simulate" this is the paper's
-    # one-core-per-landmark cost model; under "threads" the walls overlap.
-    # Plain sequential runs skip the breakdown.
-    shard_timings = (
-        [
-            ShardTiming(
-                shard=i,
-                num_landmarks=1,
-                search_seconds=s,
-                repair_seconds=r,
-                wall_seconds=t,
-            )
-            for i, (_, s, r, _, _, t) in enumerate(raw)
-        ]
-        if parallel is not None
-        else []
-    )
+    # One timing entry per landmark: run sequentially, their max is the
+    # paper's one-core-per-landmark cost model; under "threads" the walls
+    # overlap.
+    shard_timings = [
+        ShardTiming(
+            shard=i,
+            num_landmarks=1,
+            search_seconds=s,
+            repair_seconds=r,
+            wall_seconds=t,
+        )
+        for i, (_, s, r, _, _, t) in enumerate(raw)
+    ]
     return outcomes, makespan, shard_timings, 0.0

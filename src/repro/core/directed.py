@@ -40,7 +40,7 @@ from repro.core.labelling import HighwayCoverLabelling
 from repro.core.landmarks import select_landmarks
 from repro.core.stats import UpdateStats
 from repro.errors import BatchError
-from repro.graph.batch import Batch, apply_batch, normalize_batch
+from repro.graph.batch import Batch, apply_batch, normalize_batch, revert_batch
 from repro.graph.csr import (
     CSRGraph,
     bfs_distances as csr_bfs_distances,
@@ -191,14 +191,14 @@ class DirectedHighwayCoverIndex(OracleBase):
         self._ensure_open()
         variant = resolve_variant(variant)
         if (
-            parallel not in (None, "threads", "simulate")
+            parallel not in (None, "threads")
             or num_shards is not None
             or pool is not None
         ):
             raise BatchError(
-                "parallel must be None, 'threads' or 'simulate' on directed"
-                " indexes (the processes backend and its num_shards/pool"
-                f" options are undirected-only), got {parallel!r}"
+                "parallel must be None or 'threads' on directed indexes"
+                " (the processes backend and its num_shards/pool options"
+                f" are undirected-only), got {parallel!r}"
             )
         updates = list(updates)
         stats = UpdateStats(variant=variant.value, n_requested=len(updates))
@@ -215,14 +215,28 @@ class DirectedHighwayCoverIndex(OracleBase):
                 self._graph.ensure_vertex(highest)
                 self._forward.grow(self._graph.num_vertices)
                 self._backward.grow(self._graph.num_vertices)
+        forward, backward = self._forward, self._backward
+        applied: list[Batch] = []
         try:
             for sub_batch, improved in variant_plan(batch, variant):
-                sub_stats = self._apply_one_batch(
-                    sub_batch, improved, parallel, num_threads
+                forward, backward, sub_stats = self._apply_one_batch(
+                    sub_batch, forward, backward, improved, parallel,
+                    num_threads,
                 )
+                applied.append(sub_batch)
                 stats.merge(sub_stats)
+        except BaseException:
+            # As in run_batch_update: _apply_one_batch reverts its own
+            # failing sub-batch, and the earlier ones are undone here in
+            # reverse, so the graph matches the labellings, which are
+            # only replaced after every sub-batch succeeded.  Vertices
+            # grown above stay (isolated), covered by both labellings.
+            for done in reversed(applied):
+                revert_batch(self._graph, done)
+            raise
         finally:
             self._invalidate_csr()
+        self._forward, self._backward = forward, backward
         stats.n_requested = len(updates)
         stats.total_seconds = time.perf_counter() - started
         return stats
@@ -230,16 +244,23 @@ class DirectedHighwayCoverIndex(OracleBase):
     def _apply_one_batch(
         self,
         batch: Batch,
+        forward: HighwayCoverLabelling,
+        backward: HighwayCoverLabelling,
         improved: bool,
         parallel: str | None,
         num_threads: int | None,
-    ) -> UpdateStats:
+    ) -> tuple[HighwayCoverLabelling, HighwayCoverLabelling, UpdateStats]:
+        """Apply one sub-batch; returns the repaired (forward, backward).
+
+        Neither input labelling is modified.  On failure the sub-batch's
+        arcs are reverted before the exception propagates.
+        """
         stats = UpdateStats(variant="", n_applied=len(batch))
         stats.n_insertions = len(batch.insertions)
         stats.n_deletions = len(batch.deletions)
-        stats.affected_per_landmark = [0] * self._forward.num_landmarks
+        stats.affected_per_landmark = [0] * forward.num_landmarks
         if not len(batch):
-            return stats
+            return forward, backward, stats
 
         graph = self._graph
         # Growth happened once for the whole batch in batch_update; both
@@ -249,67 +270,77 @@ class DirectedHighwayCoverIndex(OracleBase):
             stats.affected_vertices.add(update.u)
             stats.affected_vertices.add(update.v)
 
-        # Freeze G' once per multi-update sub-batch: both labelling passes
-        # run the adaptive vector kernels over the same immutable CSR
-        # pair (successor rows for search and relaxation, predecessor
-        # rows for repair's boundary bounds — each direction's search CSR
-        # is the other's repair-predecessor CSR).  Unit sub-batches stay
-        # on the live views and the Python heap kernels — their cost is
-        # proportional to the affected region, not the graph.
-        if len(batch) > 1:
-            csr_out, csr_in = CSRGraph.from_digraph(graph)
-            if parallel == "threads":
-                csr_out.adjacency_lists()  # warm once on the writer; see
-                csr_in.adjacency_lists()   # _apply_one_batch (undirected)
-        else:
-            csr_out = csr_in = None
-        makespan_total = 0.0
-        for labelling, csr_dir, pred_csr, reverse in (
-            (self._forward, csr_out, csr_in, False),
-            (self._backward, csr_in, csr_out, True),
-        ):
-            oriented = [
-                ((u.v, u.u, u.is_delete) if reverse else (u.u, u.v, u.is_delete))
-                for u in batch
-            ]
-            view = graph.in_view() if reverse else graph.out_view()
-            pred_view = graph.out_view() if reverse else graph.in_view()
-            labelling_new = labelling.copy()
-            outcomes, makespan, shard_timings, merge_seconds = process_landmarks(
-                csr_dir if csr_dir is not None else view,
-                labelling,
-                labelling_new,
-                oriented,
-                improved,
-                symmetric_highway=False,
-                parallel=parallel,
-                num_threads=num_threads,
-                pred_view=pred_view,
-                csr=csr_dir,
-                pred_csr=pred_csr,
-            )
-            for i, (
-                n_affected,
-                search_s,
-                repair_s,
-                changed,
-                touched,
-            ) in enumerate(outcomes):
-                stats.affected_per_landmark[i] += n_affected
-                stats.affected_vertices.update(touched)
-                stats.search_seconds += search_s
-                stats.repair_seconds += repair_s
-                stats.labels_changed += changed
-            makespan_total += makespan
-            stats.shard_timings.extend(shard_timings)
-            stats.merge_seconds += merge_seconds
-            if reverse:
-                self._backward = labelling_new
+        try:
+            # Freeze G' once per multi-update sub-batch: both labelling
+            # passes run the adaptive vector kernels over the same
+            # immutable CSR pair (successor rows for search and
+            # relaxation, predecessor rows for repair's boundary bounds —
+            # each direction's search CSR is the other's
+            # repair-predecessor CSR).  Unit sub-batches stay on the live
+            # views and the Python heap kernels — their cost is
+            # proportional to the affected region, not the graph.
+            if len(batch) > 1:
+                csr_out, csr_in = CSRGraph.from_digraph(graph)
+                if parallel == "threads":
+                    csr_out.adjacency_lists()  # warm once on the writer; see
+                    csr_in.adjacency_lists()   # _apply_one_batch (undirected)
             else:
-                self._forward = labelling_new
-        if parallel == "simulate":
-            stats.makespan_seconds = makespan_total
-        return stats
+                csr_out = csr_in = None
+            repaired = []
+            makespan_total = 0.0
+            for labelling, csr_dir, pred_csr, reverse in (
+                (forward, csr_out, csr_in, False),
+                (backward, csr_in, csr_out, True),
+            ):
+                oriented = [
+                    (
+                        (u.v, u.u, u.is_delete)
+                        if reverse
+                        else (u.u, u.v, u.is_delete)
+                    )
+                    for u in batch
+                ]
+                view = graph.in_view() if reverse else graph.out_view()
+                pred_view = graph.out_view() if reverse else graph.in_view()
+                labelling_new = labelling.copy()
+                outcomes, makespan, shard_timings, merge_seconds = (
+                    process_landmarks(
+                        csr_dir if csr_dir is not None else view,
+                        labelling,
+                        labelling_new,
+                        oriented,
+                        improved,
+                        symmetric_highway=False,
+                        parallel=parallel,
+                        num_threads=num_threads,
+                        pred_view=pred_view,
+                        csr=csr_dir,
+                        pred_csr=pred_csr,
+                    )
+                )
+                for i, (
+                    n_affected,
+                    search_s,
+                    repair_s,
+                    changed,
+                    touched,
+                ) in enumerate(outcomes):
+                    stats.affected_per_landmark[i] += n_affected
+                    stats.affected_vertices.update(touched)
+                    stats.search_seconds += search_s
+                    stats.repair_seconds += repair_s
+                    stats.labels_changed += changed
+                makespan_total += makespan
+                stats.shard_timings.extend(shard_timings)
+                stats.merge_seconds += merge_seconds
+                repaired.append(labelling_new)
+        except BaseException:
+            # Neither labelling was replaced: undo the arcs so the graph
+            # still matches them.
+            revert_batch(graph, batch)
+            raise
+        stats.makespan_seconds = makespan_total
+        return repaired[0], repaired[1], stats
 
     def snapshot(self) -> "DirectedHighwayCoverIndex":
         """A frozen copy (graph + both labellings) for concurrent reads,

@@ -15,6 +15,15 @@ queries, and reflects batch updates via the BatchHL machinery::
 
 The graph passed in is *owned*: ``batch_update`` mutates it together with
 the labelling so the two always describe the same topology.
+
+An index built on a :class:`~repro.parallel.pool.LandmarkShardPool`
+(``pool=``, or the ``hcl-sharded`` registry entry) runs construction,
+``rebuild()`` and its batch updates on the pool's worker processes;
+queries never touch the pool::
+
+    with open_oracle("hcl-sharded", graph, num_landmarks=20, num_shards=4) as index:
+        index.batch_update(updates)          # runs on the worker pool
+        index.distance(s, t)                 # reads stay in-process
 """
 
 from __future__ import annotations
@@ -30,12 +39,15 @@ from repro.core.labelling import HighwayCoverLabelling
 from repro.core.landmarks import select_landmarks
 from repro.core.queries import query_distance
 from repro.core.stats import UpdateStats
+from repro.errors import BatchError
 from repro.graph.batch import EdgeUpdate
 from repro.graph.csr import CSRGraph, bfs_distances as csr_bfs_distances
 from repro.graph.dynamic_graph import DynamicGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
+
+    from repro.parallel.pool import LandmarkShardPool
 
 
 class HighwayCoverIndex(OracleBase):
@@ -45,6 +57,10 @@ class HighwayCoverIndex(OracleBase):
         dynamic=True, parallel=True, serializable=True
     )
 
+    #: True when ``close()`` must shut ``_pool`` down: the ``hcl-sharded``
+    #: factory sets it on an index whose pool it created itself.
+    _owns_pool: bool = False
+
     def __init__(
         self,
         graph: DynamicGraph,
@@ -52,22 +68,23 @@ class HighwayCoverIndex(OracleBase):
         landmarks: tuple[int, ...] | None = None,
         selection: str = "degree",
         seed: int = 0,
+        pool: "LandmarkShardPool | None" = None,
     ) -> None:
         self._check_buildable(graph)
         self._graph = graph
+        self._pool = pool
         if landmarks is None:
             landmarks = select_landmarks(
                 graph, min(num_landmarks, graph.num_vertices), selection, seed
             )
-        self._labelling = self._build_labelling(graph, tuple(landmarks))
+        self._labelling = build_labelling(
+            graph,
+            tuple(landmarks),
+            parallel=None if pool is None else "processes",
+            pool=pool,
+        )
         self._landmark_set = frozenset(self._labelling.landmarks)
         self._csr: CSRGraph | None = None
-
-    def _build_labelling(
-        self, graph: DynamicGraph, landmarks: tuple[int, ...]
-    ) -> HighwayCoverLabelling:
-        """Construction hook — subclasses may build on a different backend."""
-        return build_labelling(graph, landmarks)
 
     @classmethod
     def from_parts(
@@ -80,6 +97,7 @@ class HighwayCoverIndex(OracleBase):
         """
         index = cls.__new__(cls)
         index._graph = graph
+        index._pool = None
         index._labelling = labelling
         index._landmark_set = frozenset(labelling.landmarks)
         index._csr = None
@@ -100,6 +118,28 @@ class HighwayCoverIndex(OracleBase):
     @property
     def landmarks(self) -> tuple[int, ...]:
         return self._labelling.landmarks
+
+    @property
+    def pool(self) -> "LandmarkShardPool | None":
+        """The shard pool this index maintains itself on, if any."""
+        return self._pool
+
+    @property
+    def effective_num_shards(self) -> int | None:
+        """The shard count batches run with on this index's pool.
+
+        None without a pool.  An auto-sharded pool (``num_shards=None``)
+        resolves to one shard per core, capped by the landmark count —
+        the same resolution
+        :func:`~repro.parallel.pool.partition_landmarks` applies.
+        """
+        if self._pool is None:
+            return None
+        from repro.parallel.pool import default_num_shards
+
+        num_landmarks = self._labelling.num_landmarks
+        requested = self._pool.num_shards or default_num_shards(num_landmarks)
+        return max(1, min(requested, num_landmarks))
 
     def label_size(self) -> int:
         """Number of label entries (the paper's labelling-size metric)."""
@@ -220,11 +260,29 @@ class HighwayCoverIndex(OracleBase):
         """Apply a batch of :class:`EdgeUpdate` to graph + labelling.
 
         ``parallel`` selects the execution backend: None (sequential),
-        ``"threads"``, ``"processes"`` (landmark shards on a worker-process
-        pool — see :mod:`repro.parallel`), or ``"simulate"``.
+        ``"threads"``, or ``"processes"`` (landmark shards on a
+        worker-process pool — see :mod:`repro.parallel`).
         ``num_shards``/``pool`` configure the processes backend only.
+
+        An index built on a pool runs the batch there unless the call
+        picks ``"threads"`` or passes its own ``pool``.  The shard count
+        is then fixed by that pool: a matching ``num_shards`` is
+        accepted, a different one raises :class:`BatchError` rather than
+        being silently ignored.
         """
         self._ensure_open()
+        if self._pool is not None and pool is None and parallel in (
+            None, "processes"
+        ):
+            shards = self.effective_num_shards
+            if num_shards is not None and num_shards != shards:
+                raise BatchError(
+                    "this index runs on its own pool"
+                    f" (effective num_shards={shards}), cannot honour"
+                    f" num_shards={num_shards}; pass pool=... to override,"
+                    " or set num_shards at construction"
+                )
+            parallel, pool = "processes", self._pool
         try:
             new_labelling, stats = run_batch_update(
                 self._graph,
@@ -306,8 +364,14 @@ class HighwayCoverIndex(OracleBase):
         return load_index(path)
 
     def rebuild(self) -> None:
-        """Recompute the labelling from scratch (keeps the landmark set)."""
-        self._labelling = build_labelling(self._graph, self._labelling.landmarks)
+        """Recompute the labelling from scratch (keeps the landmark set),
+        on this index's pool when it has one."""
+        self._labelling = build_labelling(
+            self._graph,
+            self._labelling.landmarks,
+            parallel=None if self._pool is None else "processes",
+            pool=self._pool,
+        )
         self._invalidate_csr()
 
     def check_minimality(self) -> list[str]:
@@ -319,11 +383,18 @@ class HighwayCoverIndex(OracleBase):
         fresh = build_labelling(self._graph, self._labelling.landmarks)
         return self._labelling.diff(fresh)
 
+    def close(self) -> None:
+        """Stop further updates; shut the pool down if this index owns it."""
+        if self._owns_pool and self._pool is not None:
+            self._pool.close()
+        super().close()
+
     def __repr__(self) -> str:
+        pool = "" if self._pool is None else f", pool={self._pool!r}"
         return (
             f"HighwayCoverIndex(|V|={self._graph.num_vertices},"
             f" |E|={self._graph.num_edges}, |R|={len(self.landmarks)},"
-            f" entries={self.label_size()})"
+            f" entries={self.label_size()}{pool})"
         )
 
 
@@ -345,6 +416,32 @@ def _open_highway_cover(
     return HighwayCoverIndex(graph, **config)
 
 
+def _open_sharded(
+    graph: DynamicGraph,
+    num_shards: int | None = None,
+    pool: "LandmarkShardPool | None" = None,
+    **config: Any,
+) -> "HighwayCoverIndex":
+    """Factory: an index maintained on ``pool``, or on a pool of its own.
+
+    Without ``pool`` the factory creates a ``num_shards``-way pool and
+    hands its ownership to the index, whose ``close()`` shuts it down; an
+    injected pool stays the caller's to close.
+    """
+    if pool is not None:
+        return HighwayCoverIndex(graph, pool=pool, **config)
+    from repro.parallel.pool import LandmarkShardPool
+
+    owned = LandmarkShardPool(num_shards)
+    try:
+        index = HighwayCoverIndex(graph, pool=owned, **config)
+    except BaseException:
+        owned.close()
+        raise
+    index._owns_pool = True
+    return index
+
+
 register_oracle(
     "hcl",
     _open_highway_cover,
@@ -353,6 +450,20 @@ register_oracle(
     " method)",
     config_keys=(
         "num_landmarks", "landmarks", "selection", "seed", "labelling",
+    ),
+    loader=HighwayCoverIndex.load,
+)
+
+
+register_oracle(
+    "hcl-sharded",
+    _open_sharded,
+    capabilities=HighwayCoverIndex.capabilities,
+    description="highway cover index with construction + updates on a"
+    " persistent worker-process shard pool",
+    config_keys=(
+        "num_landmarks", "landmarks", "selection", "seed",
+        "num_shards", "pool",
     ),
     loader=HighwayCoverIndex.load,
 )

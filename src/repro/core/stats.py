@@ -2,7 +2,7 @@
 
 These are what the paper's evaluation measures: per-phase times (batch
 search vs batch repair), the number of affected vertices per landmark
-(Figure 2, Table 5), and the simulated parallel makespan for BHLp.
+(Figure 2, Table 5), and the landmark-parallel makespan for BHLp.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 class ShardTiming:
     """Wall-clock breakdown of one execution shard of a (sub-)batch.
 
-    Populated by every parallel backend so their cost models line up:
-    ``parallel="simulate"`` emits one timing per landmark (the paper's
-    idealised one-core-per-landmark machine), ``parallel="threads"`` one
-    per landmark as actually interleaved by the thread pool, and
+    Populated by every backend so their cost models line up: a
+    sequential run emits one timing per landmark (the paper's idealised
+    one-core-per-landmark machine), ``parallel="threads"`` one per
+    landmark as actually interleaved by the thread pool, and
     ``parallel="processes"`` one per worker shard.  ``wall_seconds`` is
     the shard's elapsed time and may exceed ``search + repair`` (decode
     and serialisation overhead live there); the batch makespan is the max
@@ -55,13 +55,15 @@ class UpdateStats:
     #: repairs write the shared matrix directly).
     merge_seconds: float = 0.0
     total_seconds: float = 0.0
-    #: per-shard timing breakdown; empty when the batch ran sequentially
-    #: with no parallel backend selected.
+    #: per-shard timing breakdown of the highway cover indexes: one
+    #: entry per landmark in-process, one per worker shard for the
+    #: processes backend; empty when no sub-batch ran.
     shard_timings: list[ShardTiming] = field(default_factory=list)
     #: max over shards of per-shard wall time — what a machine with one
-    #: core per shard would pay per sub-batch.  Set by
-    #: parallel="simulate" (shard == landmark, the paper's BHLp model)
-    #: and parallel="processes" (real worker wall times); None otherwise.
+    #: core per shard would pay — summed over sub-batches.  Sequential
+    #: runs give the paper's BHLp model (shard == landmark), the
+    #: processes backend real worker wall times; None when no sub-batch
+    #: ran.
     makespan_seconds: float | None = None
     #: number of label/highway cells actually rewritten by repair.
     labels_changed: int = 0

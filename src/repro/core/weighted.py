@@ -339,38 +339,47 @@ class WeightedHighwayCoverIndex(OracleBase):
         self._labelling.grow(graph.num_vertices)
 
         changes: list[AppliedChange] = []
-        for update in normalised:
-            old = graph.set_weight(update.u, update.v, update.weight)
-            old_w = INF if old is None else old
-            new_w = INF if update.weight is None else update.weight
-            changes.append((update.u, update.v, old_w, new_w))
-            if new_w > old_w:
-                stats.n_deletions += 1  # increase ~ deletion
-            else:
-                stats.n_insertions += 1  # decrease ~ insertion
-        stats.n_applied = len(changes)
-        for u, v, _, _ in changes:
-            stats.affected_vertices.add(u)
-            stats.affected_vertices.add(v)
+        try:
+            for update in normalised:
+                old = graph.set_weight(update.u, update.v, update.weight)
+                old_w = INF if old is None else old
+                new_w = INF if update.weight is None else update.weight
+                changes.append((update.u, update.v, old_w, new_w))
+                if new_w > old_w:
+                    stats.n_deletions += 1  # increase ~ deletion
+                else:
+                    stats.n_insertions += 1  # decrease ~ insertion
+            stats.n_applied = len(changes)
+            for u, v, _, _ in changes:
+                stats.affected_vertices.add(u)
+                stats.affected_vertices.add(v)
 
-        labelling_old = self._labelling
-        labelling_new = labelling_old.copy()
-        is_landmark = labelling_old.is_landmark.tolist()
-        for i in range(labelling_old.num_landmarks):
-            t0 = time.perf_counter()
-            dist_arr, flag_arr = labelling_old.distances_from(i)
-            old_dist = dist_arr.tolist()
-            old_flag = flag_arr.tolist()
-            affected = weighted_batch_search(graph, changes, old_dist)
-            t1 = time.perf_counter()
-            stats.labels_changed += weighted_batch_repair(
-                graph, affected, i, labelling_new, old_dist, old_flag, is_landmark
-            )
-            t2 = time.perf_counter()
-            stats.affected_per_landmark[i] += len(affected)
-            stats.affected_vertices.update(affected)
-            stats.search_seconds += t1 - t0
-            stats.repair_seconds += t2 - t1
+            labelling_old = self._labelling
+            labelling_new = labelling_old.copy()
+            is_landmark = labelling_old.is_landmark.tolist()
+            for i in range(labelling_old.num_landmarks):
+                t0 = time.perf_counter()
+                dist_arr, flag_arr = labelling_old.distances_from(i)
+                old_dist = dist_arr.tolist()
+                old_flag = flag_arr.tolist()
+                affected = weighted_batch_search(graph, changes, old_dist)
+                t1 = time.perf_counter()
+                stats.labels_changed += weighted_batch_repair(
+                    graph, affected, i, labelling_new, old_dist, old_flag,
+                    is_landmark,
+                )
+                t2 = time.perf_counter()
+                stats.affected_per_landmark[i] += len(affected)
+                stats.affected_vertices.update(affected)
+                stats.search_seconds += t1 - t0
+                stats.repair_seconds += t2 - t1
+        except BaseException:
+            # The labelling was never replaced: restore every weight set
+            # so far (an invalid weight can fail mid-loop), in reverse,
+            # so the graph still matches it.  Grown vertices stay.
+            for u, v, old_w, _ in reversed(changes):
+                graph.set_weight(u, v, None if old_w >= INF else old_w)
+            raise
         self._labelling = labelling_new
         stats.total_seconds = time.perf_counter() - started
         return stats

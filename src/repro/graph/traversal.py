@@ -199,9 +199,3 @@ def connected_components(graph: Any) -> list[list[int]]:
     components.sort(key=len, reverse=True)
     return components
 
-
-def eccentricity_lower_bound(graph: Any, source: int) -> int:
-    """Largest finite BFS distance from ``source`` (0 on isolated vertices)."""
-    dist = bfs_distances(graph, source)
-    finite = dist[dist < INF]
-    return int(finite.max()) if len(finite) else 0

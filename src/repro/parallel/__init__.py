@@ -6,16 +6,17 @@ parallel across landmarks.  This package turns that into a real
 multiprocess backend for CPython, where threads cannot help (the search
 and repair kernels are pure Python and GIL-bound):
 
-* :mod:`~repro.parallel.snapshot` — compact array-encoded (graph,
-  labelling) snapshots that pickle cheaply to worker processes;
+* :mod:`~repro.parallel.snapshot` — the shared-memory (graph,
+  labelling) state workers attach to across batches;
 * :mod:`~repro.parallel.worker` — the picklable shard task bodies
   (batch search + repair, and BFS construction, per landmark shard);
 * :mod:`~repro.parallel.pool` — :class:`LandmarkShardPool`, a persistent
   worker-process pool reused across batches, plus the process-wide
-  default pool behind ``parallel="processes"``;
-* :mod:`~repro.parallel.sharded` — :class:`ShardedHighwayCoverIndex`,
-  a drop-in :class:`~repro.core.index.HighwayCoverIndex` whose
-  construction and updates run on the pool.
+  default pool behind ``parallel="processes"``.
+
+A :class:`~repro.core.index.HighwayCoverIndex` built with ``pool=`` (the
+``hcl-sharded`` registry entry) runs its construction and updates on
+that pool.
 """
 
 from repro.parallel.pool import (
@@ -25,16 +26,11 @@ from repro.parallel.pool import (
     get_default_pool,
     partition_landmarks,
 )
-from repro.parallel.sharded import ShardedHighwayCoverIndex
-from repro.parallel.snapshot import StateSnapshot, encode_state
 
 __all__ = [
     "LandmarkShardPool",
-    "ShardedHighwayCoverIndex",
-    "StateSnapshot",
     "close_default_pool",
     "default_num_shards",
-    "encode_state",
     "get_default_pool",
     "partition_landmarks",
 ]

@@ -29,10 +29,6 @@ so a worker-side ``unregister`` would cancel the writer's registration
 and leak the segment on abnormal exit.  Registration bookkeeping belongs
 to the owning :class:`SharedShardState` alone — reprolint's SHM001 rule
 enforces exactly this.
-
-:class:`StateSnapshot` (the picklable fallback encoding) is retained for
-one-shot users such as parallel construction, where state reuse across
-calls buys nothing; workers wrap its CSR arrays directly.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ import numpy as np
 
 from repro.core.labelling import HighwayCoverLabelling
 from repro.errors import BatchError
-from repro.graph.csr import CSRGraph, CSRListView
+from repro.graph.csr import CSRGraph
 from repro.obs.log import get_logger
 
 _log = get_logger("repro.parallel.snapshot")
@@ -288,45 +284,6 @@ class SharedShardState:
         )
 
 
-# ----------------------------------------------------------------------
-# picklable fallback snapshot (one-shot users: parallel construction)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StateSnapshot:
-    """Picklable (G', Γ) pair: CSR adjacency + label matrices.
-
-    ``indptr``/``indices`` follow the standard CSR convention: the
-    neighbours of vertex ``v`` are ``indices[indptr[v]:indptr[v + 1]]``.
-    ``labels``/``highway``/``landmarks`` mirror
-    :class:`~repro.core.labelling.HighwayCoverLabelling` storage exactly.
-    """
-
-    indptr: np.ndarray  # shape: (V+1,) int64
-    indices: np.ndarray  # shape: (E,) int64
-    labels: np.ndarray  # shape: (V, R) int64
-    highway: np.ndarray  # shape: (R, R) int64
-    landmarks: tuple[int, ...]
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.indptr) - 1
-
-    def decode_graph(self) -> CSRListView:
-        """Materialise the adjacency as Python lists (worker side)."""
-        return CSRGraph(self.indptr, self.indices).list_view()
-
-    def decode_labelling(self) -> HighwayCoverLabelling:
-        """Wrap the label matrices without copying (worker side).
-
-        The arrays arrive via pickle so the worker already owns them;
-        mutating callers must ``copy()`` the result first, exactly as the
-        sequential pipeline copies before repair.
-        """
-        return HighwayCoverLabelling(self.labels, self.highway, self.landmarks)
-
-
 def encode_graph(graph: Any) -> tuple[np.ndarray, np.ndarray]:
     """CSR-encode a graph (delegates to :meth:`CSRGraph.from_graph`).
 
@@ -338,24 +295,3 @@ def encode_graph(graph: Any) -> tuple[np.ndarray, np.ndarray]:
         return graph.indptr, graph.indices
     csr = CSRGraph.from_graph(graph)
     return csr.indptr, csr.indices
-
-
-def encode_state(
-    graph: Any, labelling: HighwayCoverLabelling
-) -> StateSnapshot:
-    """Snapshot (G', Γ) for one-shot shard tasks.
-
-    Call *after* the batch has been applied to ``graph`` and the labelling
-    grown to the new vertex count — workers must see the updated topology
-    with the pre-update labels, the same view the sequential pipeline
-    hands to :func:`~repro.core.batchhl.process_landmarks`.  ``graph`` may
-    be the already-frozen :class:`CSRGraph` of G'.
-    """
-    indptr, indices = encode_graph(graph)
-    return StateSnapshot(
-        indptr=indptr,
-        indices=indices,
-        labels=labelling.labels,
-        highway=labelling.highway,
-        landmarks=labelling.landmarks,
-    )

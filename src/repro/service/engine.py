@@ -134,9 +134,11 @@ class DistanceService:
 
     ``parallel``/``num_threads``/``num_shards`` select the execution
     backend every flush uses (see :meth:`HighwayCoverIndex.batch_update`);
-    with ``parallel="processes"`` flushes fan landmark shards out to the
-    shared persistent worker pool (:mod:`repro.parallel`) while readers
-    keep answering in-process from the published epoch.
+    with ``parallel="processes"`` flushes fan landmark shards out to a
+    persistent worker pool (:mod:`repro.parallel`) while readers keep
+    answering in-process from the published epoch.  A writer built on
+    its own pool (``oracle="hcl-sharded"``) flushes on that pool unless
+    ``parallel="threads"``.
 
     Vertex growth: an update whose endpoint is at or beyond the current
     vertex count is accepted when the writer oracle advertises
@@ -197,23 +199,21 @@ class DistanceService:
             raise BatchError(
                 f"parallel must be one of {PARALLEL_MODES}, got {parallel!r}"
             )
-        # A pool-owning writer (the sharded index — detected through its
-        # advertised shard-count surface, not a concrete import; the
-        # service layer speaks DistanceOracle only, per API001): a
-        # conflicting shard count must fail here, a matching/absent one
-        # defers to the pool, and an unspecified backend follows the
-        # writer onto its pool (a sharded writer that silently flushed
-        # sequentially would defeat the point of passing one in).
+        # A pool-owning writer (an hcl-sharded index — detected through
+        # its advertised shard count, not a concrete import; the service
+        # layer speaks DistanceOracle only, per API001) flushes on its
+        # own pool by default, and would reject a conflicting shard count
+        # at every flush: fail here instead.
         writer_shards = getattr(writer, "effective_num_shards", None)
-        if writer_shards is not None:
-            if num_shards is not None and num_shards != writer_shards:
-                raise BatchError(
-                    f"num_shards={num_shards} conflicts with the writer's"
-                    f" own pool (effective num_shards={writer_shards})"
-                )
-            num_shards = None
-            if parallel is None:
-                parallel = "processes"
+        if (
+            writer_shards is not None
+            and num_shards is not None
+            and num_shards != writer_shards
+        ):
+            raise BatchError(
+                f"num_shards={num_shards} conflicts with the writer's"
+                f" own pool (effective num_shards={writer_shards})"
+            )
         if (
             parallel is not None
             or num_threads is not None
@@ -229,8 +229,8 @@ class DistanceService:
         if self._directed and (
             parallel == "processes" or num_shards is not None
         ):
-            # The directed index parallelises with threads/simulate only;
-            # fail at construction rather than poisoning the first flush.
+            # The directed index parallelises with threads only; fail at
+            # construction rather than poisoning the first flush.
             raise CapabilityError(
                 "directed oracles do not support the processes backend"
                 f" (got parallel={parallel!r}, num_shards={num_shards!r});"
@@ -249,9 +249,9 @@ class DistanceService:
         # Own one persistent shard pool for the service's lifetime: its
         # worker processes AND its shared-memory state survive across
         # flushes, so steady-state flushes ship only deltas instead of
-        # re-publishing (V, R) matrices.  A ShardedHighwayCoverIndex
-        # writer already owns a pool; the default-pool fallback inside
-        # run_batch_update would also work but would outlive the service.
+        # re-publishing (V, R) matrices.  A pool-owning writer already
+        # has one; the default-pool fallback inside run_batch_update
+        # would also work but would outlive the service.
         self._pool: LandmarkShardPool | None = None
         if parallel == "processes" and writer_shards is None:
             self._pool = LandmarkShardPool(num_shards)

@@ -3,7 +3,7 @@
 import repro.core.index  # line 3: API001
 from repro import HighwayCoverIndex  # line 4: API001
 from repro.baselines.pll import PrunedLandmarkLabelling  # line 5: API001
-from repro.parallel.sharded import ShardedHighwayCoverIndex  # line 6: API001
+from repro.core.directed import DirectedHighwayCoverIndex  # line 6: API001
 
 
 def build(graph):

@@ -118,3 +118,45 @@ def test_label_size_counts_both_sides():
 def test_empty_graph_rejected():
     with pytest.raises(IndexStateError):
         DirectedHighwayCoverIndex(DynamicDiGraph(0))
+
+
+
+@pytest.mark.parametrize(
+    "variant, failing_call",
+    [
+        ("bhl+", 2),  # the backward pass of the only sub-batch
+        ("uhl", 3),  # the forward pass of the second unit sub-batch
+    ],
+)
+def test_failed_pass_rolls_back_the_batch(monkeypatch, variant, failing_call):
+    """A failed pass must leave the arcs and both labellings as they were
+    — also those of earlier, successful sub-batches — not a repaired
+    forward labelling over G'."""
+    import repro.core.directed as directed_module
+
+    real = directed_module.process_landmarks
+    calls = []
+
+    def flaky_process_landmarks(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise RuntimeError("pass failed")
+        return real(*args, **kwargs)
+
+    rng = random.Random(12)
+    digraph = random_digraph(40, 0.1, seed=7)
+    index = DirectedHighwayCoverIndex(digraph, num_landmarks=4)
+    before_arcs = set(index.graph.edges())
+    forward, backward = index.forward.copy(), index.backward.copy()
+    monkeypatch.setattr(
+        directed_module, "process_landmarks", flaky_process_landmarks
+    )
+    with pytest.raises(RuntimeError):
+        index.batch_update(
+            random_directed_updates(digraph, rng, 2, 2), variant=variant
+        )
+    assert len(calls) == failing_call
+    assert set(index.graph.edges()) == before_arcs
+    assert index.forward.equals(forward)
+    assert index.backward.equals(backward)
+    assert index.check_minimality() == []

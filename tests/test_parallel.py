@@ -1,15 +1,16 @@
-"""Landmark-level parallelism: threads, worker processes, simulated makespan."""
+"""Landmark-level parallelism: threads, worker processes, per-landmark makespan."""
 
 import random
 
 import pytest
 
 from repro import EdgeUpdate
+from repro.api import open_oracle
 from repro.core.construction import build_labelling
 from repro.core.index import HighwayCoverIndex
 from repro.errors import BatchError
 from repro.graph import generators
-from repro.parallel import ShardedHighwayCoverIndex, partition_landmarks
+from repro.parallel import partition_landmarks
 from tests.conftest import random_mixed_updates
 
 
@@ -41,12 +42,12 @@ def test_threaded_update_all_variants():
         assert index.check_minimality() == [], variant
 
 
-def test_simulated_parallel_reports_makespan():
+def test_sequential_run_reports_makespan():
     rng = random.Random(7)
     graph = build_pair(3)
     index = HighwayCoverIndex(graph, num_landmarks=6)
     updates = random_mixed_updates(graph, rng, 5, 5)
-    stats = index.batch_update(updates, parallel="simulate")
+    stats = index.batch_update(updates, parallel=None)
     assert stats.makespan_seconds is not None
     assert 0 < stats.makespan_seconds <= stats.total_seconds
     # Makespan is at least the largest per-landmark share: with 6
@@ -105,8 +106,8 @@ def test_sharded_index_is_drop_in(shard_pool):
     rng = random.Random(10)
     graph = build_pair(7)
     plain = HighwayCoverIndex(graph.copy(), num_landmarks=5)
-    sharded = ShardedHighwayCoverIndex(
-        graph.copy(), num_landmarks=5, pool=shard_pool
+    sharded = open_oracle(
+        "hcl-sharded", graph.copy(), num_landmarks=5, pool=shard_pool
     )
     assert plain.labelling.equals(sharded.labelling)
     updates = random_mixed_updates(graph, rng, 4, 4)
@@ -121,7 +122,9 @@ def test_sharded_index_is_drop_in(shard_pool):
 
 def test_sharded_index_owns_and_closes_its_pool():
     graph = build_pair(8)
-    with ShardedHighwayCoverIndex(graph, num_landmarks=4, num_shards=2) as index:
+    with open_oracle(
+        "hcl-sharded", graph, num_landmarks=4, num_shards=2
+    ) as index:
         index.batch_update([])
         assert index.check_minimality() == []
         pool = index.pool
@@ -236,17 +239,36 @@ def test_bytes_shipped_stays_delta_sized(shard_pool):
 
 def test_sharded_index_rejects_per_batch_shard_override(shard_pool):
     graph = build_pair(14)
-    index = ShardedHighwayCoverIndex(graph, num_landmarks=3, pool=shard_pool)
+    index = open_oracle("hcl-sharded", graph, num_landmarks=3, pool=shard_pool)
     with pytest.raises(BatchError):
         index.batch_update([], num_shards=shard_pool.num_shards + 5)
     # A redundant matching shard count is fine.
     index.batch_update([], num_shards=shard_pool.num_shards)
     # Auto-sharded pools compare against the *effective* count, not the
     # literal None they were constructed with.
-    with ShardedHighwayCoverIndex(build_pair(14), num_landmarks=3) as auto:
+    with open_oracle("hcl-sharded", build_pair(14), num_landmarks=3) as auto:
         auto.batch_update([], num_shards=auto.effective_num_shards)
         with pytest.raises(BatchError):
             auto.batch_update([], num_shards=auto.effective_num_shards + 1)
+
+
+def test_closing_a_snapshot_keeps_the_writers_pool():
+    """snapshot() carries no pool, so closing it must neither shut the
+    writer's own pool down nor move the writer off it."""
+    rng = random.Random(17)
+    graph = build_pair(17)
+    with open_oracle(
+        "hcl-sharded", graph, num_landmarks=4, num_shards=2
+    ) as writer:
+        pool = writer.pool
+        frozen = writer.snapshot()
+        assert frozen.pool is None
+        frozen.close()
+        batches_before = pool.batches_run
+        stats = writer.batch_update(random_mixed_updates(graph, rng, 3, 3))
+        assert pool.batches_run == batches_before + 1
+        assert len(stats.shard_timings) == 2  # one per worker shard
+        assert writer.check_minimality() == []
 
 
 def test_service_over_sharded_writer_flushes_on_its_pool(shard_pool):
@@ -255,9 +277,11 @@ def test_service_over_sharded_writer_flushes_on_its_pool(shard_pool):
 
     rng = random.Random(16)
     graph = build_pair(16)
-    writer = ShardedHighwayCoverIndex(graph.copy(), num_landmarks=4, pool=shard_pool)
-    # No explicit parallel: the service must follow the sharded writer
-    # onto its own pool rather than silently flushing sequentially.
+    writer = open_oracle(
+        "hcl-sharded", graph.copy(), num_landmarks=4, pool=shard_pool
+    )
+    # No explicit parallel: the writer flushes on its own pool rather
+    # than sequentially.
     service = DistanceService(
         writer,
         policy=FlushPolicy(max_batch=10_000, max_delay=None),
@@ -273,8 +297,9 @@ def test_service_over_sharded_writer_flushes_on_its_pool(shard_pool):
     # A conflicting shard count fails at construction, not at flush time.
     with pytest.raises(ServiceBatchError):
         DistanceService(
-            ShardedHighwayCoverIndex(
-                build_pair(16), num_landmarks=4, pool=shard_pool
+            open_oracle(
+                "hcl-sharded", build_pair(16), num_landmarks=4,
+                pool=shard_pool,
             ),
             parallel="processes",
             num_shards=shard_pool.num_shards + 1,
@@ -289,20 +314,21 @@ def test_invalid_parallel_mode_rejected():
 
 
 # ----------------------------------------------------------------------
-# shard timing comparability (simulate vs. real processes)
+# shard timing comparability (sequential vs. real processes)
 # ----------------------------------------------------------------------
 
 
-def test_simulate_shard_timings_decompose_totals():
-    """parallel="simulate" must expose one timing per landmark whose
+def test_sequential_shard_timings_decompose_totals():
+    """A sequential run must expose one timing per landmark whose
     search/repair components sum to the batch totals and whose max wall
-    is the reported makespan — the contract that makes the simulated
-    cost model comparable with real process timings."""
+    is the reported makespan — the contract that makes the paper's
+    one-core-per-landmark cost model comparable with real process
+    timings."""
     rng = random.Random(11)
     graph = build_pair(10)
     index = HighwayCoverIndex(graph, num_landmarks=6)
     updates = random_mixed_updates(graph, rng, 5, 5)
-    stats = index.batch_update(updates, parallel="simulate")
+    stats = index.batch_update(updates, parallel=None)
     assert len(stats.shard_timings) == 6
     assert all(t.num_landmarks == 1 for t in stats.shard_timings)
     assert sum(t.search_seconds for t in stats.shard_timings) == pytest.approx(
@@ -340,15 +366,6 @@ def test_process_shard_timings_decompose_totals(shard_pool):
     for t in stats.shard_timings:
         assert t.wall_seconds >= t.search_seconds + t.repair_seconds
     assert stats.merge_seconds >= 0.0
-
-
-def test_sequential_runs_report_no_shard_timings():
-    rng = random.Random(13)
-    graph = build_pair(12)
-    index = HighwayCoverIndex(graph, num_landmarks=4)
-    stats = index.batch_update(random_mixed_updates(graph, rng, 3, 3))
-    assert stats.shard_timings == []
-    assert stats.makespan_seconds is None
 
 
 def test_shard_pool_works_under_stdin_main():

@@ -1,11 +1,11 @@
 """Cross-backend oracle: the sharded index vs. index-free ground truth.
 
-Every workload generator in :mod:`repro.workloads` is driven through a
-:class:`~repro.parallel.ShardedHighwayCoverIndex` side by side with the
-:class:`~repro.baselines.bibfs.BiBFSIndex` online-search baseline (and a
-from-scratch PLL build at the end of the dataset run) — the answers must
-agree on every sampled pair, uniform and skewed, after every batch.
-Landmark-incident and disconnecting updates get dedicated cases because
+Every workload generator in :mod:`repro.workloads` is driven through an
+``hcl-sharded`` index (maintained on a worker-process pool) side by side
+with the :class:`~repro.baselines.bibfs.BiBFSIndex` online-search
+baseline (and a from-scratch PLL build at the end of the dataset run) —
+the answers must agree on every sampled pair, uniform and skewed, after
+every batch.  Landmark-incident and disconnecting updates get dedicated cases because
 they exercise the highway-repair and unreachable-label paths.
 """
 
@@ -15,11 +15,10 @@ import random
 
 import pytest
 
-from repro import EdgeUpdate
+from repro import EdgeUpdate, open_oracle
 from repro.baselines.bibfs import BiBFSIndex
 from repro.baselines.pll import PrunedLandmarkLabelling
 from repro.graph import generators
-from repro.parallel import ShardedHighwayCoverIndex
 from repro.workloads import load_dataset, temporal_stream
 from repro.workloads.queries import sample_query_pairs, sample_skewed_query_pairs
 from repro.workloads.temporal import stream_batches
@@ -45,8 +44,8 @@ def assert_matches_oracle(index, oracle, pairs, context: str) -> None:
 def test_update_workloads_match_bibfs(setting, shard_pool):
     graph = generators.powerlaw_cluster(130, 3, 0.3, seed=9)
     workload = make_workload(setting, graph, num_batches=3, batch_size=14, seed=9)
-    index = ShardedHighwayCoverIndex(
-        workload.graph.copy(), num_landmarks=6, pool=shard_pool
+    index = open_oracle(
+        "hcl-sharded", workload.graph.copy(), num_landmarks=6, pool=shard_pool
     )
     oracle = BiBFSIndex(workload.graph.copy())
     for batch_no, batch in enumerate(workload.batches):
@@ -64,7 +63,9 @@ def test_update_workloads_match_bibfs(setting, shard_pool):
 def test_temporal_stream_matches_bibfs(shard_pool):
     graph = generators.barabasi_albert(110, 2, seed=4)
     events = temporal_stream(graph, 60, churn=0.4, seed=4)
-    index = ShardedHighwayCoverIndex(graph.copy(), num_landmarks=5, pool=shard_pool)
+    index = open_oracle(
+        "hcl-sharded", graph.copy(), num_landmarks=5, pool=shard_pool
+    )
     oracle = BiBFSIndex(graph.copy())
     for batch_no, batch in enumerate(stream_batches(events, batch_size=15)):
         index.batch_update(batch)
@@ -82,8 +83,8 @@ def test_dataset_replica_matches_bibfs_and_pll(shard_pool):
     workload = make_workload(
         "fully-dynamic", graph, num_batches=2, batch_size=16, seed=2
     )
-    index = ShardedHighwayCoverIndex(
-        workload.graph.copy(), num_landmarks=6, pool=shard_pool
+    index = open_oracle(
+        "hcl-sharded", workload.graph.copy(), num_landmarks=6, pool=shard_pool
     )
     oracle = BiBFSIndex(workload.graph.copy())
     for batch_no, batch in enumerate(workload.batches):
@@ -106,7 +107,9 @@ def test_dataset_replica_matches_bibfs_and_pll(shard_pool):
 def test_landmark_incident_updates(shard_pool):
     """Deleting and re-inserting edges at a landmark reshapes the highway."""
     graph = generators.barabasi_albert(90, 3, seed=6)
-    index = ShardedHighwayCoverIndex(graph.copy(), num_landmarks=5, pool=shard_pool)
+    index = open_oracle(
+        "hcl-sharded", graph.copy(), num_landmarks=5, pool=shard_pool
+    )
     oracle = BiBFSIndex(graph.copy())
     rng = random.Random(6)
     hub = index.landmarks[0]
@@ -129,7 +132,9 @@ def test_landmark_incident_updates(shard_pool):
 def test_disconnecting_updates_yield_exact_inf(shard_pool):
     """Cutting the graph apart must produce inf on the process backend too."""
     graph = generators.barabasi_albert(80, 2, seed=8)
-    index = ShardedHighwayCoverIndex(graph.copy(), num_landmarks=4, pool=shard_pool)
+    index = open_oracle(
+        "hcl-sharded", graph.copy(), num_landmarks=4, pool=shard_pool
+    )
     oracle = BiBFSIndex(graph.copy())
     # Detach a handful of vertices entirely — including a landmark.
     victims = [index.landmarks[-1], 40, 41, 42]

@@ -71,7 +71,7 @@ def timing(shard, search=0.1, repair=0.2, wall=0.35, landmarks=2):
 
 def test_merge_concatenates_shard_timings_and_merge_time():
     """Sub-batches keep their per-shard breakdown and sum merge overhead —
-    the regression guard for comparing simulate vs. real process runs."""
+    the regression guard for comparing sequential vs. real process runs."""
     a = make([1])
     a.shard_timings = [timing(0), timing(1)]
     a.merge_seconds = 0.01

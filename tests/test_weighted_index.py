@@ -11,7 +11,7 @@ from repro.core.weighted import (
     dijkstra_landmark_lengths,
     normalize_weight_updates,
 )
-from repro.errors import BatchError
+from repro.errors import BatchError, GraphError
 from repro.graph import generators
 from repro.graph.traversal import dijkstra_distance_pair
 from repro.graph.weighted_graph import WeightedDynamicGraph, WeightUpdate
@@ -139,4 +139,51 @@ def test_vertex_growth_weighted():
     index.batch_update([WeightUpdate(1, 4, 3)])
     assert index.graph.num_vertices == 5
     assert index.distance(0, 4) == 5
+    assert index.check_minimality() == []
+
+
+def test_failed_repair_restores_the_old_weights(monkeypatch):
+    """A repair failure must not leave the new weights over the old
+    labelling: every weight set by the batch is restored."""
+    import repro.core.weighted as weighted_module
+
+    real = weighted_module.weighted_batch_repair
+    calls = []
+
+    def fail_on_second_landmark(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("repair failed")
+        return real(*args, **kwargs)
+
+    wgraph = random_weighted(30, 0.15, seed=4)
+    index = WeightedHighwayCoverIndex(wgraph, num_landmarks=3)
+    before = sorted(index.graph.edges())
+    labelling = index.labelling.copy()
+    (a, b, w), (c, d, x) = before[0], before[1]
+    n = wgraph.num_vertices
+    updates = [WeightUpdate(a, b, None), WeightUpdate(c, d, x + 4)]
+    updates += [
+        WeightUpdate(s, t, 1)
+        for s, t in ((0, n - 1), (1, n - 2))
+        if not wgraph.has_edge(s, t)
+    ]
+    monkeypatch.setattr(
+        weighted_module, "weighted_batch_repair", fail_on_second_landmark
+    )
+    with pytest.raises(RuntimeError):
+        index.batch_update(updates)
+    assert len(calls) == 2
+    assert sorted(index.graph.edges()) == before
+    assert index.labelling.equals(labelling)
+    assert index.check_minimality() == []
+
+
+def test_invalid_weight_mid_batch_restores_earlier_weights():
+    wgraph = WeightedDynamicGraph.from_edges([(0, 1, 3), (1, 2, 3)])
+    index = WeightedHighwayCoverIndex(wgraph, num_landmarks=1)
+    before = sorted(index.graph.edges())
+    with pytest.raises(GraphError):
+        index.batch_update([WeightUpdate(0, 1, 6), WeightUpdate(1, 2, 0)])
+    assert sorted(index.graph.edges()) == before
     assert index.check_minimality() == []

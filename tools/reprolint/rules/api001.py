@@ -5,9 +5,8 @@ construction through :func:`repro.open_oracle`; consumer layers that
 import concrete classes anyway re-grow the coupling the factory removed
 (capability checks get skipped, registry config validation is bypassed).
 
-Implementation packages may import each other's concrete classes — the
-sharded index genuinely subclasses ``HighwayCoverIndex`` — so the rule
-allowlists *paths* (``allowed-paths``), not call sites: ``api/``,
+Implementation packages may import each other's concrete classes, so
+the rule allowlists *paths* (``allowed-paths``), not call sites: ``api/``,
 the defining packages, tests and benches.  Everything else must go
 through the registry.  ``if TYPE_CHECKING:`` imports are exempt
 (annotation-only use does not construct anything).
@@ -24,7 +23,6 @@ _DEFAULT_MODULES = (
     "repro.core.index",
     "repro.core.directed",
     "repro.core.weighted",
-    "repro.parallel.sharded",
     "repro.baselines",
 )
 
@@ -32,7 +30,6 @@ _DEFAULT_NAMES = (
     "HighwayCoverIndex",
     "DirectedHighwayCoverIndex",
     "WeightedHighwayCoverIndex",
-    "ShardedHighwayCoverIndex",
     "BiBFSIndex",
     "FulFDIndex",
     "FullPLLIndex",
