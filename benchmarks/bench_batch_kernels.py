@@ -1,12 +1,12 @@
-"""Batch-update kernel benchmark: heap search/repair vs the adaptive
-vector kernels.
+"""Batch-update kernel benchmark: the heap reference search/repair vs
+the adaptive production kernels.
 
 The paper's headline metric is batch update time (Algorithms 2–4,
-Figs. 6–7), and until now the update path ran as per-landmark pure-
-Python heap loops while every read path was vectorized.  This benchmark
-pits the two implementations against each other through the real
-per-landmark pipeline (decode old distances → batch search → batch
-repair) on one updated graph:
+Figs. 6–7).  Production runs only the adaptive kernels of
+:mod:`repro.core.batch_kernels`; the paper-literal heap kernels are the
+reference they must match.  This benchmark pits the two against each
+other through the per-landmark pipeline (decode old distances → batch
+search → batch repair) on one updated graph:
 
 * ``search (alg 2/3)`` — the CP-affected / improved affected-set search
   per landmark, heap vs :func:`batch_search_adaptive`;
@@ -21,9 +21,11 @@ heaps are slowest — with a secondary scale-free instance where affected
 sets stay small and the adaptive kernels must not regress.  Every
 comparison asserts the two implementations produce identical affected
 sets and bit-identical repaired labellings (labels + highway);
-``--check-only`` runs a randomized multi-seed agreement sweep over all
-three variants without timings (the CI step).  The CSV lands in
-``results/batch_kernels.csv``.
+``--check-only`` runs a randomized multi-seed agreement sweep without
+timings (the CI step) over three sides: the heap reference, the adaptive
+kernels over the frozen CSR, and the adaptive kernels over the mutable
+graph, as unit sub-batches run them.  The timed table compares the heap
+and CSR sides.  The CSV lands in ``results/batch_kernels.csv``.
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_batch_kernels.py
 Smoke mode:      PYTHONPATH=src python benchmarks/bench_batch_kernels.py --smoke
@@ -75,21 +77,22 @@ def mixed_batch(graph, rng: random.Random, n_deletions: int, n_insertions: int):
 
 def run_side(
     kernel: str,
-    csr: CSRGraph,
+    graph,
     labelling,
     oriented,
     improved: bool,
 ):
     """One full per-landmark pass; returns (search_s, repair_s, labelling').
 
-    Mirrors ``process_one_landmark`` for each side: the heap side pays
-    its real ``tolist()`` decode cost inside the search timing, exactly
-    as the pre-vectorization pipeline did.
+    ``kernel`` is ``"heap"`` (the reference, over ``graph``'s
+    ``neighbors``) or ``"adaptive"`` (the production kernels, over a
+    frozen :class:`CSRGraph` or the live graph).  The heap side pays its
+    ``tolist()`` decode cost inside the search timing, as the heap
+    pipeline did when it ran in production.
     """
     labelling_new = labelling.copy()
     search_s = repair_s = 0.0
     affected_sets = []
-    view = csr.list_view() if kernel == "heap" else None
     is_landmark_list = (
         labelling.is_landmark.tolist() if kernel == "heap" else None
     )
@@ -100,22 +103,22 @@ def run_side(
             old_dist, old_flag = dist.tolist(), flag.tolist()
             if improved:
                 affected = batch_search_improved(
-                    view, oriented, old_dist, old_flag, is_landmark_list
+                    graph, oriented, old_dist, old_flag, is_landmark_list
                 )
             else:
-                affected = batch_search_basic(view, oriented, old_dist)
+                affected = batch_search_basic(graph, oriented, old_dist)
             t1 = time.perf_counter()
             batch_repair(
-                view, affected, i, labelling_new, old_dist, old_flag,
+                graph, affected, i, labelling_new, old_dist, old_flag,
                 is_landmark_list,
             )
         else:
             affected = batch_search_adaptive(
-                csr, oriented, dist, flag, labelling.is_landmark, improved
+                graph, oriented, dist, flag, labelling.is_landmark, improved
             )
             t1 = time.perf_counter()
             batch_repair_adaptive(
-                csr, affected, i, labelling_new, dist, flag,
+                graph, affected, i, labelling_new, dist, flag,
                 labelling.is_landmark,
             )
         t2 = time.perf_counter()
@@ -125,18 +128,18 @@ def run_side(
     return search_s, repair_s, affected_sets, labelling_new
 
 
-def assert_sides_agree(heap_result, vector_result, context: str) -> None:
+def assert_sides_agree(heap_result, other_result, context: str) -> None:
     """Identical per-landmark affected *sets* and bit-identical labellings."""
     _, _, heap_sets, heap_lab = heap_result
-    _, _, vec_sets, vec_lab = vector_result
-    for i, (heap_set, vec_set) in enumerate(zip(heap_sets, vec_sets)):
-        assert heap_set == vec_set, (
+    _, _, other_sets, other_lab = other_result
+    for i, (heap_set, other_set) in enumerate(zip(heap_sets, other_sets)):
+        assert heap_set == other_set, (
             f"{context}: affected sets diverged for landmark {i}:"
-            f" heap-only={sorted(heap_set - vec_set)[:5]}"
-            f" vector-only={sorted(vec_set - heap_set)[:5]}"
+            f" heap-only={sorted(heap_set - other_set)[:5]}"
+            f" adaptive-only={sorted(other_set - heap_set)[:5]}"
         )
-    assert heap_lab.equals(vec_lab), (
-        f"{context}: " + "; ".join(heap_lab.diff(vec_lab)[:5])
+    assert heap_lab.equals(other_lab), (
+        f"{context}: " + "; ".join(heap_lab.diff(other_lab)[:5])
     )
 
 
@@ -166,9 +169,11 @@ def bench_instance(
 
     headline = 0.0
     for improved, alg in ((False, "2"), (True, "3")):
-        heap_result = run_side("heap", csr, labelling, oriented, improved)
+        heap_result = run_side(
+            "heap", csr.list_view(), labelling, oriented, improved
+        )
         vector_result = run_side(
-            "vector", csr, labelling, oriented, improved
+            "adaptive", csr, labelling, oriented, improved
         )
         assert_sides_agree(
             heap_result, vector_result, f"{name} improved={improved}"
@@ -211,13 +216,16 @@ def bench_instance(
 
 
 def agreement_sweep(num_seeds: int, base_seed: int) -> int:
-    """Randomized heap/vector agreement over both search algorithms.
+    """Randomized heap == CSR == live agreement over both search
+    algorithms.
 
-    Kernel-level check on small instances: per-landmark affected *sets*
-    identical, repaired labellings bit-identical, and — closing the loop
-    against ground truth — the repaired labelling exactly equal to a
-    from-scratch build over the updated graph (Theorem 5.21).  Returns
-    the number of (seed, algorithm) cases checked.
+    Kernel-level check on small instances: the heap reference and the
+    adaptive kernels over the frozen CSR and over the mutable graph give
+    identical per-landmark affected *sets* and bit-identical repaired
+    labellings, and — closing the loop against ground truth — the
+    repaired labelling is exactly equal to a from-scratch build over the
+    updated graph (Theorem 5.21).  Returns the number of (seed,
+    algorithm) cases checked.
     """
     from repro.core.construction import build_labelling
     from repro.core.landmarks import select_landmarks
@@ -240,12 +248,16 @@ def agreement_sweep(num_seeds: int, base_seed: int) -> int:
         for improved in (False, True):
             context = f"seed={seed} improved={improved}"
             heap_result = run_side(
-                "heap", csr, labelling, oriented, improved
+                "heap", csr.list_view(), labelling, oriented, improved
             )
             vector_result = run_side(
-                "vector", csr, labelling, oriented, improved
+                "adaptive", csr, labelling, oriented, improved
             )
-            assert_sides_agree(heap_result, vector_result, context)
+            live_result = run_side(
+                "adaptive", graph, labelling, oriented, improved
+            )
+            assert_sides_agree(heap_result, vector_result, f"{context} csr")
+            assert_sides_agree(heap_result, live_result, f"{context} live")
             vec_lab = vector_result[3]
             assert vec_lab.equals(rebuilt), (
                 f"{context}: repaired labelling is not minimal: "
@@ -266,7 +278,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-only",
         action="store_true",
-        help="run only the randomized heap/vector agreement sweep",
+        help="run only the randomized heap/CSR/live agreement sweep",
     )
     parser.add_argument(
         "--seeds", type=int, default=8, help="agreement-sweep seed count"
@@ -290,7 +302,7 @@ def main(argv=None) -> int:
     if args.check_only:
         checked = agreement_sweep(args.seeds, args.seed)
         _log.info(
-            "agreement sweep clean: heap == vector — per-landmark"
+            "agreement sweep clean: heap == CSR == live — per-landmark"
             " affected sets identical, repaired labellings bit-identical"
             " and exactly minimal vs rebuild",
             extra={"cases": checked},

@@ -236,7 +236,6 @@ def _make_service(
         variant=args.variant,
         policy=policy,
         cache_capacity=args.cache,
-        cache_mode=args.cache_mode,
         parallel=None if args.parallel == "none" else args.parallel,
         num_shards=args.shards,
         background=background,
@@ -456,9 +455,6 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
         help="flush when the oldest update waited this long (s); 0 disables",
     )
     parser.add_argument("--cache", type=int, default=4096)
-    parser.add_argument(
-        "--cache-mode", choices=("epoch", "affected"), default="epoch"
-    )
     parser.add_argument(
         "--parallel",
         choices=("none", "threads", "processes"),

@@ -1,12 +1,19 @@
-"""Adaptive vectorized batch search + repair kernels (Algorithms 2–4).
+"""Adaptive batch search + repair kernels (Algorithms 2–4).
 
-The heap implementations in :mod:`repro.core.batch_search` and
-:mod:`repro.core.batch_repair` walk one vertex at a time and are the
-*equivalence oracle* for this module; the kernels here compute the exact
-same affected sets and repaired labellings by advancing whole frontiers
-as numpy arrays over a frozen :class:`~repro.graph.csr.CSRGraph` — the
-same machinery the query/construction read paths adopted earlier, now
-applied to the update path the paper is named after.
+These are the production kernels: every landmark of every (sub-)batch
+runs :func:`batch_search_adaptive` then :func:`batch_repair_adaptive`,
+whatever the backend or batch size.  The heap implementations in
+:mod:`repro.core.batch_search` are the reference they are tested
+against; :func:`repro.core.batch_repair.batch_repair` is both that
+reference and the repair's narrow phase.
+
+Each kernel takes either a frozen :class:`~repro.graph.csr.CSRGraph` or
+the live graph (anything with ``num_vertices`` and ``neighbors(v)``: a
+:class:`~repro.graph.dynamic_graph.DynamicGraph` or a digraph's
+``out_view()``/``in_view()``).  The narrow phase reads neighbours
+through one lookup, the CSR's cached adjacency lists or the live
+graph's ``neighbors``, so it runs on either; the wide phase advances
+whole frontiers as numpy arrays and needs the CSR arrays.
 
 Why level synchrony is sound here: updates have unit weights, so every
 key a search or repair can generate at "distance" ``d`` is produced
@@ -29,12 +36,12 @@ small batch is usually tiny, and numpy dispatch per level would dwarf
 the per-vertex work, so
 
 * :func:`batch_search_adaptive` starts level-synchronous in pure Python
-  over the CSR's cached adjacency lists and converts its whole state to
-  int64 arrays once a settled frontier outgrows ``switch_width`` (or the
-  anchor set already does);
+  and, on a CSR, converts its whole state to int64 arrays once a
+  settled frontier outgrows ``switch_width`` (or the anchor set already
+  does); on a live graph the Python phase runs to the end;
 * :func:`batch_repair_adaptive` knows ``len(affected)`` up front — the
-  frontier can never outgrow it — and simply delegates to the heap
-  implementation below the threshold.
+  frontier can never outgrow it — and runs the heap repair below the
+  threshold, or always on a live graph.
 
 ``switch_width=None`` reads the module-level :data:`SWITCH_WIDTH` at
 call time, so tests can force either phase globally.
@@ -42,7 +49,7 @@ call time, so tests can force either phase globally.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -64,13 +71,19 @@ def _as_index_array(values: Any) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+def _python_view(graph: Any) -> Any:
+    """The narrow phase's neighbour provider: a CSR's cached adjacency
+    lists (Python ints, expanded once per CSR), else the live graph."""
+    return graph.list_view() if isinstance(graph, CSRGraph) else graph
+
+
 # ----------------------------------------------------------------------
 # batch search (Algorithms 2 and 3)
 # ----------------------------------------------------------------------
 
 
 def batch_search_adaptive(
-    csr: CSRGraph,
+    graph: Any,
     oriented_updates: Iterable[OrientedUpdate],
     old_dist: np.ndarray,  # shape: (V,) int64
     old_flag: np.ndarray | None,  # shape: (V,) int64
@@ -80,15 +93,19 @@ def batch_search_adaptive(
 ) -> list[int]:
     """Affected superset w.r.t. one landmark, identical to the heap kernels.
 
-    ``improved=False`` is Algorithm 2 (:func:`batch_search_basic`);
-    ``improved=True`` is Algorithm 3 (:func:`batch_search_improved`) and
+    ``improved=False`` is Algorithm 2, ``improved=True`` is Algorithm 3
+    (the heap references in :mod:`repro.core.batch_search`), which
     additionally needs ``old_flag`` / ``is_landmark``.  ``old_dist`` and
     ``old_flag`` are the int64 arrays straight from
     :meth:`HighwayCoverLabelling.distances_from` — no ``tolist()``
     round-trip, so the per-landmark fixed cost is O(anchors), not O(V).
-    Returns the affected vertices as plain Python ints (level order).
+    ``graph`` is G', frozen or live; only a :class:`CSRGraph` can switch
+    to the vector phase.  Returns the affected vertices as plain Python
+    ints (level order).
     """
-    if switch_width is None:
+    if not isinstance(graph, CSRGraph):
+        switch_width = INF  # the vector phase needs the CSR arrays
+    elif switch_width is None:
         switch_width = SWITCH_WIDTH
 
     # -- anchor seeding (tiny: one entry per oriented update) ----------
@@ -117,10 +134,10 @@ def batch_search_adaptive(
     result: list[int] = []
     frontier: list = []
     level = -1
-    adj: list[list[int]] | None = None
 
     # -- Python phase: narrow frontiers --------------------------------
     if sum(len(b) for b in buckets.values()) <= switch_width:
+        neighbors = _python_view(graph).neighbors
         while frontier or pi < len(pending):
             if len(frontier) > switch_width:
                 break  # wide regime: convert state and go vectorised
@@ -129,14 +146,12 @@ def batch_search_adaptive(
             if pi < len(pending) and pending[pi] == nxt:
                 anchors = buckets[nxt]
                 pi += 1
-            if adj is None and frontier:
-                adj = csr.adjacency_lists()
             if improved:
                 best: dict[int, int] = {}
                 for v, cls in frontier:
                     e_key = cls & 1
                     l_half = cls >> 1
-                    for w in adj[v]:
+                    for w in neighbors(v):
                         if w in affected:
                             continue
                         d_w = old_dist[w]
@@ -160,7 +175,7 @@ def batch_search_adaptive(
             else:
                 next_frontier: list[int] = []
                 for v in frontier:
-                    for w in adj[v]:
+                    for w in neighbors(v):
                         if w not in affected and nxt <= old_dist[w]:
                             affected.add(w)
                             result.append(w)
@@ -176,7 +191,7 @@ def batch_search_adaptive(
             return result
 
     # -- vector phase: convert state, then numpy level sweeps ----------
-    n = csr.num_vertices
+    n = graph.num_vertices
     aff_mask = np.zeros(n, dtype=bool)
     if result:
         aff_mask[_as_index_array(result)] = True
@@ -186,9 +201,9 @@ def batch_search_adaptive(
     else:
         front = _as_index_array(frontier)
         front_cls = _EMPTY
-    indptr_lo, indptr_hi = csr.indptr[:-1], csr.indptr[1:]
-    indices = csr.indices
-    iota = csr._iota()
+    indptr_lo, indptr_hi = graph.indptr[:-1], graph.indptr[1:]
+    indices = graph.indices
+    iota = graph._iota()
 
     while front.size or pi < len(pending):
         nxt = level + 1 if front.size else pending[pi]
@@ -274,7 +289,7 @@ _INF_KEY = 2 * INF + FALSE_KEY
 
 
 def batch_repair_adaptive(
-    csr: CSRGraph,
+    graph: Any,
     affected: Sequence[int],
     landmark_idx: int,
     labelling_new: Any,
@@ -282,35 +297,37 @@ def batch_repair_adaptive(
     old_flag: np.ndarray,  # shape: (V,) int64
     is_landmark: np.ndarray,  # shape: (V,) bool
     symmetric_highway: bool = True,
-    highway_writer: Callable[[int, int, int], None] | None = None,
-    pred_csr: CSRGraph | None = None,
+    pred_graph: Any = None,
     switch_width: int | None = None,
 ) -> int:
     """Repair ``affected`` r-labels; result identical to :func:`batch_repair`.
 
-    ``csr`` carries successor rows (relaxation direction) and
-    ``pred_csr`` predecessor rows for the boundary bounds — the reverse
-    CSR of a digraph pair, or ``None`` (= ``csr``) when undirected.  The
-    affected-set size bounds every frontier, so small sets stay on the
-    heap implementation (O(affected) cost); larger sets run boundary-
-    bound initialisation and level-synchronous relaxation as whole-array
-    operations.  Unlike the search — whose vector phase only ever starts
-    after a frontier has already grown wide — the vector repair pays
-    O(V) scatter/mask initialisation up front, so the heap/vector
-    break-even point scales with the graph: the threshold is
-    ``switch_width`` scaled by ``num_vertices / 2**14`` (floored at 1).
+    ``graph`` carries successor rows (relaxation direction) and
+    ``pred_graph`` predecessor rows for the boundary bounds — the other
+    half of a digraph pair, or ``None`` (= ``graph``) when undirected.
+    Both are frozen CSRs or both live.  On a live graph, and on a CSR
+    whose affected set is small, the heap repair runs (O(affected)
+    cost); larger sets run boundary-bound initialisation and
+    level-synchronous relaxation as whole-array operations.  Unlike the
+    search — whose vector phase only ever starts after a frontier has
+    already grown wide — the vector repair pays O(V) scatter/mask
+    initialisation up front, so the heap/vector break-even point scales
+    with the graph: the threshold is ``switch_width`` scaled by
+    ``num_vertices / 2**14`` (floored at 1).
     """
     if switch_width is None:
         switch_width = SWITCH_WIDTH
-    if pred_csr is None:
-        pred_csr = csr
-    if len(affected) <= switch_width * max(1, csr.num_vertices >> 14):
-        # The cached adjacency lists are (almost always) already warm:
-        # a small affected set means the search ran its Python phase,
-        # which expanded them.  Iterating them beats per-element numpy
-        # slice indexing by ~3x in the heap loops.
+    if pred_graph is None:
+        pred_graph = graph
+    if not isinstance(graph, CSRGraph) or len(affected) <= (
+        switch_width * max(1, graph.num_vertices >> 14)
+    ):
+        # A CSR's cached adjacency lists are (almost always) already
+        # warm: a small affected set means the search ran its Python
+        # phase, which expanded them.  Iterating them beats per-element
+        # numpy slice indexing by ~3x in the heap loops.
         return batch_repair(
-            csr.list_view(),
+            _python_view(graph),
             affected,
             landmark_idx,
             labelling_new,
@@ -318,19 +335,20 @@ def batch_repair_adaptive(
             old_flag,
             is_landmark,
             symmetric_highway=symmetric_highway,
-            highway_writer=highway_writer,
-            pred_view=pred_csr.list_view(),
+            pred_view=_python_view(pred_graph),
         )
 
-    n = csr.num_vertices
+    n = graph.num_vertices
     members = _as_index_array(affected)
     in_affected = np.zeros(n, dtype=bool)  # shape: (V,) bool
     in_affected[members] = True
 
     # -- boundary-bound initialisation from non-affected predecessors --
-    p_lo, p_hi = pred_csr.indptr[:-1], pred_csr.indptr[1:]
+    p_lo, p_hi = pred_graph.indptr[:-1], pred_graph.indptr[1:]
     counts = p_hi[members] - p_lo[members]
-    preds = _gather_targets(p_lo, p_hi, pred_csr.indices, members, pred_csr._iota())
+    preds = _gather_targets(
+        p_lo, p_hi, pred_graph.indices, members, pred_graph._iota()
+    )
     owners = np.repeat(members, counts)
     ok = ~in_affected[preds] & (old_dist[preds] < INF)
     preds, owners = preds[ok], owners[ok]
@@ -354,8 +372,8 @@ def batch_repair_adaptive(
     settled = np.zeros(n, dtype=bool)  # shape: (V,) bool
     new_dist = np.full(n, INF, dtype=np.int64)  # shape: (V,) int64
     new_flag = np.full(n, FALSE_KEY, dtype=np.int64)  # shape: (V,) int64
-    f_lo, f_hi = csr.indptr[:-1], csr.indptr[1:]
-    f_indices, f_iota = csr.indices, csr._iota()
+    f_lo, f_hi = graph.indptr[:-1], graph.indptr[1:]
+    f_indices, f_iota = graph.indices, graph._iota()
     front_v, front_f = _EMPTY, _EMPTY
     level = -1
     li = 0
@@ -429,9 +447,7 @@ def batch_repair_adaptive(
             j = landmark_index[v]
             if highway[landmark_idx, j] != stored and not label_changed_mask[v]:
                 changed += 1
-            if highway_writer is not None:
-                highway_writer(landmark_idx, j, stored)
-            elif symmetric_highway:
+            if symmetric_highway:
                 labelling_new.set_highway_symmetric(landmark_idx, j, stored)
             else:
                 labelling_new.set_highway(landmark_idx, j, stored)

@@ -17,13 +17,15 @@ label is written exactly once:
 The implementation uses a lazy-deletion heap keyed by (distance, flag):
 relaxations out of a settled vertex always target strictly larger distances,
 so heap order coincides with the paper's "remove the whole V_min level"
-loop.
+loop.  It is production code, not only a reference: it is the narrow
+phase of :func:`repro.core.batch_kernels.batch_repair_adaptive`, which
+runs it on every live graph and on every small affected set.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.constants import INF
 from repro.core.labelling import HighwayCoverLabelling
@@ -39,7 +41,6 @@ def batch_repair(
     old_flag: Sequence[int],
     is_landmark: Sequence[bool],
     symmetric_highway: bool = True,
-    highway_writer: Callable[[int, int, int], None] | None = None,
     pred_view: Any = None,
 ) -> int:
     """Repair the r-labels (and highway entries) of ``affected`` vertices.
@@ -49,8 +50,8 @@ def batch_repair(
     which is what makes boundary inference sound.  Returns the number of
     vertices whose stored label or highway entry actually changed.
 
-    ``highway_writer`` overrides how a landmark's refreshed distance is
-    stored (the directed index keeps separate forward/backward highways).
+    ``symmetric_highway=False`` writes only ``H[i, j]`` (the directed
+    index keeps separate forward/backward highways).
 
     ``pred_view`` supplies *predecessor* neighbourhoods: a vertex's distance
     bound comes from vertices one hop closer to the root, i.e. in-neighbours
@@ -99,7 +100,6 @@ def batch_repair(
             f,
             is_landmark,
             symmetric_highway,
-            highway_writer,
         )
         if d >= INF:
             continue  # unreachable vertices cannot improve any neighbour
@@ -124,7 +124,6 @@ def _write_vertex(
     f: int,
     is_landmark: Any,
     symmetric_highway: bool,
-    highway_writer: Callable[[int, int, int], None] | None,
 ) -> int:
     """Apply the settled landmark distance ``(d, f)`` of ``v`` to Γ'."""
     changed = 0
@@ -141,9 +140,7 @@ def _write_vertex(
         j = landmark_index[v]
         if labelling_new.highway[landmark_idx, j] != stored:
             changed = 1
-        if highway_writer is not None:
-            highway_writer(landmark_idx, j, stored)
-        elif symmetric_highway:
+        if symmetric_highway:
             labelling_new.set_highway_symmetric(landmark_idx, j, stored)
         else:
             labelling_new.set_highway(landmark_idx, j, stored)

@@ -1,4 +1,11 @@
-"""Batch Search — Algorithms 2 and 3 of the paper.
+"""Batch Search — Algorithms 2 and 3 of the paper, as the reference.
+
+The two heap searches below are the paper-literal algorithms, kept as
+the reference.  Production runs neither: every landmark runs
+:func:`repro.core.batch_kernels.batch_search_adaptive`, and the tests
+and ``benchmarks/bench_batch_kernels.py`` check it against them (and
+:func:`affected_by_definition` checks them against Definition 5.12).
+:func:`orient_updates` is shared by all of them.
 
 Both algorithms run per landmark ``r`` over the *updated* graph ``G'`` while
 reading old distances from the labelling (which still reflects ``G``).  Every

@@ -8,6 +8,15 @@ from Γ, so repairs for earlier landmarks must not leak into later searches
 (this is also what makes landmark-level parallelism safe: labels for
 different landmarks are disjoint columns, Section 6).
 
+Every landmark runs the same two kernels,
+:func:`~repro.core.batch_kernels.batch_search_adaptive` and
+:func:`~repro.core.batch_kernels.batch_repair_adaptive`, whatever the
+backend or batch size.  Only the graph they read differs: a sub-batch of
+more than one update, or any sub-batch on the processes backend, is
+frozen once into a :class:`~repro.graph.csr.CSRGraph` that every
+landmark shares; a unit sub-batch on an in-process backend skips that
+O(V + E) freeze and the kernels read the live graph.
+
 Variants (Section 7.1):
 
 * ``BHL``    — Algorithm 2 search, whole batch at once;
@@ -39,12 +48,7 @@ from repro.core.batch_kernels import (
     batch_repair_adaptive,
     batch_search_adaptive,
 )
-from repro.core.batch_repair import batch_repair
-from repro.core.batch_search import (
-    batch_search_basic,
-    batch_search_improved,
-    orient_updates,
-)
+from repro.core.batch_search import orient_updates
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.stats import ShardTiming, UpdateStats
 from repro.errors import BatchError
@@ -251,25 +255,22 @@ def _apply_one_batch(
         oriented = orient_updates(batch, directed=False)
         labelling_new = labelling.copy()
         # Freeze G' once per multi-update sub-batch: every landmark's
-        # search + repair runs the adaptive vector kernels over the same
-        # immutable CSR arrays, and the processes backend ships them
-        # directly instead of re-encoding the graph.  Unit sub-batches
-        # skip the O(V + E) freeze on in-process backends — their search
-        # cost is proportional to the affected region, not the graph —
-        # and stay on the Python heap kernels over the live adjacency.
+        # search + repair reads the same immutable CSR arrays (so the
+        # kernels can switch to their vector phase), and the processes
+        # backend ships them directly instead of re-encoding the graph.
+        # Unit sub-batches skip the O(V + E) freeze on in-process
+        # backends — their cost is proportional to the affected region,
+        # not the graph — and the kernels read the live adjacency.
+        kernel_graph: Any = graph
         if parallel == "processes" or len(batch) > 1:
             with span("freeze_csr", vertices=graph.num_vertices):
-                csr = CSRGraph.from_graph(graph)
-            view = csr
+                kernel_graph = CSRGraph.from_graph(graph)
             if parallel == "threads":
                 # Warm the cached adjacency lists once on the writer:
                 # the adaptive kernels' Python phase reads them lazily,
                 # and a cold cache would make every worker thread race
                 # to build the same O(V + E) expansion.
-                csr.adjacency_lists()
-        else:
-            csr = None
-            view = graph
+                kernel_graph.adjacency_lists()
         backend = parallel or "sequential"
         tracer = get_tracer()
         phases_started = tracer.now_us() if tracer.enabled else 0
@@ -281,7 +282,7 @@ def _apply_one_batch(
         ) as phases_span:
             outcomes, makespan, shard_timings, merge_seconds = (
                 process_landmarks(
-                    view,
+                    kernel_graph,
                     labelling,
                     labelling_new,
                     oriented,
@@ -290,7 +291,6 @@ def _apply_one_batch(
                     parallel=parallel,
                     num_threads=num_threads,
                     pool=pool,
-                    csr=csr,
                 )
             )
     except BaseException:
@@ -319,23 +319,31 @@ def _apply_one_batch(
     if phases_span is not None and parallel != "processes":
         # In-process backends have no per-shard tracks (the pool
         # synthesizes those for the processes backend from ShardTiming);
-        # emit one aggregate search and repair child under the phase span
-        # so the trace still shows where the wall time went.
+        # emit one aggregate decode, search and repair child under the
+        # phase span, in the order each landmark runs them, so the trace
+        # still shows where the wall time went.  The decode is whatever
+        # of each landmark's wall its search and repair did not take.
+        decode_us = 1e6 * sum(
+            t.wall_seconds - t.search_seconds - t.repair_seconds
+            for t in shard_timings
+        )
         search_us = stats.search_seconds * 1e6
-        tracer.record_complete(
-            "search",
-            phases_started,
-            search_us,
-            parent_id=phases_span.span_id,
-            backend=backend,
-        )
-        tracer.record_complete(
-            "repair",
-            phases_started + search_us,
-            stats.repair_seconds * 1e6,
-            parent_id=phases_span.span_id,
-            backend=backend,
-        )
+        for name, start_us, duration_us in (
+            ("decode", phases_started, decode_us),
+            ("search", phases_started + decode_us, search_us),
+            (
+                "repair",
+                phases_started + decode_us + search_us,
+                stats.repair_seconds * 1e6,
+            ),
+        ):
+            tracer.record_complete(
+                name,
+                start_us,
+                duration_us,
+                parent_id=phases_span.span_id,
+                backend=backend,
+            )
     _record_phase_metrics(stats, backend)
     return labelling_new, stats
 
@@ -366,75 +374,51 @@ def changed_label_entries(
 
 
 def process_one_landmark(
-    view: Any,
+    graph: Any,
     labelling_old: HighwayCoverLabelling,
     labelling_new: Any,
     oriented: Any,
     improved: bool,
-    is_landmark: Any,
     i: int,
     symmetric_highway: bool = True,
-    pred_view: Any = None,
-    csr: Any = None,
-    pred_csr: Any = None,
+    pred_graph: Any = None,
 ) -> tuple[int, float, float, int, list[int], float]:
-    """Search + repair for one landmark — the unit of landmark parallelism.
+    """Decode + search + repair for one landmark — the unit of landmark
+    parallelism.
 
     Shared by the in-process backends below and the worker-process shard
     tasks (:mod:`repro.parallel.worker`), so the kernel call contract
-    lives in exactly one place.  With a frozen ``csr`` view the adaptive
-    vector kernels run (``pred_csr`` carries the reverse direction for
-    directed repair); without one — unit sub-batches on the live graph —
-    the Python heap kernels do.  Returns ``(n_affected, search_seconds,
-    repair_seconds, cells_changed, affected_vertices, wall_seconds)``.
+    lives in exactly one place.  ``graph`` is G', frozen or live (see
+    :mod:`repro.core.batch_kernels`); ``pred_graph`` carries the reverse
+    direction for directed repair.  Returns ``(n_affected,
+    search_seconds, repair_seconds, cells_changed, affected_vertices,
+    wall_seconds)``; the O(V·R) decode is in the wall time only.
     """
     t0 = time.perf_counter()
-    dist_arr, flag_arr = labelling_old.distances_from(i)
-    if csr is not None:
-        landmark_mask = np.asarray(is_landmark, dtype=bool)
-        affected = batch_search_adaptive(
-            csr, oriented, dist_arr, flag_arr, landmark_mask, improved
-        )
-        t1 = time.perf_counter()
-        changed = batch_repair_adaptive(
-            csr,
-            affected,
-            i,
-            labelling_new,
-            dist_arr,
-            flag_arr,
-            landmark_mask,
-            symmetric_highway=symmetric_highway,
-            pred_csr=pred_csr,
-        )
-        t2 = time.perf_counter()
-        return len(affected), t1 - t0, t2 - t1, changed, affected, t2 - t0
-    old_dist = dist_arr.tolist()
-    old_flag = flag_arr.tolist()
-    if improved:
-        affected = batch_search_improved(
-            view, oriented, old_dist, old_flag, is_landmark
-        )
-    else:
-        affected = batch_search_basic(view, oriented, old_dist)
+    dist, flag = labelling_old.distances_from(i)
+    is_landmark = labelling_old.is_landmark
     t1 = time.perf_counter()
-    changed = batch_repair(
-        view,
+    affected = batch_search_adaptive(
+        graph, oriented, dist, flag, is_landmark, improved
+    )
+    t2 = time.perf_counter()
+    changed = batch_repair_adaptive(
+        graph,
         affected,
         i,
         labelling_new,
-        old_dist,
-        old_flag,
+        dist,
+        flag,
         is_landmark,
         symmetric_highway=symmetric_highway,
-        pred_view=pred_view,
+        pred_graph=pred_graph,
     )
-    t2 = time.perf_counter()
-    return len(affected), t1 - t0, t2 - t1, changed, affected, t2 - t0
+    t3 = time.perf_counter()
+    return len(affected), t2 - t1, t3 - t2, changed, affected, t3 - t0
 
 
 def process_landmarks(
-    view: Any,
+    graph: Any,
     labelling_old: HighwayCoverLabelling,
     labelling_new: HighwayCoverLabelling,
     oriented: Any,
@@ -442,33 +426,29 @@ def process_landmarks(
     symmetric_highway: bool,
     parallel: str | None,
     num_threads: int | None,
-    pred_view: Any = None,
+    pred_graph: Any = None,
     pool: Any = None,
-    csr: Any = None,
-    pred_csr: Any = None,
 ) -> tuple[
     list[tuple[int, float, float, int, list[int]]],
     float,
     list[ShardTiming],
     float,
 ]:
-    """Run search + repair for every landmark over an updated graph view.
+    """Run search + repair for every landmark over the updated graph.
 
-    Shared by the undirected and directed indexes.  ``pred_view`` provides
-    predecessor neighbourhoods for repair's boundary bounds (in-neighbours
-    on directed graphs; None means same as ``view``).  ``csr`` is the
-    frozen :class:`~repro.graph.csr.CSRGraph` encoding of ``view`` when
-    the caller already froze one — the in-process backends then run the
-    adaptive vector kernels over it (``pred_csr`` is its reverse-direction
-    twin on directed graphs) and the processes backend ships its arrays
-    to the worker shards verbatim.  Returns per-landmark ``(n_affected,
-    search_seconds, repair_seconds, cells_changed, affected_vertices)``,
-    the makespan (max per-shard wall time), the per-shard timing
-    breakdown, and the writer-side merge time (non-zero only for the
-    processes backend, which scatters worker results back).
+    Shared by the undirected and directed indexes.  ``graph`` is G',
+    either its frozen :class:`~repro.graph.csr.CSRGraph` or the live
+    graph; the processes backend needs the CSR, whose arrays it ships to
+    the worker shards verbatim.  ``pred_graph`` provides predecessor
+    neighbourhoods for repair's boundary bounds (the other half of a
+    directed pair; None means same as ``graph``).  Returns per-landmark
+    ``(n_affected, search_seconds, repair_seconds, cells_changed,
+    affected_vertices)``, the makespan (max per-shard wall time), the
+    per-shard timing breakdown, and the writer-side merge time (non-zero
+    only for the processes backend, which scatters worker results back).
     """
     if parallel == "processes":
-        if pred_view is not None:
+        if pred_graph is not None:
             raise BatchError(
                 "parallel='processes' is not supported on directed indexes"
             )
@@ -480,34 +460,19 @@ def process_landmarks(
                 " pool=... or go through run_batch_update"
             )
         return pool.run_update(
-            csr if csr is not None else view,
-            labelling_old,
-            labelling_new,
-            oriented,
-            improved,
+            graph, labelling_old, labelling_new, oriented, improved
         )
-
-    # The heap kernels want plain-list flag lookups; the vector kernels
-    # read the bool array directly, so skip the O(V) expansion with a csr.
-    is_landmark = (
-        labelling_old.is_landmark.tolist()
-        if csr is None
-        else labelling_old.is_landmark
-    )
 
     def process(i: int) -> tuple[int, float, float, int, list[int], float]:
         return process_one_landmark(
-            view,
+            graph,
             labelling_old,
             labelling_new,
             oriented,
             improved,
-            is_landmark,
             i,
             symmetric_highway=symmetric_highway,
-            pred_view=pred_view,
-            csr=csr,
-            pred_csr=pred_csr,
+            pred_graph=pred_graph,
         )
 
     indices = range(labelling_old.num_landmarks)

@@ -28,8 +28,9 @@ def bfs_landmark_lengths(
 
     Returns ``(dist, flag)`` where ``flag[v]`` is a bool: True iff some
     shortest root-v path passes through a landmark other than ``root``
-    (endpoints count, the root does not).  This doubles as the brute-force
-    oracle for the labelling in tests.
+    (endpoints count, the root does not).  This is the test oracle for
+    the vectorised :func:`repro.graph.csr.landmark_lengths` that
+    construction runs.
     """
     n = graph.num_vertices
     dist = np.full(n, INF, dtype=np.int64)
@@ -57,21 +58,17 @@ def bfs_landmark_lengths(
 
 
 def landmark_column(
-    graph: Any, root: int, is_landmark: np.ndarray, landmark_list: list[int]
+    csr: CSRGraph, root: int, is_landmark: np.ndarray, landmark_list: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """One landmark's minimal label column and highway row.
 
     The Lemma 5.14 rule in one place (shared by the sequential build and
     the worker-process build shards): a vertex gets an ``r``-label iff it
     is reachable, not a landmark, and flag-False; the highway row is the
-    root's distance to every landmark.  A :class:`CSRGraph` runs the
-    vectorised frontier kernel; any other adjacency provider falls back
-    to the Python BFS above.
+    root's distance to every landmark.  Runs the vectorised frontier
+    kernel over the frozen ``csr``.
     """
-    if isinstance(graph, CSRGraph):
-        dist, flag = csr_landmark_lengths(graph, root, is_landmark)
-    else:
-        dist, flag = bfs_landmark_lengths(graph, root, is_landmark)
+    dist, flag = csr_landmark_lengths(csr, root, is_landmark)
     eligible = (~is_landmark) & (dist < INF) & (~flag)
     return np.where(eligible, dist, NO_LABEL), dist[landmark_list]
 

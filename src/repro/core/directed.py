@@ -272,25 +272,24 @@ class DirectedHighwayCoverIndex(OracleBase):
 
         try:
             # Freeze G' once per multi-update sub-batch: both labelling
-            # passes run the adaptive vector kernels over the same
-            # immutable CSR pair (successor rows for search and
-            # relaxation, predecessor rows for repair's boundary bounds —
-            # each direction's search CSR is the other's
-            # repair-predecessor CSR).  Unit sub-batches stay on the live
-            # views and the Python heap kernels — their cost is
-            # proportional to the affected region, not the graph.
+            # passes read the same immutable CSR pair (successor rows for
+            # search and relaxation, predecessor rows for repair's
+            # boundary bounds — each direction's search CSR is the
+            # other's repair-predecessor CSR).  Unit sub-batches read the
+            # live out/in views instead — their cost is proportional to
+            # the affected region, not the graph.
+            out_graph: Any = graph.out_view()
+            in_graph: Any = graph.in_view()
             if len(batch) > 1:
-                csr_out, csr_in = CSRGraph.from_digraph(graph)
+                out_graph, in_graph = CSRGraph.from_digraph(graph)
                 if parallel == "threads":
-                    csr_out.adjacency_lists()  # warm once on the writer; see
-                    csr_in.adjacency_lists()   # _apply_one_batch (undirected)
-            else:
-                csr_out = csr_in = None
+                    out_graph.adjacency_lists()  # warm once on the writer; see
+                    in_graph.adjacency_lists()   # _apply_one_batch (undirected)
             repaired = []
             makespan_total = 0.0
-            for labelling, csr_dir, pred_csr, reverse in (
-                (forward, csr_out, csr_in, False),
-                (backward, csr_in, csr_out, True),
+            for labelling, search_graph, pred_graph, reverse in (
+                (forward, out_graph, in_graph, False),
+                (backward, in_graph, out_graph, True),
             ):
                 oriented = [
                     (
@@ -300,12 +299,10 @@ class DirectedHighwayCoverIndex(OracleBase):
                     )
                     for u in batch
                 ]
-                view = graph.in_view() if reverse else graph.out_view()
-                pred_view = graph.out_view() if reverse else graph.in_view()
                 labelling_new = labelling.copy()
                 outcomes, makespan, shard_timings, merge_seconds = (
                     process_landmarks(
-                        csr_dir if csr_dir is not None else view,
+                        search_graph,
                         labelling,
                         labelling_new,
                         oriented,
@@ -313,9 +310,7 @@ class DirectedHighwayCoverIndex(OracleBase):
                         symmetric_highway=False,
                         parallel=parallel,
                         num_threads=num_threads,
-                        pred_view=pred_view,
-                        csr=csr_dir,
-                        pred_csr=pred_csr,
+                        pred_graph=pred_graph,
                     )
                 )
                 for i, (

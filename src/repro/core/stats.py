@@ -45,9 +45,10 @@ class UpdateStats:
     affected_per_landmark: list[int] = field(default_factory=list)
     #: Union over landmarks of the affected vertex sets, plus the endpoints
     #: of every applied update — the vertices whose labels (or incident
-    #: edges) this batch may have touched.  Consumers such as the serving
-    #: layer's query cache use it for targeted invalidation.
+    #: edges) this batch may have touched.
     affected_vertices: set[int] = field(default_factory=set)
+    #: summed per-landmark kernel times; the label decode that precedes
+    #: each landmark's search is in ``ShardTiming.wall_seconds`` only.
     search_seconds: float = 0.0
     repair_seconds: float = 0.0
     #: writer-side time spent scattering shard results back into the

@@ -275,7 +275,7 @@ class LandmarkShardPool:
 
     def run_update(
         self,
-        graph: "CSRGraph | DynamicGraph",
+        csr: CSRGraph,
         labelling_old: HighwayCoverLabelling,
         labelling_new: HighwayCoverLabelling,
         oriented: "Iterable[OrientedUpdate]",
@@ -283,11 +283,11 @@ class LandmarkShardPool:
     ) -> tuple[list[LandmarkOutcome], float, list[ShardTiming], float]:
         """Search + repair every landmark across the worker shards.
 
-        ``graph`` must already be G' (ideally the frozen
-        :class:`CSRGraph`) and ``labelling_new`` a copy of
-        ``labelling_old`` (grown to G''s vertex count).  Returns the
-        per-landmark outcomes in landmark order, the makespan (max shard
-        wall), the per-shard timings, and the writer-side merge time.
+        ``csr`` must be the frozen :class:`CSRGraph` of G' and
+        ``labelling_new`` a copy of ``labelling_old`` (grown to G''s
+        vertex count).  Returns the per-landmark outcomes in landmark
+        order, the makespan (max shard wall), the per-shard timings, and
+        the writer-side merge time.
 
         Dispatch ships only the state meta, the oriented deltas and each
         shard's landmark list; results come back as sparse change sets,
@@ -301,11 +301,6 @@ class LandmarkShardPool:
         )
         if not shards:
             return [], 0.0, [], 0.0
-        csr = (
-            graph
-            if isinstance(graph, CSRGraph)
-            else CSRGraph.from_graph(graph)
-        )
         with self._state_lock:
             return self._run_update_locked(
                 csr, labelling_old, labelling_new, oriented, improved, shards

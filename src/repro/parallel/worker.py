@@ -231,7 +231,6 @@ def run_update_shard(
     # place between batches.  Wrapping is O(1); the arrays are shared.
     csr = CSRGraph(indptr[: meta.num_vertices + 1], indices)
     scratch = _ShardScratch(labelling_old, shard)
-    is_landmark = labelling_old.is_landmark
 
     outcomes: list[LandmarkOutcome] = []
     rows_chunks: list[np.ndarray] = []
@@ -240,15 +239,7 @@ def run_update_shard(
     for i in shard:
         n_affected, search_s, repair_s, changed, affected, _ = (
             process_one_landmark(
-                csr,
-                labelling_old,
-                scratch,
-                oriented,
-                improved,
-                is_landmark,
-                i,
-                symmetric_highway=True,
-                csr=csr,
+                csr, labelling_old, scratch, oriented, improved, i
             )
         )
         outcomes.append((n_affected, search_s, repair_s, changed, affected))

@@ -2,25 +2,11 @@
 
 Distance queries on social-network-shaped graphs are heavily skewed, so a
 small LRU in front of the labelling absorbs a large fraction of traffic.
-The interesting part is invalidation when an epoch flips.  Two modes:
-
-* ``"epoch"`` (default, **exact**) — any epoch that applied at least one
-  update clears the cache.  Cheap, and every hit is provably an answer the
-  current snapshot would give.
-
-* ``"affected"`` (**approximate**, opt-in) — only entries whose endpoint
-  lies in ``UpdateStats.affected_vertices`` (the union of the paper's
-  per-landmark affected sets plus the batch's edge endpoints) are evicted.
-  This retains far more of the cache under localised batches, but it is a
-  heuristic, not a guarantee: a batch can change ``d(s, t)`` without
-  touching ``s`` or ``t``.  Concretely, insert edge ``(u, v)`` into the
-  path ``s–u–w–v–t`` with a landmark adjacent to ``u``, ``v`` and ``w``:
-  no landmark distance changes (``affected_vertices = {u, v}``) yet
-  ``d(s, t)`` drops from 4 to 3.  Use it only where bounded staleness is
-  acceptable — the load generators report how many stale answers slipped
-  through when validation is on.  (This caveat is summarised in the
-  README's "Online serving" section, which links back here; keep the two
-  in sync.)
+The interesting part is invalidation when an epoch flips, and the rule is
+exact: any epoch that applied at least one update clears the cache, so
+every hit is provably an answer the current snapshot would give.  Evicting
+only the entries that touch the batch's affected vertices would not be: a
+batch can change ``d(s, t)`` without touching ``s`` or ``t``.
 
 Keys are canonicalised ``(min(s,t), max(s,t))`` pairs when the fronted
 oracle's distances are symmetric (the undirected default).  A directed
@@ -50,31 +36,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _log = get_logger("repro.service.cache")
 
-CACHE_MODES = ("epoch", "affected")
-
-#: When an affected set covers more than this fraction of cached entries'
-#: endpoints we give up on selective eviction and clear — scanning the
-#: whole cache to keep a sliver of it is slower than refilling.
-_CLEAR_RATIO = 0.5
-
 
 class QueryCache:
     """Thread-safe LRU of (s, t) -> distance with epoch invalidation."""
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        mode: str = "epoch",
-        symmetric: bool = True,
-    ) -> None:
+    def __init__(self, capacity: int = 4096, symmetric: bool = True) -> None:
         if capacity < 0:
             raise WorkloadError("cache capacity must be >= 0")
-        if mode not in CACHE_MODES:
-            raise WorkloadError(
-                f"unknown cache mode {mode!r}; expected one of {CACHE_MODES}"
-            )
         self.capacity = capacity
-        self.mode = mode
         self.symmetric = symmetric
         self._entries: OrderedDict[tuple[int, int], float] = OrderedDict()  # guarded-by: _lock
         self._lock = threading.Lock()
@@ -179,43 +148,19 @@ class QueryCache:
         """Invalidate after publishing ``epoch``; returns entries dropped.
 
         ``affected_vertices`` is ``UpdateStats.affected_vertices`` of the
-        flushed batch (None forces a full clear regardless of mode; an
+        flushed batch: any non-empty set, or None, clears the cache; an
         empty set means the epoch changed nothing, so entries survive but
-        in-flight puts from older epochs are still fenced off).
+        in-flight puts from older epochs are still fenced off.
         """
         with self._lock:
             self._epoch = epoch
-            if not self._entries:
+            if not self._entries or (
+                affected_vertices is not None and not affected_vertices
+            ):
                 return 0
-            if affected_vertices is None:
-                dropped = self._clear_locked()
-            elif self.mode == "epoch":
-                if not affected_vertices:
-                    return 0
-                dropped = self._clear_locked()
-            else:
-                affected = (
-                    affected_vertices
-                    if isinstance(affected_vertices, (set, frozenset))
-                    else set(affected_vertices)
-                )
-                if not affected:
-                    return 0
-                if len(affected) >= _CLEAR_RATIO * len(self._entries):
-                    dropped = self._clear_locked()
-                else:
-                    doomed = [
-                        key
-                        for key in self._entries
-                        if key[0] in affected or key[1] in affected
-                    ]
-                    for key in doomed:
-                        del self._entries[key]
-                    self.invalidated += len(doomed)
-                    dropped = len(doomed)
+            dropped = self._clear_locked()
         _log.debug(
-            "cache invalidated",
-            extra={"epoch": epoch, "dropped": dropped, "mode": self.mode},
+            "cache invalidated", extra={"epoch": epoch, "dropped": dropped}
         )
         return dropped
 
@@ -245,7 +190,7 @@ class QueryCache:
     def __repr__(self) -> str:
         counts = self.counts()
         return (
-            f"QueryCache(mode={self.mode!r}, size={len(self)}/"
+            f"QueryCache(size={len(self)}/"
             f"{self.capacity}, hits={counts['hits']},"
             f" misses={counts['misses']})"
         )

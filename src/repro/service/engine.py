@@ -41,7 +41,12 @@ from repro.api.protocol import Capabilities, DistanceOracle
 from repro.api.registry import open_oracle, oracle_spec
 from repro.core.batchhl import PARALLEL_MODES, Variant, resolve_variant
 from repro.core.stats import UpdateStats
-from repro.errors import BatchError, CapabilityError, IndexStateError
+from repro.errors import (
+    BatchError,
+    CapabilityError,
+    IndexStateError,
+    WorkloadError,
+)
 from repro.graph.batch import EdgeUpdate
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.dynamic_graph import DynamicGraph
@@ -140,6 +145,10 @@ class DistanceService:
     its own pool (``oracle="hcl-sharded"``) flushes on that pool unless
     ``parallel="threads"``.
 
+    The query cache clears on every epoch that applied an update, so
+    every hit is exact; ``cache_mode`` accepts only ``"epoch"``, that
+    rule's name.
+
     Vertex growth: an update whose endpoint is at or beyond the current
     vertex count is accepted when the writer oracle advertises
     ``dynamic`` (every dynamic oracle supports batch-driven growth) and
@@ -169,6 +178,10 @@ class DistanceService:
         background: bool = False,
         max_vertex_growth: int | None = 1024,
     ) -> None:
+        if cache_mode != "epoch":
+            raise WorkloadError(
+                f"cache_mode must be 'epoch', got {cache_mode!r}"
+            )
         if isinstance(
             source, (DynamicGraph, DynamicDiGraph, WeightedDynamicGraph)
         ):
@@ -264,9 +277,7 @@ class DistanceService:
         self._vertex_count = writer.graph.num_vertices  # guarded-by: _wakeup
         self._epochs = EpochStore(self._writer.snapshot())
         self.scheduler = CoalescingScheduler(policy, directed=self._directed)
-        self.cache = QueryCache(
-            cache_capacity, cache_mode, symmetric=not self._directed
-        )
+        self.cache = QueryCache(cache_capacity, symmetric=not self._directed)
         self.metrics = ServiceMetrics()
         # The cache and scheduler export their own tallies through the
         # service registry (callback-backed: zero hot-path cost), so one
@@ -279,7 +290,6 @@ class DistanceService:
                 "writer": type(writer).__name__,
                 "vertices": self._vertex_count,
                 "parallel": parallel or "sequential",
-                "cache_mode": cache_mode,
                 "background": background,
             },
         )

@@ -1,21 +1,24 @@
-"""Heap vs adaptive-vector batch kernels: bit-identical results.
+"""Heap reference vs adaptive batch kernels: bit-identical results.
 
 The Python heap implementations (:mod:`repro.core.batch_search`,
 :mod:`repro.core.batch_repair`) are the equivalence oracle for the
-adaptive vector kernels in :mod:`repro.core.batch_kernels`.  The fuzz
-here drives both over the same instances and asserts
+adaptive kernels in :mod:`repro.core.batch_kernels`.  The fuzz here
+drives both over the same instances and asserts
 
 * identical affected *sets* for Algorithms 2 and 3 (order is free — the
   repair semantics depend only on membership);
 * bit-identical repaired labellings (labels + highway) and identical
   ``cells_changed`` counts for Algorithm 4;
 
-at three switch widths: 0 (pure vector phase), the adaptive default,
-and huge (pure Python phase — itself level-synchronous, so this also
-pins the Python phase against the heaps).  Batches include the hostile
-zoo (growth, cancellations), deletion-heavy cuts, and landmark-incident
-updates.  A forced-vector run of the full pipeline (undirected variants
-+ the directed index) closes the loop against rebuild-from-scratch.
+over the frozen CSR at three switch widths — 0 (pure vector phase), the
+adaptive default, and huge (pure Python phase — itself
+level-synchronous, so this also pins the Python phase against the
+heaps) — and over the live graph (the mutable ``DynamicGraph``, or a
+digraph's out/in views), where the Python phases run to the end.
+Batches include the hostile zoo (growth, cancellations), deletion-heavy
+cuts, and landmark-incident updates.  A forced-vector run of the full
+pipeline (undirected variants + the directed index) closes the loop
+against rebuild-from-scratch.
 """
 
 from __future__ import annotations
@@ -124,27 +127,105 @@ def test_search_and_repair_kernels_match_heaps(seed):
                 csr.list_view(), heap_affected, i, heap_labelling,
                 old_dist, old_flag, is_landmark_list,
             )
-            for width in SWITCH_WIDTHS:
+            # The live graph ignores the width: no vector phase without CSR.
+            sides = [(csr, width) for width in SWITCH_WIDTHS]
+            sides.append((graph, None))
+            for kernel_graph, width in sides:
                 context = (
                     f"seed={seed} improved={improved} landmark={i}"
-                    f" width={width}"
+                    f" width={width} graph={type(kernel_graph).__name__}"
                 )
                 vec_affected = batch_search_adaptive(
-                    csr, oriented, dist, flag, labelling.is_landmark,
-                    improved, switch_width=width,
+                    kernel_graph, oriented, dist, flag,
+                    labelling.is_landmark, improved, switch_width=width,
                 )
                 assert set(vec_affected) == set(heap_affected), context
                 assert len(vec_affected) == len(heap_affected), context
                 vec_labelling = labelling.copy()
                 vec_changed = batch_repair_adaptive(
-                    csr, vec_affected, i, vec_labelling, dist, flag,
-                    labelling.is_landmark, switch_width=width,
+                    kernel_graph, vec_affected, i, vec_labelling, dist,
+                    flag, labelling.is_landmark, switch_width=width,
                 )
                 assert vec_changed == heap_changed, context
                 assert heap_labelling.equals(vec_labelling), (
                     context + ": "
                     + "; ".join(heap_labelling.diff(vec_labelling)[:5])
                 )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_directed_kernels_match_heaps_on_csr_and_live_views(seed):
+    """Both passes of a directed batch: the adaptive kernels over the
+    frozen (forward, backward) CSR pair and over the live
+    ``out_view()``/``in_view()`` agree with the heap reference."""
+    rng = random.Random(seed + 700)
+    graph = generators.to_directed(
+        generators.erdos_renyi(rng.randint(30, 60), 0.1, seed=seed + 700),
+        seed=seed + 700,
+    )
+    landmarks = select_landmarks(graph, 4)
+    passes = [
+        (build_labelling(graph.out_view(), landmarks), False),
+        (build_labelling(graph.in_view(), landmarks), True),
+    ]
+    updates = random_mixed_updates(
+        graph, rng, rng.randint(1, 6), rng.randint(1, 6)
+    )
+    batch = normalize_batch(updates, graph, directed=True)
+    apply_batch(graph, batch)
+    csr_out, csr_in = CSRGraph.from_digraph(graph)
+
+    for labelling, reverse in passes:
+        oriented = [
+            (u.v, u.u, u.is_delete) if reverse else (u.u, u.v, u.is_delete)
+            for u in batch
+        ]
+        live, live_pred = graph.out_view(), graph.in_view()
+        csr, pred_csr = csr_out, csr_in
+        if reverse:
+            live, live_pred = live_pred, live
+            csr, pred_csr = pred_csr, csr
+        is_landmark = labelling.is_landmark
+        for improved in (False, True):
+            for i in range(len(landmarks)):
+                dist, flag = labelling.distances_from(i)
+                if improved:
+                    heap_affected = batch_search_improved(
+                        live, oriented, dist, flag, is_landmark
+                    )
+                else:
+                    heap_affected = batch_search_basic(live, oriented, dist)
+                heap_labelling = labelling.copy()
+                heap_changed = batch_repair(
+                    live, heap_affected, i, heap_labelling, dist, flag,
+                    is_landmark, symmetric_highway=False,
+                    pred_view=live_pred,
+                )
+                sides = [(csr, pred_csr, width) for width in SWITCH_WIDTHS]
+                sides.append((live, live_pred, None))
+                for kernel_graph, pred_graph, width in sides:
+                    context = (
+                        f"seed={seed} reverse={reverse} improved={improved}"
+                        f" landmark={i} width={width}"
+                        f" graph={type(kernel_graph).__name__}"
+                    )
+                    affected = batch_search_adaptive(
+                        kernel_graph, oriented, dist, flag, is_landmark,
+                        improved, switch_width=width,
+                    )
+                    assert set(affected) == set(heap_affected), context
+                    assert len(affected) == len(heap_affected), context
+                    repaired = labelling.copy()
+                    changed = batch_repair_adaptive(
+                        kernel_graph, affected, i, repaired, dist, flag,
+                        is_landmark, symmetric_highway=False,
+                        pred_graph=pred_graph, switch_width=width,
+                    )
+                    assert changed == heap_changed, context
+                    assert heap_labelling.equals(repaired), (
+                        context + ": "
+                        + "; ".join(heap_labelling.diff(repaired)[:5])
+                    )
 
 
 @pytest.mark.parametrize("seed", range(6))

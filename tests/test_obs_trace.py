@@ -1,10 +1,20 @@
-"""Span tracing: nesting, JSONL schema, ring bound, shard synthesis."""
+"""Span tracing: nesting, JSONL schema, ring bound, phase and shard
+synthesis."""
 
 import json
+import time
 
 import pytest
 
-from repro import DistanceService, DynamicGraph, FlushPolicy
+from repro import (
+    DistanceService,
+    DynamicGraph,
+    EdgeUpdate,
+    FlushPolicy,
+    HighwayCoverIndex,
+)
+from repro.core.labelling import HighwayCoverLabelling
+from repro.graph import generators
 from repro.obs.trace import NOOP_SPAN, Tracer, get_tracer, span
 
 
@@ -175,3 +185,40 @@ def test_processes_flush_nests_per_shard_spans(tmp_path):
     assert parent_name(pool) == "process_landmarks"
     flush = next(e for e in events if e["name"] == "flush")
     assert flush["args"]["parent_id"] is None
+
+
+def test_in_process_phase_span_children_cover_its_wall(monkeypatch):
+    """A sequential batch's process_landmarks span gets decode, search
+    and repair children, in that order, that account for its wall."""
+    decode = HighwayCoverLabelling.distances_from
+
+    def slow_decode(self, landmark_idx):
+        time.sleep(0.02)
+        return decode(self, landmark_idx)
+
+    monkeypatch.setattr(HighwayCoverLabelling, "distances_from", slow_decode)
+    index = HighwayCoverIndex(generators.grid(6, 6), num_landmarks=4)
+    tracer = get_tracer()
+    tracer.enable()
+    tracer.clear()
+    try:
+        index.batch_update(
+            [EdgeUpdate.insert(0, 35), EdgeUpdate.delete(0, 1)]
+        )
+        events = tracer.events()
+    finally:
+        tracer.disable()
+        tracer.clear()
+
+    phase = next(e for e in events if e["name"] == "process_landmarks")
+    children = sorted(
+        (
+            e
+            for e in events
+            if e["args"]["parent_id"] == phase["args"]["span_id"]
+        ),
+        key=lambda e: e["ts"],
+    )
+    assert [c["name"] for c in children] == ["decode", "search", "repair"]
+    assert children[0]["dur"] >= 4 * 20_000
+    assert sum(c["dur"] for c in children) >= 0.95 * phase["dur"]

@@ -1,6 +1,7 @@
 """Landmark-level parallelism: threads, worker processes, per-landmark makespan."""
 
 import random
+import time
 
 import pytest
 
@@ -341,6 +342,32 @@ def test_sequential_shard_timings_decompose_totals():
         max(t.wall_seconds for t in stats.shard_timings)
     )
     assert stats.merge_seconds == 0.0
+
+
+def test_search_seconds_exclude_the_label_decode(monkeypatch):
+    """The O(V·R) decode of each landmark's old distances is neither
+    search nor repair: it shows up only in the shard's wall time."""
+    from repro.core.labelling import HighwayCoverLabelling
+
+    decode = HighwayCoverLabelling.distances_from
+
+    def slow_decode(self, landmark_idx):
+        time.sleep(0.02)
+        return decode(self, landmark_idx)
+
+    monkeypatch.setattr(HighwayCoverLabelling, "distances_from", slow_decode)
+    index = HighwayCoverIndex(generators.grid(6, 6), num_landmarks=4)
+    stats = index.batch_update(
+        [EdgeUpdate.insert(0, 35), EdgeUpdate.delete(0, 1)]
+    )
+    assert stats.n_applied == 2
+    assert stats.search_seconds < 0.02
+    assert len(stats.shard_timings) == 4
+    for timing in stats.shard_timings:
+        decode_s = (
+            timing.wall_seconds - timing.search_seconds - timing.repair_seconds
+        )
+        assert decode_s >= 0.02, timing
 
 
 def test_process_shard_timings_decompose_totals(shard_pool):

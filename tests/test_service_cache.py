@@ -1,16 +1,22 @@
-"""Query cache: LRU behaviour, epoch fencing, both invalidation modes."""
+"""Query cache: LRU behaviour, epoch fencing, exact invalidation."""
 
 import pytest
 
 from repro.errors import WorkloadError
+from repro.graph.dynamic_graph import DynamicGraph
+from repro.service import DistanceService
 from repro.service.cache import QueryCache
 
 
 def test_construction_validation():
     with pytest.raises(WorkloadError):
         QueryCache(capacity=-1)
+
+
+def test_service_rejects_the_approximate_cache_mode():
+    graph = DynamicGraph.from_edges([(0, 1), (1, 2)])
     with pytest.raises(WorkloadError):
-        QueryCache(mode="magic")
+        DistanceService(graph, num_landmarks=1, cache_mode="affected")
 
 
 def test_basic_hit_miss_and_symmetry():
@@ -43,7 +49,7 @@ def test_zero_capacity_disables_caching():
 
 
 def test_epoch_mode_clears_on_any_change():
-    cache = QueryCache(capacity=8, mode="epoch")
+    cache = QueryCache(capacity=8)
     cache.put(1, 2, 3.0)
     cache.put(3, 4, 1.0)
     dropped = cache.on_epoch({9}, epoch=1)
@@ -53,7 +59,7 @@ def test_epoch_mode_clears_on_any_change():
 
 
 def test_epoch_mode_keeps_entries_when_nothing_changed():
-    cache = QueryCache(capacity=8, mode="epoch")
+    cache = QueryCache(capacity=8)
     cache.put(1, 2, 3.0)
     assert cache.on_epoch(set(), epoch=1) == 0
     # Entries survive, but the epoch still advanced: stale in-flight puts
@@ -64,67 +70,20 @@ def test_epoch_mode_keeps_entries_when_nothing_changed():
     assert cache.stale_puts_dropped == 1
 
 
-def test_affected_mode_evicts_only_touching_entries():
-    cache = QueryCache(capacity=100, mode="affected")
-    cache.put(1, 2, 3.0)
-    cache.put(3, 4, 1.0)
-    cache.put(5, 6, 2.0)
-    dropped = cache.on_epoch({2}, epoch=1)
-    assert dropped == 1
-    assert cache.get(1, 2) is None  # touched vertex 2
-    assert cache.get(3, 4) == 1.0
-    assert cache.get(5, 6) == 2.0
-    assert cache.invalidated == 1
-
-
-def test_affected_mode_clears_when_affected_set_is_large():
-    cache = QueryCache(capacity=100, mode="affected")
-    cache.put(1, 2, 3.0)
-    cache.put(3, 4, 1.0)
-    dropped = cache.on_epoch(set(range(50)), epoch=1)
-    assert dropped == 2
-    assert cache.clears == 1
-
-
 def test_none_affected_forces_clear_in_any_mode():
-    for mode in ("epoch", "affected"):
-        cache = QueryCache(capacity=8, mode=mode)
-        cache.put(1, 2, 3.0)
-        assert cache.on_epoch(None, epoch=1) == 1
-        assert len(cache) == 0
+    cache = QueryCache(capacity=8)
+    cache.put(1, 2, 3.0)
+    assert cache.on_epoch(None, epoch=1) == 1
+    assert len(cache) == 0
 
 
 def test_stale_put_is_dropped_after_epoch_bump():
-    cache = QueryCache(capacity=8, mode="epoch")
+    cache = QueryCache(capacity=8)
     cache.on_epoch({1}, epoch=3)
     cache.put(1, 2, 3.0, epoch=2)  # computed under an older snapshot
     assert cache.get(1, 2) is None
     cache.put(1, 2, 4.0, epoch=3)
     assert cache.get(1, 2) == 4.0
-
-
-def test_affected_mode_eviction_uses_real_batch_endpoints():
-    """Regression: a growing update once polluted the affected set with
-    its is_delete flag (False == 0), wrongly evicting vertex 0's entries
-    and keeping the real endpoint's.  Drive the cache from the actual
-    UpdateStats of a vertex-growing batch."""
-    from repro.api import open_oracle
-    from repro.graph.batch import EdgeUpdate
-    from repro.graph.dynamic_graph import DynamicGraph
-
-    oracle = open_oracle(
-        "hcl", DynamicGraph.from_edges([(0, 1), (1, 2), (2, 3)])
-    )
-    cache = QueryCache(capacity=64, mode="affected")
-    cache.put(0, 1, 1.0, epoch=0)   # touches neither endpoint: survives
-    cache.put(2, 3, 1.0, epoch=0)   # touches endpoint 3: evicted
-    for filler in range(10, 18):    # keep the affected set below the
-        cache.put(filler, filler + 1, 2.0, epoch=0)  # whole-clear ratio
-    stats = oracle.batch_update([EdgeUpdate(3, 7, False)])
-    assert all(type(v) is int for v in stats.affected_vertices)
-    cache.on_epoch(stats.affected_vertices, epoch=1)
-    assert cache.get(0, 1) == 1.0
-    assert cache.get(2, 3) is None
 
 
 def test_zero_capacity_still_tallies_misses():

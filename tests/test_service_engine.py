@@ -356,7 +356,7 @@ def test_static_writer_rejects_growth_with_typed_error():
     assert service.distance(0, 5) == 1
 
 
-@pytest.mark.parametrize("cache_mode", ["epoch", "affected"])
+@pytest.mark.parametrize("cache_mode", ["epoch"])
 def test_growth_through_service_is_queryable(cache_mode):
     """Regression: submit growth update -> flush -> query the new vertex.
 
