@@ -79,8 +79,8 @@ def _apply_batches(
     """Apply batches sequentially; returns (labelling, per-batch stats)."""
     all_stats = []
     for batch in batches:
-        labelling, stats = run_batch_update(
-            graph, labelling, batch, variant=variant
+        (labelling,), stats = run_batch_update(
+            graph, (labelling,), batch, variant=variant
         )
         all_stats.append(stats)
     return labelling, all_stats
@@ -143,7 +143,7 @@ def experiment_fig2(
             for variant_name, variant in variants:
                 graph_copy = workload.graph.copy()
                 _, stats = run_batch_update(
-                    graph_copy, base_labelling, workload.batches[0], variant
+                    graph_copy, (base_labelling,), workload.batches[0], variant
                 )
                 row[variant_name] = stats.total_affected
                 row[f"{variant_name}_pct"] = 100.0 * stats.total_affected / denom
@@ -407,8 +407,8 @@ def experiment_fig6(
 
             labelling = _build_hcl(workload.graph, num_landmarks)
             g = workload.graph.copy()
-            new_lab, stats = run_batch_update(
-                g, labelling, batch, Variant.BHL_PLUS
+            (new_lab,), stats = run_batch_update(
+                g, (labelling,), batch, Variant.BHL_PLUS
             )
             index = open_oracle("hcl", g, labelling=new_lab)
             query_time = average_query_time(index, pairs) * len(pairs)
@@ -580,7 +580,7 @@ def experiment_table1_scaling(
         labelling2 = _build_hcl(workload.graph, num_landmarks)
         g = workload.graph.copy()
         _, stats = run_batch_update(
-            g, labelling2, workload.batches[0], Variant.BHL_PLUS
+            g, (labelling2,), workload.batches[0], Variant.BHL_PLUS
         )
         denom = num_landmarks * (graph.num_vertices + graph.num_edges)
         table.add_row(

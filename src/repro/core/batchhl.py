@@ -1,20 +1,29 @@
 """BatchHL orchestration — Algorithm 1 and its variants.
 
 ``run_batch_update`` normalises a batch against the current graph, applies
-it, and then — per landmark — runs batch search (Algorithm 2 or 3) followed
-by batch repair (Algorithm 4) against a fresh copy of the labelling.  The
-copy is essential: every landmark's search reads *old* distances decoded
-from Γ, so repairs for earlier landmarks must not leak into later searches
-(this is also what makes landmark-level parallelism safe: labels for
-different landmarks are disjoint columns, Section 6).
+it, and then — per labelling and per landmark — runs batch search
+(Algorithm 2 or 3) followed by batch repair (Algorithm 4) against a fresh
+copy of that labelling.  The copy is essential: every landmark's search
+reads *old* distances decoded from Γ, so repairs for earlier landmarks
+must not leak into later searches (this is also what makes landmark-level
+parallelism safe: labels for different landmarks are disjoint columns,
+Section 6).
+
+The driver serves both highway cover indexes.  An undirected graph has one
+labelling and one *pass* over G' that tries each update in both
+orientations.  A digraph has two (Section 6): the forward pass searches
+the out-rows with the updates as given, the backward pass searches the
+in-rows with every update reversed, and each uses the other's rows as
+repair predecessors.  Both share normalisation, growth, the variant plan,
+the freeze rule, rollback, spans and phase metrics.
 
 Every landmark runs the same two kernels,
 :func:`~repro.core.batch_kernels.batch_search_adaptive` and
 :func:`~repro.core.batch_kernels.batch_repair_adaptive`, whatever the
 backend or batch size.  Only the graph they read differs: a sub-batch of
 more than one update, or any sub-batch on the processes backend, is
-frozen once into a :class:`~repro.graph.csr.CSRGraph` that every
-landmark shares; a unit sub-batch on an in-process backend skips that
+frozen once into :class:`~repro.graph.csr.CSRGraph` rows that every pass
+and landmark shares; a unit sub-batch on an in-process backend skips that
 O(V + E) freeze and the kernels read the live graph.
 
 Variants (Section 7.1):
@@ -29,10 +38,11 @@ Variants (Section 7.1):
 Parallelism: ``parallel="threads"`` runs landmarks on a thread pool (safe —
 disjoint writes — but GIL-bound in CPython); ``parallel="processes"`` ships
 landmark shards to a persistent worker-process pool
-(:mod:`repro.parallel`), the backend that actually escapes the GIL.  Every
-backend times its shards: the in-process ones (sequential and threads)
-report one timing per landmark and the makespan ``max_r t(r)`` that the
-paper's one-thread-per-landmark BHLp would pay.
+(:mod:`repro.parallel`), the backend that actually escapes the GIL, on
+undirected graphs only.  Every backend times its shards: the in-process
+ones (sequential and threads) report one timing per landmark and pass, and
+the makespan ``max_r t(r)`` that the paper's one-thread-per-landmark BHLp
+would pay.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from repro.core.batch_kernels import (
     batch_repair_adaptive,
     batch_search_adaptive,
 )
-from repro.core.batch_search import orient_updates
+from repro.core.batch_search import OrientedUpdate, orient_updates
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.stats import ShardTiming, UpdateStats
 from repro.errors import BatchError
@@ -150,28 +160,42 @@ def variant_plan(batch: Batch, variant: Variant) -> list[tuple[Batch, bool]]:
 
 def run_batch_update(
     graph: Any,
-    labelling: HighwayCoverLabelling,
+    labellings: tuple[HighwayCoverLabelling, ...],
     updates: Iterable[Any],
     variant: "Variant | str" = Variant.BHL_PLUS,
     parallel: str | None = None,
     num_threads: int | None = None,
     num_shards: int | None = None,
     pool: Any = None,
-) -> tuple[HighwayCoverLabelling, UpdateStats]:
-    """Normalise, apply, and reflect ``updates`` into a new labelling.
+) -> tuple[tuple[HighwayCoverLabelling, ...], UpdateStats]:
+    """Normalise, apply, and reflect ``updates`` into new labellings.
 
-    Mutates ``graph`` (it ends as G'); returns the repaired labelling and
-    the update statistics.  ``labelling`` itself is not modified.
+    ``labellings`` is ``(labelling,)`` on an undirected ``graph`` and
+    ``(forward, backward)`` on a
+    :class:`~repro.graph.digraph.DynamicDiGraph`.  Mutates ``graph`` (it
+    ends as G'); returns the repaired labellings, in the same order, and
+    the update statistics.  The input labellings are grown to cover new
+    vertices but never repaired.
 
-    ``num_shards`` and ``pool`` only apply to ``parallel="processes"``:
-    ``pool`` is a :class:`~repro.parallel.pool.LandmarkShardPool` to reuse
-    (its workers persist across batches); with ``pool=None`` the module's
-    shared default pool is used, sharded ``num_shards`` ways.
+    ``num_shards`` and ``pool`` only apply to ``parallel="processes"``,
+    which is undirected-only: ``pool`` is a
+    :class:`~repro.parallel.pool.LandmarkShardPool` to reuse (its workers
+    persist across batches); with ``pool=None`` the module's shared
+    default pool is used, sharded ``num_shards`` ways.
     """
     variant = resolve_variant(variant)
     if parallel not in PARALLEL_MODES:
         raise BatchError(
             f"parallel must be one of {PARALLEL_MODES}, got {parallel!r}"
+        )
+    directed = len(labellings) == 2
+    if directed and (
+        parallel == "processes" or num_shards is not None or pool is not None
+    ):
+        raise BatchError(
+            "parallel must be None or 'threads' on directed indexes"
+            " (the processes backend and its num_shards/pool options"
+            f" are undirected-only), got {parallel!r}"
         )
     if parallel == "processes" and pool is None:
         from repro.parallel.pool import get_default_pool
@@ -179,8 +203,8 @@ def run_batch_update(
         pool = get_default_pool(num_shards)
     updates = list(updates)
     stats = UpdateStats(variant=variant.value, n_requested=len(updates))
-    stats.affected_per_landmark = [0] * labelling.num_landmarks
-    batch = normalize_batch(updates, graph)
+    stats.affected_per_landmark = [0] * labellings[0].num_landmarks
+    batch = normalize_batch(updates, graph, directed=directed)
     started = time.perf_counter()
 
     # Grow once for the whole batch, not once per sub-batch: every grow
@@ -192,9 +216,10 @@ def run_batch_update(
         highest = max(max(u.u, u.v) for u in batch)
         if highest >= graph.num_vertices:
             graph.ensure_vertex(highest)
-            labelling.grow(graph.num_vertices)
+            for labelling in labellings:
+                labelling.grow(graph.num_vertices)
 
-    current = labelling
+    current = labellings
     applied: list[Batch] = []
     try:
         for sub_batch, improved in variant_plan(batch, variant):
@@ -206,16 +231,17 @@ def run_batch_update(
     except BaseException:
         # _apply_one_batch reverts its own failing sub-batch; earlier
         # sub-batches (unit updates, the BHL-s insert half) were applied
-        # to the graph but their repaired labelling never reaches the
+        # to the graph but their repaired labellings never reach the
         # caller, so undo them too — in reverse — to leave (graph,
-        # labelling) describing the same topology as before the call.
+        # labellings) describing the same topology as before the call.
         for done in reversed(applied):
             revert_batch(graph, done)
         # Vertices grown up front for the batch are kept (isolated), and
-        # the caller's labelling was grown alongside them — (graph,
-        # labelling) still describe the same vertex set.  The grow here
+        # the caller's labellings were grown alongside them — (graph,
+        # labellings) still describe the same vertex set.  The grow here
         # is a no-op safety net for direct _apply_one_batch callers.
-        labelling.grow(graph.num_vertices)
+        for labelling in labellings:
+            labelling.grow(graph.num_vertices)
         raise
 
     stats.n_requested = len(updates)
@@ -224,128 +250,169 @@ def run_batch_update(
     return current, stats
 
 
+def _pass_plan(
+    graph: Any, batch: Batch, directed: bool, parallel: str | None
+) -> list[tuple[Any, Any, list[OrientedUpdate]]]:
+    """One ``(search rows, predecessor rows, oriented updates)`` per pass,
+    as the module docstring lays them out; predecessor rows of None mean
+    the search rows themselves.
+
+    G' is frozen once per multi-update sub-batch: every pass and landmark
+    reads the same immutable CSR arrays (so the kernels can switch to
+    their vector phase), and the processes backend ships them directly
+    instead of re-encoding the graph.  Unit sub-batches skip the O(V + E)
+    freeze on in-process backends — their cost is proportional to the
+    affected region, not the graph — and the kernels read the live
+    adjacency.
+    """
+    rows: tuple[Any, ...] = (
+        (graph.out_view(), graph.in_view()) if directed else (graph,)
+    )
+    if parallel == "processes" or len(batch) > 1:
+        with span("freeze_csr", vertices=graph.num_vertices):
+            rows = (
+                CSRGraph.from_digraph(graph)
+                if directed
+                else (CSRGraph.from_graph(graph),)
+            )
+        if parallel == "threads":
+            # Warm the cached adjacency lists once on the writer: the
+            # adaptive kernels' Python phase reads them lazily, and a
+            # cold cache would make every worker thread race to build
+            # the same O(V + E) expansion.
+            for csr in rows:
+                csr.adjacency_lists()
+    if not directed:
+        return [(rows[0], None, orient_updates(batch))]
+    out_rows, in_rows = rows
+    forward = orient_updates(batch, directed=True)
+    backward = [(head, tail, is_delete) for tail, head, is_delete in forward]
+    return [(out_rows, in_rows, forward), (in_rows, out_rows, backward)]
+
+
 def _apply_one_batch(
     graph: Any,
-    labelling: HighwayCoverLabelling,
+    labellings: tuple[HighwayCoverLabelling, ...],
     batch: Batch,
     improved: bool,
     parallel: str | None,
     num_threads: int | None,
     pool: Any = None,
-) -> tuple[HighwayCoverLabelling, UpdateStats]:
-    """Apply one normalised (sub-)batch: mutate graph, search + repair.
+) -> tuple[tuple[HighwayCoverLabelling, ...], UpdateStats]:
+    """Apply one normalised (sub-)batch: mutate graph, then search +
+    repair one pass per labelling.
 
     Vertex growth already happened, once for the whole batch, in
-    :func:`run_batch_update` — graph and labelling cover every endpoint
+    :func:`run_batch_update` — graph and labellings cover every endpoint
     this sub-batch references.
     """
     stats = UpdateStats(variant="", n_applied=len(batch))
     stats.n_insertions = len(batch.insertions)
     stats.n_deletions = len(batch.deletions)
-    stats.affected_per_landmark = [0] * labelling.num_landmarks
+    stats.affected_per_landmark = [0] * labellings[0].num_landmarks
     if not len(batch):
-        return labelling, stats
+        return labellings, stats
 
     apply_batch(graph, batch)  # graph is now G'
 
+    directed = len(labellings) == 2
+    backend = parallel or "sequential"
+    tracer = get_tracer()
+    stats.makespan_seconds = 0.0
+    repaired: list[HighwayCoverLabelling] = []
     try:
         # Everything after apply_batch sits inside the try: a failure in
-        # the copy (MemoryError on a large labelling) must revert the
-        # edge mutations just like a worker-pool failure mid-repair.
-        oriented = orient_updates(batch, directed=False)
-        labelling_new = labelling.copy()
-        # Freeze G' once per multi-update sub-batch: every landmark's
-        # search + repair reads the same immutable CSR arrays (so the
-        # kernels can switch to their vector phase), and the processes
-        # backend ships them directly instead of re-encoding the graph.
-        # Unit sub-batches skip the O(V + E) freeze on in-process
-        # backends — their cost is proportional to the affected region,
-        # not the graph — and the kernels read the live adjacency.
-        kernel_graph: Any = graph
-        if parallel == "processes" or len(batch) > 1:
-            with span("freeze_csr", vertices=graph.num_vertices):
-                kernel_graph = CSRGraph.from_graph(graph)
-            if parallel == "threads":
-                # Warm the cached adjacency lists once on the writer:
-                # the adaptive kernels' Python phase reads them lazily,
-                # and a cold cache would make every worker thread race
-                # to build the same O(V + E) expansion.
-                kernel_graph.adjacency_lists()
-        backend = parallel or "sequential"
-        tracer = get_tracer()
-        phases_started = tracer.now_us() if tracer.enabled else 0
-        with tracer.span(
-            "process_landmarks",
-            landmarks=labelling.num_landmarks,
-            backend=backend,
-            batch=len(batch),
-        ) as phases_span:
-            outcomes, makespan, shard_timings, merge_seconds = (
-                process_landmarks(
-                    kernel_graph,
-                    labelling,
-                    labelling_new,
-                    oriented,
-                    improved,
-                    symmetric_highway=True,
-                    parallel=parallel,
-                    num_threads=num_threads,
-                    pool=pool,
+        # a copy (MemoryError on a large labelling) must revert the edge
+        # mutations just like a worker-pool failure mid-repair.
+        passes = _pass_plan(graph, batch, directed, parallel)
+        for labelling, (rows, pred_rows, oriented) in zip(labellings, passes):
+            labelling_new = labelling.copy()
+            phases_started = tracer.now_us() if tracer.enabled else 0
+            with tracer.span(
+                "process_landmarks",
+                landmarks=labelling.num_landmarks,
+                backend=backend,
+                batch=len(batch),
+            ) as phases_span:
+                outcomes, makespan, shard_timings, merge_seconds = (
+                    process_landmarks(
+                        rows,
+                        labelling,
+                        labelling_new,
+                        oriented,
+                        improved,
+                        symmetric_highway=not directed,
+                        parallel=parallel,
+                        num_threads=num_threads,
+                        pred_graph=pred_rows,
+                        pool=pool,
+                    )
                 )
-            )
+            if phases_span is not None and parallel != "processes":
+                _trace_phase_children(
+                    tracer, phases_span, phases_started, shard_timings, backend
+                )
+            for i, (n_affected, search_s, repair_s, changed, touched) in (
+                enumerate(outcomes)
+            ):
+                stats.affected_per_landmark[i] += n_affected
+                stats.affected_vertices.update(touched)
+                stats.search_seconds += search_s
+                stats.repair_seconds += repair_s
+                stats.labels_changed += changed
+            stats.shard_timings.extend(shard_timings)
+            stats.merge_seconds += merge_seconds
+            stats.makespan_seconds += makespan
+            repaired.append(labelling_new)
     except BaseException:
-        # The graph is already G' but the labelling was never repaired —
+        # The graph is already G' but no labelling was replaced —
         # realistic with worker processes (a killed worker raises
         # BrokenProcessPool).  Undo the edge mutations so the caller's
-        # (graph, labelling) pair stays consistent; vertices grown above
-        # remain as isolated vertices, which the grown labelling already
-        # describes correctly.
+        # (graph, labellings) stay consistent; vertices grown above
+        # remain as isolated vertices, which the grown labellings already
+        # describe correctly.
         revert_batch(graph, batch)
         raise
     for update in batch:
         stats.affected_vertices.add(update.u)
         stats.affected_vertices.add(update.v)
-    for i, (n_affected, search_s, repair_s, changed, touched) in enumerate(
-        outcomes
-    ):
-        stats.affected_per_landmark[i] += n_affected
-        stats.affected_vertices.update(touched)
-        stats.search_seconds += search_s
-        stats.repair_seconds += repair_s
-        stats.labels_changed += changed
-    stats.shard_timings = shard_timings
-    stats.merge_seconds = merge_seconds
-    stats.makespan_seconds = makespan
-    if phases_span is not None and parallel != "processes":
-        # In-process backends have no per-shard tracks (the pool
-        # synthesizes those for the processes backend from ShardTiming);
-        # emit one aggregate decode, search and repair child under the
-        # phase span, in the order each landmark runs them, so the trace
-        # still shows where the wall time went.  The decode is whatever
-        # of each landmark's wall its search and repair did not take.
-        decode_us = 1e6 * sum(
-            t.wall_seconds - t.search_seconds - t.repair_seconds
-            for t in shard_timings
-        )
-        search_us = stats.search_seconds * 1e6
-        for name, start_us, duration_us in (
-            ("decode", phases_started, decode_us),
-            ("search", phases_started + decode_us, search_us),
-            (
-                "repair",
-                phases_started + decode_us + search_us,
-                stats.repair_seconds * 1e6,
-            ),
-        ):
-            tracer.record_complete(
-                name,
-                start_us,
-                duration_us,
-                parent_id=phases_span.span_id,
-                backend=backend,
-            )
     _record_phase_metrics(stats, backend)
-    return labelling_new, stats
+    return tuple(repaired), stats
+
+
+def _trace_phase_children(
+    tracer: Any,
+    parent: Any,
+    started_us: float,
+    shard_timings: list[ShardTiming],
+    backend: str,
+) -> None:
+    """Aggregate decode, search and repair children of one pass's span.
+
+    In-process backends have no per-shard tracks (the pool synthesizes
+    those for the processes backend from ShardTiming); one child per
+    phase, in the order each landmark runs them, still shows where the
+    pass's wall time went.  The decode is whatever of each landmark's
+    wall its search and repair did not take.
+    """
+    decode_us = 1e6 * sum(
+        t.wall_seconds - t.search_seconds - t.repair_seconds
+        for t in shard_timings
+    )
+    search_us = 1e6 * sum(t.search_seconds for t in shard_timings)
+    repair_us = 1e6 * sum(t.repair_seconds for t in shard_timings)
+    for name, start_us, duration_us in (
+        ("decode", started_us, decode_us),
+        ("search", started_us + decode_us, search_us),
+        ("repair", started_us + decode_us + search_us, repair_us),
+    ):
+        tracer.record_complete(
+            name,
+            start_us,
+            duration_us,
+            parent_id=parent.span_id,
+            backend=backend,
+        )
 
 
 def changed_label_entries(
@@ -434,12 +501,12 @@ def process_landmarks(
     list[ShardTiming],
     float,
 ]:
-    """Run search + repair for every landmark over the updated graph.
+    """Run one pass: search + repair for every landmark over G'.
 
-    Shared by the undirected and directed indexes.  ``graph`` is G',
-    either its frozen :class:`~repro.graph.csr.CSRGraph` or the live
-    graph; the processes backend needs the CSR, whose arrays it ships to
-    the worker shards verbatim.  ``pred_graph`` provides predecessor
+    ``graph`` holds the pass's search rows of G', either frozen
+    :class:`~repro.graph.csr.CSRGraph` rows or the live graph; the
+    processes backend needs the CSR, whose arrays it ships to the worker
+    shards verbatim.  ``pred_graph`` provides predecessor
     neighbourhoods for repair's boundary bounds (the other half of a
     directed pair; None means same as ``graph``).  Returns per-landmark
     ``(n_affected, search_seconds, repair_seconds, cells_changed,

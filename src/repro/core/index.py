@@ -284,9 +284,9 @@ class HighwayCoverIndex(OracleBase):
                 )
             parallel, pool = "processes", self._pool
         try:
-            new_labelling, stats = run_batch_update(
+            (new_labelling,), stats = run_batch_update(
                 self._graph,
-                self._labelling,
+                (self._labelling,),
                 updates,
                 variant=variant,
                 parallel=parallel,

@@ -9,7 +9,8 @@ updates during batch repair, and vectorises the two hot read patterns:
 * ``distances_from(i)`` — the landmark distances :math:`d^L_G(r_i, \\cdot)`
   of *every* vertex, used to seed batch search (old distances come from the
   labelling, not from a BFS);
-* ``upper_bound(s, t)`` — the query-time bound :math:`d^\\top_{st}` (Eq. 3).
+* ``upper_bound(s, t)`` — the query-time bound :math:`d^\\top_{st}` (Eq. 3),
+  from one labelling or, on a digraph, from a forward/backward pair.
 """
 
 from __future__ import annotations
@@ -221,11 +222,19 @@ class HighwayCoverLabelling:
         decoded = (self.highway + vec[np.newaxis, :]).min(axis=1)
         return np.minimum(decoded, INF)
 
-    def upper_bound(self, s: int, t: int) -> int:
-        """Eq. 3: the best s-t path length through the highway."""
-        from_landmarks = self.decoded_landmark_distances(s)
-        vec_t = self.label_vector(t)
-        bound = int((from_landmarks + vec_t).min())
+    def upper_bound(
+        self, s: int, t: int, backward: "HighwayCoverLabelling | None" = None
+    ) -> int:
+        """Eq. 3: the best s-t path length through the highway.
+
+        On a digraph this is the forward labelling and ``backward`` the
+        one over in-neighbours, whose decode gives ``d(s -> r_j)``; the
+        bound is ``min_j d(s -> r_j) + d(r_j -> t)``.  None means this
+        labelling on both sides — the undirected case.
+        """
+        source_side = self if backward is None else backward
+        to_landmarks = source_side.decoded_landmark_distances(s)
+        bound = int((to_landmarks + self.label_vector(t)).min())
         return min(bound, INF)
 
     # ------------------------------------------------------------------

@@ -11,6 +11,12 @@ A distance query combines two ingredients:
 
 Queries touching a landmark are answered from the labelling alone: the
 highway cover property (Eq. 2) makes landmark-to-anything distances exact.
+
+The same query serves digraphs (Section 6) given a backward labelling, one
+over in-neighbours: it supplies the exact ``d(s -> r)`` side of the bound,
+the forward labelling the ``d(r -> t)`` side, and the bounded search
+expands forward from ``s`` over out-rows and backward from ``t`` over
+in-rows.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ def query_distance(
     t: int,
     landmark_set: frozenset[int],
     csr: CSRGraph | None = None,
+    backward: HighwayCoverLabelling | None = None,
+    backward_csr: CSRGraph | None = None,
 ) -> int:
     """Exact s-t distance (internal INF sentinel for unreachable).
 
@@ -38,9 +46,16 @@ def query_distance(
     kernel instead of walking the mutable adjacency sets — this is how
     every index read path queries; ``graph`` is then only a fallback for
     callers that never froze a view.
+
+    On a digraph, ``labelling`` and ``csr`` are the forward ones (over
+    out-neighbours) and ``backward``/``backward_csr`` their in-neighbour
+    twins; each defaults to its forward counterpart, which is exactly the
+    undirected case.
     """
     if s == t:
         return 0
+    if backward is None:
+        backward = labelling
     s_idx = labelling.landmark_index.get(s)
     t_idx = labelling.landmark_index.get(t)
     if s_idx is not None and t_idx is not None:
@@ -48,13 +63,13 @@ def query_distance(
     if s_idx is not None:
         return int(labelling.decoded_landmark_distances(t)[s_idx])
     if t_idx is not None:
-        return int(labelling.decoded_landmark_distances(s)[t_idx])
-    bound = labelling.upper_bound(s, t)
+        return int(backward.decoded_landmark_distances(s)[t_idx])
+    bound = labelling.upper_bound(s, t, backward=backward)
     if bound <= 1:
         return bound  # an adjacent pair cannot improve below 1
     if csr is not None:
         best = bidirectional_distance(
-            csr, s, t, excluded=landmark_set, bound=bound
+            csr, s, t, excluded=landmark_set, bound=bound, backward=backward_csr
         )
     else:
         best = bidirectional_bfs(

@@ -139,9 +139,10 @@ def replay(
     """Run ops on the calling thread; optionally oracle-check each answer.
 
     Validation BFS-checks every answer against the graph owned by the
-    snapshot that is current *after* the answer returns (with a foreground
-    service and a single thread the snapshot cannot flip mid-query, so
-    this is an exact check).  Returns counts + mismatch descriptions.
+    snapshot that is current *after* the answer returns, over its
+    out-arcs when the oracle is directed (with a foreground service and a
+    single thread the snapshot cannot flip mid-query, so this is an exact
+    check).  Returns counts + mismatch descriptions.
     """
     queries = updates = mismatches = 0
     failures: list[str] = []
@@ -152,7 +153,10 @@ def replay(
             if validate:
                 snapshot = service.current_snapshot()
                 s, t = op.query
-                expected = bfs_distance_pair(snapshot.index.graph, s, t)
+                graph = snapshot.index.graph
+                if snapshot.index.capabilities.directed:
+                    graph = graph.out_view()
+                expected = bfs_distance_pair(graph, s, t)
                 expected = float("inf") if expected >= INF else float(expected)
                 if answer != expected:
                     mismatches += 1

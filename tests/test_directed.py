@@ -132,9 +132,9 @@ def test_failed_pass_rolls_back_the_batch(monkeypatch, variant, failing_call):
     """A failed pass must leave the arcs and both labellings as they were
     — also those of earlier, successful sub-batches — not a repaired
     forward labelling over G'."""
-    import repro.core.directed as directed_module
+    import repro.core.batchhl as batchhl_module
 
-    real = directed_module.process_landmarks
+    real = batchhl_module.process_landmarks
     calls = []
 
     def flaky_process_landmarks(*args, **kwargs):
@@ -149,7 +149,7 @@ def test_failed_pass_rolls_back_the_batch(monkeypatch, variant, failing_call):
     before_arcs = set(index.graph.edges())
     forward, backward = index.forward.copy(), index.backward.copy()
     monkeypatch.setattr(
-        directed_module, "process_landmarks", flaky_process_landmarks
+        batchhl_module, "process_landmarks", flaky_process_landmarks
     )
     with pytest.raises(RuntimeError):
         index.batch_update(

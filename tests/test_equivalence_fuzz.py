@@ -6,7 +6,9 @@ asserting the repo's strongest invariants:
 * maintained labelling == rebuild-from-scratch labelling (Theorem 5.21)
   for every variant (BHL, BHL+, BHL-s, UHL, UHL+);
 * sequential == threads == processes, bit-for-bit on the label matrices;
-* served distances == BFS ground truth on sampled pairs.
+* served distances == BFS ground truth on sampled pairs;
+* the same for the directed index: every variant == rebuild for both
+  labellings, and sequential == threads bit-for-bit on both.
 
 Every assertion message carries the failing seed; re-run a single seed
 with ``REPRO_FUZZ_SEEDS=<seed> pytest tests/test_equivalence_fuzz.py``
@@ -23,6 +25,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro import EdgeUpdate, HighwayCoverIndex
+from repro.core.directed import DirectedHighwayCoverIndex
 from repro.graph import generators
 from repro.workloads.queries import sample_query_pairs
 from tests.conftest import bfs_oracle, random_mixed_updates
@@ -55,6 +58,8 @@ def random_instance(seed: int):
 
 def random_fuzz_batch(graph, rng: random.Random) -> list[EdgeUpdate]:
     """A hostile mixed batch: valid updates plus the full zoo of junk.
+
+    Works on a digraph too, where every update names one arc.
 
     Contains deletions of live edges, insertions of absent edges, and —
     with the paper's normalisation rules in mind — duplicates, an
@@ -266,3 +271,48 @@ def test_unit_variants_agree_with_batch_on_processes(seed, shard_pool):
             f"{context}: "
             + "; ".join(reference.labelling.diff(index.labelling)[:5])
         )
+
+
+@pytest.mark.parametrize("seed", fuzz_seeds())
+def test_directed_variants_match_rebuild_and_threads(seed):
+    """The directed index under the same hostile batches: every variant
+    == rebuild-from-scratch for both labellings after every batch, and
+    sequential == threads bit-for-bit on both."""
+    rng = random.Random(seed + 40_000)
+    undirected = generators.erdos_renyi(
+        rng.randint(40, 90), rng.uniform(0.04, 0.10), seed=seed
+    )
+    digraph = generators.to_directed(
+        undirected, reciprocal_p=rng.uniform(0.2, 0.6), seed=seed
+    )
+    num_landmarks = rng.randint(3, 6)
+    for variant in VARIANTS:
+        batch_rng = random.Random(f"{seed}:directed:{variant}")
+        reference, threaded = (
+            DirectedHighwayCoverIndex(
+                digraph.copy(), num_landmarks=num_landmarks
+            )
+            for _ in range(2)
+        )
+        for round_no in range(2):
+            n = reference.graph.num_vertices
+            updates = random_fuzz_batch(reference.graph, batch_rng)
+            # A new vertex whose only arc leads out of it: it grows the
+            # vertex set and is reachable in the backward labelling only.
+            updates.append(EdgeUpdate.insert(n + 3, batch_rng.randrange(n)))
+            reference.batch_update(updates, variant=variant, parallel=None)
+            threaded.batch_update(
+                updates, variant=variant, parallel="threads"
+            )
+            context = (
+                f"seed={seed} variant={variant} round={round_no}"
+                f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
+            )
+            problems = reference.check_minimality()
+            assert problems == [], f"{context}: {problems[:5]}"
+            for side in ("forward", "backward"):
+                want = getattr(reference, side)
+                got = getattr(threaded, side)
+                assert want.equals(got), (
+                    f"{context} {side}: " + "; ".join(want.diff(got)[:5])
+                )

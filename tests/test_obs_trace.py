@@ -187,9 +187,17 @@ def test_processes_flush_nests_per_shard_spans(tmp_path):
     assert flush["args"]["parent_id"] is None
 
 
-def test_in_process_phase_span_children_cover_its_wall(monkeypatch):
-    """A sequential batch's process_landmarks span gets decode, search
-    and repair children, in that order, that account for its wall."""
+@pytest.mark.parametrize(
+    "directed", [False, True], ids=["undirected", "directed"]
+)
+def test_in_process_phase_span_children_cover_its_wall(monkeypatch, directed):
+    """A sequential multi-update batch freezes G' once and gives each pass
+    (one undirected, forward then backward directed) a process_landmarks
+    span whose decode, search and repair children, in that order, account
+    for its wall; the sub-batch is counted once."""
+    from repro.core.directed import DirectedHighwayCoverIndex
+    from repro.obs.metrics import get_registry
+
     decode = HighwayCoverLabelling.distances_from
 
     def slow_decode(self, landmark_idx):
@@ -197,7 +205,15 @@ def test_in_process_phase_span_children_cover_its_wall(monkeypatch):
         return decode(self, landmark_idx)
 
     monkeypatch.setattr(HighwayCoverLabelling, "distances_from", slow_decode)
-    index = HighwayCoverIndex(generators.grid(6, 6), num_landmarks=4)
+    grid = generators.grid(6, 6)
+    if directed:
+        index = DirectedHighwayCoverIndex(
+            generators.to_directed(grid, reciprocal_p=1.0), num_landmarks=4
+        )
+    else:
+        index = HighwayCoverIndex(grid, num_landmarks=4)
+    applied = 'repro_batches_applied_total{backend="sequential"}'
+    applied_before = get_registry().snapshot().get(applied, 0.0)
     tracer = get_tracer()
     tracer.enable()
     tracer.clear()
@@ -210,15 +226,19 @@ def test_in_process_phase_span_children_cover_its_wall(monkeypatch):
         tracer.disable()
         tracer.clear()
 
-    phase = next(e for e in events if e["name"] == "process_landmarks")
-    children = sorted(
-        (
-            e
-            for e in events
-            if e["args"]["parent_id"] == phase["args"]["span_id"]
-        ),
-        key=lambda e: e["ts"],
-    )
-    assert [c["name"] for c in children] == ["decode", "search", "repair"]
-    assert children[0]["dur"] >= 4 * 20_000
-    assert sum(c["dur"] for c in children) >= 0.95 * phase["dur"]
+    assert get_registry().snapshot()[applied] == applied_before + 1
+    assert [e["name"] for e in events].count("freeze_csr") == 1
+    phases = [e for e in events if e["name"] == "process_landmarks"]
+    assert len(phases) == (2 if directed else 1)
+    for phase in phases:
+        children = sorted(
+            (
+                e
+                for e in events
+                if e["args"]["parent_id"] == phase["args"]["span_id"]
+            ),
+            key=lambda e: e["ts"],
+        )
+        assert [c["name"] for c in children] == ["decode", "search", "repair"]
+        assert children[0]["dur"] >= 4 * 20_000
+        assert sum(c["dur"] for c in children) >= 0.95 * phase["dur"]

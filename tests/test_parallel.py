@@ -370,6 +370,38 @@ def test_search_seconds_exclude_the_label_decode(monkeypatch):
         assert decode_s >= 0.02, timing
 
 
+def test_weighted_search_seconds_exclude_the_label_decode(monkeypatch):
+    """The weighted index times its landmarks like the other two: decode
+    in the wall only, one ShardTiming per landmark, makespan = max wall."""
+    from repro.core.labelling import HighwayCoverLabelling
+    from repro.core.weighted import WeightedHighwayCoverIndex
+    from repro.graph.weighted_graph import WeightUpdate
+
+    decode = HighwayCoverLabelling.distances_from
+
+    def slow_decode(self, landmark_idx):
+        time.sleep(0.02)
+        return decode(self, landmark_idx)
+
+    monkeypatch.setattr(HighwayCoverLabelling, "distances_from", slow_decode)
+    index = WeightedHighwayCoverIndex(
+        generators.with_random_weights(generators.grid(6, 6), seed=3),
+        num_landmarks=4,
+    )
+    stats = index.batch_update([WeightUpdate(0, 35, 2), WeightUpdate(0, 1, 9)])
+    assert stats.n_applied == 2
+    assert stats.search_seconds < 0.02
+    assert len(stats.shard_timings) == 4
+    for timing in stats.shard_timings:
+        decode_s = (
+            timing.wall_seconds - timing.search_seconds - timing.repair_seconds
+        )
+        assert decode_s >= 0.02, timing
+    assert stats.makespan_seconds == max(
+        t.wall_seconds for t in stats.shard_timings
+    )
+
+
 def test_process_shard_timings_decompose_totals(shard_pool):
     rng = random.Random(12)
     graph = build_pair(11)

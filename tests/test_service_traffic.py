@@ -74,11 +74,22 @@ def test_query_only_scenario(small_graph):
     assert scenario.num_updates == 0
 
 
-def test_replay_with_validation_is_exact(small_graph):
+@pytest.mark.parametrize("oracle", ["hcl", "hcl-directed"])
+def test_replay_with_validation_is_exact(small_graph, oracle):
     scenario = mixed_scenario(
         small_graph, num_queries=300, num_batches=3, batch_size=12, seed=5
     )
-    with make_service(scenario, policy=FlushPolicy(max_batch=8, max_delay=None)) as service:
+    if oracle == "hcl-directed":
+        # Each edge becomes its arc pair, as the CLI adapts graphs for a
+        # directed oracle; the updates then name single arcs.
+        scenario.graph = generators.to_directed(
+            scenario.graph, reciprocal_p=1.0
+        )
+    with make_service(
+        scenario,
+        oracle=oracle,
+        policy=FlushPolicy(max_batch=8, max_delay=None),
+    ) as service:
         outcome = replay(service, scenario.ops, validate=True)
     assert outcome["queries"] == 300
     assert outcome["updates"] == 36
