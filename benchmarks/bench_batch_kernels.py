@@ -20,7 +20,8 @@ workload where deletions blow the affected region wide open and Python
 heaps are slowest — with a secondary scale-free instance where affected
 sets stay small and the adaptive kernels must not regress.  Every
 comparison asserts the two implementations produce identical affected
-sets and bit-identical repaired labellings (labels + highway);
+sets and bit-identical repaired labellings (labels, highway and the
+landmark-distance matrix D that repair maintains);
 ``--check-only`` runs a randomized multi-seed agreement sweep without
 timings (the CI step) over three sides: the heap reference, the adaptive
 kernels over the frozen CSR, and the adaptive kernels over the mutable
@@ -129,7 +130,8 @@ def run_side(
 
 
 def assert_sides_agree(heap_result, other_result, context: str) -> None:
-    """Identical per-landmark affected *sets* and bit-identical labellings."""
+    """Identical per-landmark affected *sets* and bit-identical labellings
+    (``equals`` compares labels, highway and D)."""
     _, _, heap_sets, heap_lab = heap_result
     _, _, other_sets, other_lab = other_result
     for i, (heap_set, other_set) in enumerate(zip(heap_sets, other_sets)):
@@ -222,9 +224,9 @@ def agreement_sweep(num_seeds: int, base_seed: int) -> int:
     Kernel-level check on small instances: the heap reference and the
     adaptive kernels over the frozen CSR and over the mutable graph give
     identical per-landmark affected *sets* and bit-identical repaired
-    labellings, and — closing the loop against ground truth — the
-    repaired labelling is exactly equal to a from-scratch build over the
-    updated graph (Theorem 5.21).  Returns the number of (seed,
+    labellings and D, and — closing the loop against ground truth — the
+    repaired labelling and D are exactly equal to a from-scratch build
+    over the updated graph (Theorem 5.21).  Returns the number of (seed,
     algorithm) cases checked.
     """
     from repro.core.construction import build_labelling
@@ -303,8 +305,8 @@ def main(argv=None) -> int:
         checked = agreement_sweep(args.seeds, args.seed)
         _log.info(
             "agreement sweep clean: heap == CSR == live — per-landmark"
-            " affected sets identical, repaired labellings bit-identical"
-            " and exactly minimal vs rebuild",
+            " affected sets identical, repaired labels, highway and D"
+            " bit-identical and exactly minimal vs rebuild",
             extra={"cases": checked},
         )
         return 0

@@ -13,7 +13,9 @@ and the makespan the cost models predict:
 
 The default instance is a ≥50k-edge Barabási–Albert graph; the CSV lands
 in ``results/parallel_update.csv`` (CI uploads it as an artifact).  All
-backends are additionally checked to produce bit-identical labellings.
+backends are additionally checked to produce bit-identical labellings
+(labels, highway and the landmark-distance matrix D, through
+``HighwayCoverLabelling.equals``).
 
 Timing is *steady-state*: every mode applies ``warmup`` leading batches
 untimed before the measured ones, so one-off costs — worker-process
@@ -176,7 +178,7 @@ def experiment_parallel_update(
     table.add_note(
         "sequential's makespan_s is the idealised one-core-per-landmark"
         " model; threads' is the max overlapped landmark wall; processes'"
-        " is the max real shard wall (incl. snapshot decode)"
+        " is the max real shard wall (incl. attach and D column reads)"
     )
     return table
 

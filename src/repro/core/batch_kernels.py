@@ -7,6 +7,14 @@ whatever the backend or batch size.  The heap implementations in
 against; :func:`repro.core.batch_repair.batch_repair` is both that
 reference and the repair's narrow phase.
 
+Both kernels read the old landmark distances ``(old_dist, old_flag)``
+that :meth:`~repro.core.labelling.HighwayCoverLabelling.distances_from`
+returns: column i of the old labelling's landmark-distance matrix D and
+the Lemma 5.14 flags.  Repair writes the new ones back — the r-labels,
+the landmark's highway row, and every affected vertex's new distance in
+column i of ``labelling_new.dist`` (INF where it became unreachable) —
+so D stays exact without ever being recomputed.
+
 Each kernel takes either a frozen :class:`~repro.graph.csr.CSRGraph` or
 the live graph (anything with ``num_vertices`` and ``neighbors(v)``: a
 :class:`~repro.graph.dynamic_graph.DynamicGraph` or a digraph's
@@ -98,7 +106,7 @@ def batch_search_adaptive(
     additionally needs ``old_flag`` / ``is_landmark``.  ``old_dist`` and
     ``old_flag`` are the int64 arrays straight from
     :meth:`HighwayCoverLabelling.distances_from` — no ``tolist()``
-    round-trip, so the per-landmark fixed cost is O(anchors), not O(V).
+    round-trip, so the search's own fixed cost is O(anchors), not O(V).
     ``graph`` is G', frozen or live; only a :class:`CSRGraph` can switch
     to the vector phase.  Returns the affected vertices as plain Python
     ints (level order).
@@ -300,7 +308,8 @@ def batch_repair_adaptive(
     pred_graph: Any = None,
     switch_width: int | None = None,
 ) -> int:
-    """Repair ``affected`` r-labels; result identical to :func:`batch_repair`.
+    """Repair ``affected`` r-labels, highway cells and D entries; result
+    identical to :func:`batch_repair`.
 
     ``graph`` carries successor rows (relaxation direction) and
     ``pred_graph`` predecessor rows for the boundary bounds — the other
@@ -424,9 +433,11 @@ def batch_repair_adaptive(
         level = nxt
     # Never-settled members keep (INF, False): unreachable in G'.
 
-    # -- write phase (Lemma 5.14): labels vectorised, highway per root -
+    # -- write phase (Lemma 5.14): labels and D vectorised, highway per
+    # root ------------------------------------------------------------
     member_d = new_dist[members]
     member_f = new_flag[members]
+    labelling_new.dist[members, landmark_idx] = member_d
     new_col = np.where(
         (member_d >= INF) | (member_f == TRUE_KEY), NO_LABEL, member_d
     )

@@ -12,7 +12,9 @@ label is written exactly once:
 * flag True or unreachable  -> the r-label is removed (redundant/invalid);
 * otherwise                 -> the r-label is set to the new distance
   (Lemma 5.14);
-* landmarks additionally refresh their highway entry.
+* landmarks additionally refresh their highway entry;
+* every settled vertex writes its new distance (INF if unreachable) into
+  the landmark's column of D, the labelling's landmark-distance matrix.
 
 The implementation uses a lazy-deletion heap keyed by (distance, flag):
 relaxations out of a settled vertex always target strictly larger distances,
@@ -43,7 +45,8 @@ def batch_repair(
     symmetric_highway: bool = True,
     pred_view: Any = None,
 ) -> int:
-    """Repair the r-labels (and highway entries) of ``affected`` vertices.
+    """Repair the r-labels, highway entries and D entries of ``affected``
+    vertices.
 
     ``old_dist`` / ``old_flag`` are the pre-update landmark distances; for a
     vertex *outside* the affected set they equal the new ones (Lemma 5.15),
@@ -84,6 +87,7 @@ def batch_repair(
     changed = 0
     settled: set[int] = set()
     labels = labelling_new.labels
+    dist = labelling_new.dist
     landmark_index = labelling_new.landmark_index
     while heap:
         d, f, v = heapq.heappop(heap)
@@ -93,6 +97,7 @@ def batch_repair(
         changed += _write_vertex(
             labelling_new,
             labels,
+            dist,
             landmark_index,
             landmark_idx,
             v,
@@ -117,6 +122,7 @@ def batch_repair(
 def _write_vertex(
     labelling_new: HighwayCoverLabelling,
     labels: Any,
+    dist: Any,
     landmark_index: Any,
     landmark_idx: int,
     v: int,
@@ -125,7 +131,13 @@ def _write_vertex(
     is_landmark: Any,
     symmetric_highway: bool,
 ) -> int:
-    """Apply the settled landmark distance ``(d, f)`` of ``v`` to Γ'."""
+    """Apply the settled landmark distance ``(d, f)`` of ``v`` to Γ' and D.
+
+    Returns 1 if a label or highway cell changed; D is written
+    unconditionally and not counted.
+    """
+    stored = INF if d >= INF else d
+    dist[v, landmark_idx] = stored
     changed = 0
     if d >= INF or f == TRUE_KEY:
         if labels[v, landmark_idx] != -1:
@@ -136,7 +148,6 @@ def _write_vertex(
             labels[v, landmark_idx] = d
             changed = 1
     if is_landmark[v]:
-        stored = INF if d >= INF else d
         j = landmark_index[v]
         if labelling_new.highway[landmark_idx, j] != stored:
             changed = 1

@@ -72,7 +72,7 @@ def batch_search_basic(
 ) -> list[int]:
     """Algorithm 2: find the CP-affected superset w.r.t. one landmark.
 
-    ``old_dist`` holds :math:`d_G(r, \\cdot)` decoded from the (old)
+    ``old_dist`` holds :math:`d_G(r, \\cdot)` read from the (old)
     labelling; ``graph`` is already updated to ``G'``.
     """
     heap: list[tuple[int, int]] = []

@@ -4,10 +4,13 @@
 it, and then — per labelling and per landmark — runs batch search
 (Algorithm 2 or 3) followed by batch repair (Algorithm 4) against a fresh
 copy of that labelling.  The copy is essential: every landmark's search
-reads *old* distances decoded from Γ, so repairs for earlier landmarks
-must not leak into later searches (this is also what makes landmark-level
-parallelism safe: labels for different landmarks are disjoint columns,
-Section 6).
+reads *old* distances, column i of the old labelling's landmark-distance
+matrix D, so repairs for earlier landmarks must not leak into later
+searches (this is also what makes landmark-level parallelism safe: labels
+and D columns for different landmarks are disjoint, Section 6).  Repair
+scatters the affected vertices' new distances into the copy's D column,
+so a landmark costs O(V) for that column read plus work proportional to
+its affected region, with no decode of Γ.
 
 The driver serves both highway cover indexes.  An undirected graph has one
 labelling and one *pass* over G' that tries each update in both
@@ -392,8 +395,9 @@ def _trace_phase_children(
     In-process backends have no per-shard tracks (the pool synthesizes
     those for the processes backend from ShardTiming); one child per
     phase, in the order each landmark runs them, still shows where the
-    pass's wall time went.  The decode is whatever of each landmark's
-    wall its search and repair did not take.
+    pass's wall time went.  The ``decode`` child (the O(V) read of D's
+    column and the landmark flags) is whatever of each landmark's wall
+    its search and repair did not take.
     """
     decode_us = 1e6 * sum(
         t.wall_seconds - t.search_seconds - t.repair_seconds
@@ -415,28 +419,29 @@ def _trace_phase_children(
         )
 
 
-def changed_label_entries(
-    old_labels: np.ndarray,
+def changed_entries(
+    old_matrix: np.ndarray,
     new_column: np.ndarray,
     landmark_idx: int,
     affected: Iterable[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sparse change set of one landmark's repair: ``(vertices, values)``.
 
-    Exact, not approximate: both repair kernels write landmark
-    ``landmark_idx``'s column only at affected rows (Algorithm 4 settles
-    exactly the affected set; unaffected labels are unchanged by Lemma
-    5.15), so diffing ``new_column`` against the pre-repair matrix
-    restricted to ``affected`` recovers every rewritten cell in
-    O(affected) — this is what lets the processes backend ship change
-    sets instead of whole columns.
+    ``old_matrix`` is the pre-repair label matrix or D.  Exact, not
+    approximate: both repair kernels write landmark ``landmark_idx``'s
+    label and D columns only at affected rows (Algorithm 4 settles
+    exactly the affected set; unaffected vertices keep their landmark
+    distance by Lemma 5.15), so diffing ``new_column`` against the
+    pre-repair matrix restricted to ``affected`` recovers every rewritten
+    cell in O(affected) — this is what lets the processes backend ship
+    change sets instead of whole columns.
     """
     if not len(affected):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     members = np.asarray(affected, dtype=np.int64)
     new_vals = new_column[members]
-    mask = new_vals != old_labels[members, landmark_idx]
+    mask = new_vals != old_matrix[members, landmark_idx]
     return members[mask], new_vals[mask]
 
 
@@ -450,16 +455,18 @@ def process_one_landmark(
     symmetric_highway: bool = True,
     pred_graph: Any = None,
 ) -> tuple[int, float, float, int, list[int], float]:
-    """Decode + search + repair for one landmark — the unit of landmark
-    parallelism.
+    """Read old distances + search + repair for one landmark — the unit of
+    landmark parallelism.
 
     Shared by the in-process backends below and the worker-process shard
     tasks (:mod:`repro.parallel.worker`), so the kernel call contract
-    lives in exactly one place.  ``graph`` is G', frozen or live (see
-    :mod:`repro.core.batch_kernels`); ``pred_graph`` carries the reverse
-    direction for directed repair.  Returns ``(n_affected,
+    lives in exactly one place: the kernels read ``(old_dist, old_flag)``
+    from column i of the old labelling's D, and repair writes labels,
+    highway and D column i of ``labelling_new``.  ``graph`` is G', frozen
+    or live (see :mod:`repro.core.batch_kernels`); ``pred_graph`` carries
+    the reverse direction for directed repair.  Returns ``(n_affected,
     search_seconds, repair_seconds, cells_changed, affected_vertices,
-    wall_seconds)``; the O(V·R) decode is in the wall time only.
+    wall_seconds)``; the O(V) column read is in the wall time only.
     """
     t0 = time.perf_counter()
     dist, flag = labelling_old.distances_from(i)

@@ -4,8 +4,9 @@ One landmark-flagged BFS per landmark: level-synchronous so that a vertex's
 flag (does *some* shortest path from the root pass through another landmark?)
 is final before its children are expanded.  A vertex receives an ``r``-label
 iff it is reachable, is not itself a landmark, and its flag is False — which
-is exactly the minimal labelling characterised by Lemma 5.14.  Total cost is
-O(|R| (V + E)) time and O(|R| V) space, matching Table 1.
+is exactly the minimal labelling characterised by Lemma 5.14.  The BFS
+distances themselves become the labelling's landmark-distance matrix D.
+Total cost is O(|R| (V + E)) time and O(|R| V) space, matching Table 1.
 """
 
 from __future__ import annotations
@@ -59,18 +60,19 @@ def bfs_landmark_lengths(
 
 def landmark_column(
     csr: CSRGraph, root: int, is_landmark: np.ndarray, landmark_list: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """One landmark's minimal label column and highway row.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One landmark's minimal label column, highway row and D column.
 
     The Lemma 5.14 rule in one place (shared by the sequential build and
     the worker-process build shards): a vertex gets an ``r``-label iff it
     is reachable, not a landmark, and flag-False; the highway row is the
-    root's distance to every landmark.  Runs the vectorised frontier
-    kernel over the frozen ``csr``.
+    root's distance to every landmark, and the D column the BFS distances
+    themselves.  Runs the vectorised frontier kernel over the frozen
+    ``csr``.
     """
     dist, flag = csr_landmark_lengths(csr, root, is_landmark)
     eligible = (~is_landmark) & (dist < INF) & (~flag)
-    return np.where(eligible, dist, NO_LABEL), dist[landmark_list]
+    return np.where(eligible, dist, NO_LABEL), dist[landmark_list], dist
 
 
 def build_labelling(
@@ -107,9 +109,10 @@ def build_labelling(
     # graph is only read here); the vectorised kernel runs per landmark.
     view = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
     for i, root in enumerate(landmarks):
-        column, highway_row = landmark_column(
+        column, highway_row, dist = landmark_column(
             view, root, is_landmark, landmark_list
         )
         labelling.labels[:, i] = column
         labelling.highway[i, :] = highway_row
+        labelling.dist[:, i] = dist
     return labelling

@@ -1,16 +1,30 @@
-"""Storage for a highway cover labelling Γ = (H, L) — Definition 3.3.
+"""Storage for a highway cover labelling Γ = (H, L) — Definition 3.3 — and
+the landmark-distance matrix D that it determines.
 
 Labels are stored as a dense ``(V, R)`` int64 matrix (``NO_LABEL = -1`` marks
 a missing entry) and the highway as an ``(R, R)`` int64 matrix with ``INF``
 for unreachable landmark pairs.  With the paper's default of 20 landmarks the
-matrix layout costs a few hundred bytes per vertex, allows O(1) single-entry
-updates during batch repair, and vectorises the two hot read patterns:
+matrix layout costs a few hundred bytes per vertex and allows O(1)
+single-entry updates during batch repair.
+
+Every labelling also keeps ``dist``, the ``(V, R)`` int64 matrix D with
+``D[v, i] = d(r_i, v)`` in the labelling's traversal direction (``INF``
+where unreachable).  D is the Eq. 2 decode of labels + highway
+(:func:`decode_distances`), but it is *maintained*, not recomputed:
+construction stores the distances its BFS or Dijkstra already computes,
+``grow`` appends ``INF`` rows, every repair scatters the affected
+vertices' new distances into its landmark's column, and loading an
+archive fills it with one decode.  ``copy``, ``equals`` and ``diff``
+carry it, so every equality check against a fresh build also checks D.
+The hot reads are then cheap:
 
 * ``distances_from(i)`` — the landmark distances :math:`d^L_G(r_i, \\cdot)`
-  of *every* vertex, used to seed batch search (old distances come from the
-  labelling, not from a BFS);
-* ``upper_bound(s, t)`` — the query-time bound :math:`d^\\top_{st}` (Eq. 3),
-  from one labelling or, on a digraph, from a forward/backward pair.
+  of *every* vertex, used to seed batch search: column i of D plus the
+  O(V) landmark flag of Lemma 5.14;
+* ``decoded_landmark_distances(v)`` — row v of D;
+* ``upper_bound(s, t)`` — the query-time bound :math:`d^\\top_{st}` (Eq. 3)
+  as one O(R) row sum, from one labelling or, on a digraph, from a
+  forward/backward pair.
 """
 
 from __future__ import annotations
@@ -24,8 +38,33 @@ from repro.core.lengths import FALSE_KEY, TRUE_KEY
 from repro.errors import IndexStateError
 
 
+def decode_distances(
+    labels: np.ndarray,  # shape: (V, R) int64
+    highway: np.ndarray,  # shape: (R, R) int64
+    landmarks: tuple[int, ...],
+) -> np.ndarray:
+    """The Eq. 2 decode of labels + highway: the matrix D must equal.
+
+    ``D[v, i]`` is the label entry if present, else the best
+    label-plus-highway detour, ``min_j label(v, j) + H[i, j]`` (``j = i``
+    contributes the label itself because ``H[i, i] = 0``).  Landmark rows
+    come from the highway, ``D[r_j, i] = H[i, j]``, and each root is 0.
+    O(V·R²) time: for loading an archive and for tests, never on an
+    update or query path.
+    """
+    masked = np.where(labels == NO_LABEL, INF, labels)
+    dist = np.empty(labels.shape, dtype=np.int64)  # shape: (V, R) int64
+    for i in range(len(landmarks)):
+        via = masked + highway[i][np.newaxis, :]
+        dist[:, i] = np.minimum(via.min(axis=1), INF)
+    rows = list(landmarks)
+    dist[rows] = highway.T
+    dist[rows, range(len(rows))] = 0
+    return dist
+
+
 class HighwayCoverLabelling:
-    """A (possibly directed one-sided) highway cover labelling."""
+    """A (possibly directed one-sided) highway cover labelling and its D."""
 
     # __weakref__ lets the processes backend's shared-memory mirror hold
     # an identity token for the labelling it is synchronized with,
@@ -33,6 +72,7 @@ class HighwayCoverLabelling:
     __slots__ = (
         "labels",
         "highway",
+        "dist",
         "landmarks",
         "landmark_index",
         "is_landmark",
@@ -44,6 +84,7 @@ class HighwayCoverLabelling:
         labels: np.ndarray,
         highway: np.ndarray,
         landmarks: tuple[int, ...],
+        dist: np.ndarray,
     ) -> None:
         if labels.shape[1] != len(landmarks):
             raise IndexStateError(
@@ -52,8 +93,14 @@ class HighwayCoverLabelling:
             )
         if highway.shape != (len(landmarks), len(landmarks)):
             raise IndexStateError("highway matrix shape mismatch")
+        if dist.shape != labels.shape:
+            raise IndexStateError(
+                f"distance matrix shape {dist.shape} does not match the"
+                f" label matrix {labels.shape}"
+            )
         self.labels = labels
         self.highway = highway
+        self.dist = dist
         self.landmarks = landmarks
         self.landmark_index = {r: i for i, r in enumerate(landmarks)}
         self.is_landmark = np.zeros(labels.shape[0], dtype=bool)
@@ -68,26 +115,35 @@ class HighwayCoverLabelling:
     def empty(
         cls, num_vertices: int, landmarks: Iterable[int]
     ) -> "HighwayCoverLabelling":
+        """No labels, no highway paths: every landmark reaches only itself."""
         landmarks = tuple(landmarks)
-        labels = np.full((num_vertices, len(landmarks)), NO_LABEL, dtype=np.int64)
+        shape = (num_vertices, len(landmarks))
+        labels = np.full(shape, NO_LABEL, dtype=np.int64)
         highway = np.full((len(landmarks), len(landmarks)), INF, dtype=np.int64)
         np.fill_diagonal(highway, 0)
-        return cls(labels, highway, landmarks)
+        dist = np.full(shape, INF, dtype=np.int64)
+        dist[list(landmarks)] = highway.T
+        return cls(labels, highway, landmarks, dist)
 
     def copy(self) -> "HighwayCoverLabelling":
         return HighwayCoverLabelling(
-            self.labels.copy(), self.highway.copy(), self.landmarks
+            self.labels.copy(),
+            self.highway.copy(),
+            self.landmarks,
+            self.dist.copy(),
         )
 
     def grow(self, num_vertices: int) -> None:
-        """Extend the label matrix with empty rows for new vertices."""
+        """Extend labels and D with empty, unreachable rows for new
+        vertices."""
         current = self.labels.shape[0]
         if num_vertices <= current:
             return
-        extra = np.full(
-            (num_vertices - current, len(self.landmarks)), NO_LABEL, dtype=np.int64
+        extra = (num_vertices - current, len(self.landmarks))
+        self.labels = np.vstack(
+            [self.labels, np.full(extra, NO_LABEL, dtype=np.int64)]
         )
-        self.labels = np.vstack([self.labels, extra])
+        self.dist = np.vstack([self.dist, np.full(extra, INF, dtype=np.int64)])
         grown_mask = np.zeros(num_vertices, dtype=bool)
         grown_mask[:current] = self.is_landmark
         self.is_landmark = grown_mask
@@ -109,12 +165,6 @@ class HighwayCoverLabelling:
         value = self.labels[vertex, landmark_idx]
         return None if value == NO_LABEL else int(value)
 
-    def set_r_label(self, vertex: int, landmark_idx: int, distance: int) -> None:
-        self.labels[vertex, landmark_idx] = distance
-
-    def remove_r_label(self, vertex: int, landmark_idx: int) -> None:
-        self.labels[vertex, landmark_idx] = NO_LABEL
-
     def label_entries(self, vertex: int) -> Iterator[tuple[int, int]]:
         """Yield ``(landmark_vertex, distance)`` entries of L(vertex)."""
         row = self.labels[vertex]
@@ -132,109 +182,54 @@ class HighwayCoverLabelling:
     # vectorised reads
     # ------------------------------------------------------------------
 
-    def _masked_labels(self) -> np.ndarray:
-        """Labels with NO_LABEL replaced by INF (for min-plus arithmetic)."""
-        return np.where(self.labels == NO_LABEL, INF, self.labels)
-
     def distances_from(self, landmark_idx: int) -> tuple[np.ndarray, np.ndarray]:
         """All landmark distances :math:`d^L_G(r, v) = (d, l)` from landmark r.
 
         Returns ``(dist, flag_key)`` int64 arrays over all vertices:
 
-        * ``dist[v]`` is :math:`d_G(r, v)` decoded per the highway cover
-          property (Eq. 2) — the label entry if present, else the best
-          label-plus-highway detour;
+        * ``dist[v]`` is :math:`d_G(r, v)`, a copy of column r of D
+          (landmark rows hold their highway distance, the root 0);
         * ``flag_key[v]`` encodes the landmark flag (TRUE_KEY iff some
           shortest r-v path passes through another landmark), which for a
-          *minimal* labelling is exactly "v has no r-label" (Lemma 5.14).
+          *minimal* labelling is exactly "v is reachable and has no
+          r-label" (Lemma 5.14).  Every landmark but the root is
+          TRUE_KEY; the root is FALSE_KEY.
 
-        Landmark rows are decoded from the highway; the root itself gets
-        ``(0, False)``.
+        O(V): no label decode.
         """
-        masked = self._masked_labels()
-        # min over j of label(v, j) + H(r, j); j = r contributes the label
-        # itself because H(r, r) = 0.
-        via = masked + self.highway[landmark_idx][np.newaxis, :]
-        dist = via.min(axis=1)
-        np.minimum(dist, INF, out=dist)
-
-        flag = np.full(self.num_vertices, FALSE_KEY, dtype=np.int64)
-        # Non-landmark, reachable, no direct r-label => flag True.
-        no_direct = self.labels[:, landmark_idx] == NO_LABEL
-        flag[(dist < INF) & no_direct] = TRUE_KEY
-
-        # Landmarks: distance from the highway; flag True except the root.
-        for j, vertex in enumerate(self.landmarks):
-            dist[vertex] = self.highway[landmark_idx, j]
-            flag[vertex] = TRUE_KEY
-        root = self.landmarks[landmark_idx]
-        dist[root] = 0
-        flag[root] = FALSE_KEY
+        dist = self.dist[:, landmark_idx].copy()
+        # FALSE_KEY where v has an r-label or is unreachable, else
+        # TRUE_KEY: with TRUE_KEY = 0 and FALSE_KEY = 1 that is the
+        # condition itself, cast (one pass, no masked scatter).
+        has_label_or_inf = self.labels[:, landmark_idx] != NO_LABEL
+        has_label_or_inf |= dist >= INF
+        flag = has_label_or_inf.astype(np.int64)
+        flag[list(self.landmarks)] = TRUE_KEY
+        flag[self.landmarks[landmark_idx]] = FALSE_KEY
         return dist, flag
 
-    def landmark_distance(self, landmark_idx: int, vertex: int) -> tuple[int, int]:
-        """Scalar ``(d, flag_key)`` version of :meth:`distances_from`."""
-        root = self.landmarks[landmark_idx]
-        if vertex == root:
-            return 0, FALSE_KEY
-        j = self.landmark_index.get(vertex)
-        if j is not None:
-            return int(self.highway[landmark_idx, j]), TRUE_KEY
-        direct = self.labels[vertex, landmark_idx]
-        row = self.labels[vertex]
-        mask = row != NO_LABEL
-        if not mask.any():
-            return INF, FALSE_KEY
-        dist = int(
-            np.minimum(
-                (row[mask] + self.highway[landmark_idx][mask]).min(), INF
-            )
-        )
-        if dist >= INF:
-            return INF, FALSE_KEY
-        return dist, (FALSE_KEY if direct != NO_LABEL else TRUE_KEY)
-
-    def label_vector(self, vertex: int) -> np.ndarray:
-        """Distances from ``vertex`` to every landmark, INF where unknown.
-
-        For landmarks this is their highway *column* (``H[j, v]`` is the
-        r_j -> v distance in the labelling's traversal direction — row and
-        column differ on directed graphs); for other vertices the raw label
-        entries (a partial vector — missing entries are INF, *not* decoded
-        through the highway).
-        """
-        j = self.landmark_index.get(vertex)
-        if j is not None:
-            return self.highway[:, j]
-        row = self.labels[vertex]
-        return np.where(row == NO_LABEL, INF, row)
-
     def decoded_landmark_distances(self, vertex: int) -> np.ndarray:
-        """Exact distances from every landmark to ``vertex`` (Eq. 2 decode).
+        """Exact distances from every landmark to ``vertex``: row
+        ``vertex`` of D.
 
-        Entry ``j`` is ``min_i H[j, i] + δL(r_i, v)`` — the landmark r_j
-        reaches v either directly through v's label or via another landmark.
-        Written direction-sensitively so it is also correct on one-sided
-        labellings of directed graphs (H[j, i] is the r_j -> r_i distance
-        in the labelling's traversal direction).
+        Entry ``j`` is the r_j -> v distance in the labelling's traversal
+        direction, so on one-sided labellings of digraphs the forward
+        row holds ``d(r_j -> v)`` and the backward row ``d(v -> r_j)``.
         """
-        vec = self.label_vector(vertex)
-        decoded = (self.highway + vec[np.newaxis, :]).min(axis=1)
-        return np.minimum(decoded, INF)
+        return self.dist[vertex].copy()
 
     def upper_bound(
         self, s: int, t: int, backward: "HighwayCoverLabelling | None" = None
     ) -> int:
-        """Eq. 3: the best s-t path length through the highway.
+        """Eq. 3: the best s-t path length through a landmark, in O(R).
 
-        On a digraph this is the forward labelling and ``backward`` the
-        one over in-neighbours, whose decode gives ``d(s -> r_j)``; the
-        bound is ``min_j d(s -> r_j) + d(r_j -> t)``.  None means this
-        labelling on both sides — the undirected case.
+        ``min_j d(s, r_j) + d(r_j, t)`` over rows s and t of D.  On a
+        digraph this is the forward labelling and ``backward`` the one
+        over in-neighbours, whose row s holds ``d(s -> r_j)``.  None
+        means this labelling on both sides — the undirected case.
         """
         source_side = self if backward is None else backward
-        to_landmarks = source_side.decoded_landmark_distances(s)
-        bound = int((to_landmarks + self.label_vector(t)).min())
+        bound = int((source_side.dist[s] + self.dist[t]).min())
         return min(bound, INF)
 
     # ------------------------------------------------------------------
@@ -251,12 +246,13 @@ class HighwayCoverLabelling:
         return self.size() * 5 + self.highway.size * 4
 
     def equals(self, other: "HighwayCoverLabelling") -> bool:
-        """Exact equality of labels and highway (minimality oracle)."""
+        """Exact equality of labels, highway and D (minimality oracle)."""
         return (
             self.landmarks == other.landmarks
             and self.labels.shape == other.labels.shape
             and bool((self.labels == other.labels).all())
             and bool((self.highway == other.highway).all())
+            and bool((self.dist == other.dist).all())
         )
 
     def diff(self, other: "HighwayCoverLabelling") -> list[str]:
@@ -272,12 +268,16 @@ class HighwayCoverLabelling:
                 f"shape {self.labels.shape} vs {other.labels.shape}"
             )
             return problems
-        rows, cols = np.nonzero(self.labels != other.labels)
-        for v, i in zip(rows[:20], cols[:20]):
-            problems.append(
-                f"label({int(v)}, r{int(i)}={self.landmarks[int(i)]}):"
-                f" {int(self.labels[v, i])} vs {int(other.labels[v, i])}"
-            )
+        for name, mine, theirs in (
+            ("label", self.labels, other.labels),
+            ("dist", self.dist, other.dist),
+        ):
+            rows, cols = np.nonzero(mine != theirs)
+            for v, i in zip(rows[:20], cols[:20]):
+                problems.append(
+                    f"{name}({int(v)}, r{int(i)}={self.landmarks[int(i)]}):"
+                    f" {int(mine[v, i])} vs {int(theirs[v, i])}"
+                )
         hi, hj = np.nonzero(self.highway != other.highway)
         for i, j in zip(hi[:20], hj[:20]):
             problems.append(

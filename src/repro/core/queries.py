@@ -3,14 +3,16 @@
 A distance query combines two ingredients:
 
 1. the labelling upper bound :math:`d^\\top_{st}` (Eq. 3) — the best s-t
-   path through the highway, exact whenever some shortest path passes
-   through a landmark;
+   path through a landmark, exact whenever some shortest path passes
+   through one; one O(R) sum of rows s and t of the labelling's
+   landmark-distance matrix D;
 2. a distance-bounded bidirectional BFS over the *sparsified* graph
    ``G[V \\ R]`` — landmarks removed — which can only find paths avoiding
    every landmark, and never needs to look at lengths >= the bound.
 
 Queries touching a landmark are answered from the labelling alone: the
-highway cover property (Eq. 2) makes landmark-to-anything distances exact.
+highway cover property (Eq. 2) makes landmark-to-anything distances exact,
+and D stores them.
 
 The same query serves digraphs (Section 6) given a backward labelling, one
 over in-neighbours: it supplies the exact ``d(s -> r)`` side of the bound,

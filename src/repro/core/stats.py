@@ -19,8 +19,9 @@ class ShardTiming:
     one-core-per-landmark machine), ``parallel="threads"`` one per
     landmark as actually interleaved by the thread pool, and
     ``parallel="processes"`` one per worker shard.  ``wall_seconds`` is
-    the shard's elapsed time and may exceed ``search + repair`` (decode
-    and serialisation overhead live there); the batch makespan is the max
+    the shard's elapsed time and may exceed ``search + repair`` (the
+    read of old distances and serialisation overhead live there); the
+    batch makespan is the max
     of the shard walls.
     """
 
@@ -47,8 +48,9 @@ class UpdateStats:
     #: of every applied update — the vertices whose labels (or incident
     #: edges) this batch may have touched.
     affected_vertices: set[int] = field(default_factory=set)
-    #: summed per-landmark kernel times; the label decode that precedes
-    #: each landmark's search is in ``ShardTiming.wall_seconds`` only.
+    #: summed per-landmark kernel times; the read of old distances that
+    #: precedes each landmark's search is in ``ShardTiming.wall_seconds``
+    #: only.
     search_seconds: float = 0.0
     repair_seconds: float = 0.0
     #: writer-side time spent scattering shard results back into the

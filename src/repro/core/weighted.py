@@ -81,8 +81,8 @@ def build_weighted_labelling(
         dist, flag = dijkstra_landmark_lengths(wgraph, root, is_landmark)
         eligible = (~is_landmark) & (dist < INF) & (~flag)
         labelling.labels[:, i] = np.where(eligible, dist, -1)
-        for j, other in enumerate(landmarks):
-            labelling.highway[i, j] = dist[other]
+        labelling.highway[i, :] = dist[list(landmarks)]
+        labelling.dist[:, i] = dist
     return labelling
 
 
@@ -139,7 +139,8 @@ def weighted_batch_repair(
     old_flag: list[int],
     is_landmark: list[bool],
 ) -> int:
-    """Weighted Algorithm 4: settle affected vertices in distance order."""
+    """Weighted Algorithm 4: settle affected vertices in distance order,
+    writing labels, highway and D as the unweighted heap repair does."""
     affected_set = set(affected)
     bounds: dict[int, tuple[int, int]] = {}
     heap: list[tuple[int, int, int]] = []
@@ -162,11 +163,14 @@ def weighted_batch_repair(
     changed = 0
     settled: set[int] = set()
     labels = labelling_new.labels
+    dist = labelling_new.dist
     while heap:
         d, f, v = heapq.heappop(heap)
         if v in settled or (d, f) != bounds[v]:
             continue
         settled.add(v)
+        stored = INF if d >= INF else d
+        dist[v, landmark_idx] = stored
         if d >= INF or f == TRUE_KEY:
             if labels[v, landmark_idx] != -1:
                 labels[v, landmark_idx] = -1
@@ -176,7 +180,6 @@ def weighted_batch_repair(
                 labels[v, landmark_idx] = d
                 changed += 1
         if is_landmark[v]:
-            stored = INF if d >= INF else d
             j = labelling_new.landmark_index[v]
             if labelling_new.highway[landmark_idx, j] != stored:
                 changed += 1
@@ -358,8 +361,9 @@ class WeightedHighwayCoverIndex(OracleBase):
             labelling_new = labelling_old.copy()
             is_landmark = labelling_old.is_landmark.tolist()
             for i in range(labelling_old.num_landmarks):
-                # As on the unweighted indexes, the O(V·R) decode counts
-                # towards the landmark's wall time only.
+                # As on the unweighted indexes, the O(V) read of D's
+                # column (and here its tolist()) counts towards the
+                # landmark's wall time only.
                 t0 = time.perf_counter()
                 dist_arr, flag_arr = labelling_old.distances_from(i)
                 old_dist = dist_arr.tolist()

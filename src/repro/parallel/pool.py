@@ -1,7 +1,8 @@
 """Persistent landmark-sharded process pool.
 
 :class:`LandmarkShardPool` is the writer-side driver of the ``processes``
-backend.  It publishes (G', Γ) into the shared-memory blocks of its
+backend.  It publishes G' and Γ (labels, highway and the landmark-distance
+matrix D) into the shared-memory blocks of its
 :class:`~repro.parallel.snapshot.SharedShardState`, ships each worker a
 tiny task header — the state meta, the oriented edge deltas, and the
 shard's landmark indices — and scatters the returned **sparse change
@@ -290,10 +291,10 @@ class LandmarkShardPool:
         the writer-side merge time.
 
         Dispatch ships only the state meta, the oriented deltas and each
-        shard's landmark list; results come back as sparse change sets,
-        scattered into **both** ``labelling_new`` and the shared blocks —
-        after the merge the blocks hold Γ', so the next batch publishes
-        zero label bytes.
+        shard's landmark list; results come back as sparse label, D and
+        highway change sets, scattered into **both** ``labelling_new`` and
+        the shared blocks — after the merge the blocks hold Γ' and its D,
+        so the next batch publishes zero label bytes.
         """
         num_landmarks = labelling_old.num_landmarks
         shards = partition_landmarks(
@@ -344,26 +345,15 @@ class LandmarkShardPool:
             # labelling, so drop the sync token first and re-establish it
             # only after the last scatter.
             state.invalidate()
-            assert state.labels is not None and state.highway is not None
             with tracer.span("shard_merge"):
                 for s, result in enumerate(results):
                     shipped += result.payload_bytes
                     attaches += result.attached
                     remaps += result.remapped
-                    if result.label_rows.size:
-                        labelling_new.labels[
-                            result.label_rows, result.label_cols
-                        ] = result.label_vals
-                        state.labels[
-                            result.label_rows, result.label_cols
-                        ] = result.label_vals
-                    if result.highway_rows.size:
-                        labelling_new.highway[
-                            result.highway_rows, result.highway_cols
-                        ] = result.highway_vals
-                        state.highway[
-                            result.highway_rows, result.highway_cols
-                        ] = result.highway_vals
+                    for field, (rows, cols, vals) in result.changes.items():
+                        if rows.size:
+                            getattr(labelling_new, field)[rows, cols] = vals
+                            getattr(state, field)[rows, cols] = vals
                     for i, outcome in zip(result.shard, result.outcomes):
                         outcomes[i] = outcome
                     shard_timings.append(
@@ -456,6 +446,7 @@ class LandmarkShardPool:
         for result in results:
             labelling.labels[:, result.shard] = result.columns
             labelling.highway[result.shard, :] = result.highway_rows
+            labelling.dist[:, result.shard] = result.dist_columns
         return labelling
 
     def __repr__(self) -> str:
@@ -479,8 +470,8 @@ def _synthesize_shard_spans(
     writer rebuilds each shard's timeline under the dispatching span:
     one ``shard`` span per worker task on its own ``shard-N`` track,
     with ``search`` and ``repair`` children.  Phase placement is the
-    worker's actual order — snapshot decode first (the wall minus the
-    measured phases), then search, then repair.
+    worker's actual order — attach and D column reads first (the wall
+    minus the measured phases), then search, then repair.
     """
     for timing in shard_timings:
         tid = f"shard-{timing.shard}"

@@ -1,13 +1,13 @@
 """Shared-memory shard state + compact snapshots for the processes backend.
 
 A worker process needs exactly two things to run batch search + repair for
-a set of landmarks: the *updated* graph G' and the *old* labelling Γ.
-The processes backend used to pickle both, per shard, per batch — an
-O(V + E + V·R) payload that erased the landmark-parallel speedup.  The
-replacement lives here:
+a set of landmarks: the *updated* graph G' and the *old* labelling Γ with
+its landmark-distance matrix D.  The processes backend used to pickle
+both, per shard, per batch — an O(V + E + V·R) payload that erased the
+landmark-parallel speedup.  The replacement lives here:
 
-:class:`SharedShardState` owns four named ``multiprocessing.shared_memory``
-blocks — CSR ``indptr``/``indices`` for G' plus the label and highway
+:class:`SharedShardState` owns five named ``multiprocessing.shared_memory``
+blocks — CSR ``indptr``/``indices`` for G' plus the label, highway and D
 matrices of Γ — sized with capacity headroom so vertex/edge growth within
 the headroom reuses the same blocks.  Workers attach by name in O(1) on
 first use and **stay attached across batches**; a monotonically increasing
@@ -15,10 +15,10 @@ first use and **stay attached across batches**; a monotonically increasing
 had to reallocate (growth beyond the headroom, or a changed landmark set)
 and its mapped views are stale.  Per batch the writer memcpys the frozen
 CSR into the blocks (topology changes every batch; a memcpy is cheap) and
-re-syncs the label/highway matrices **only when it cannot prove the blocks
-already hold them** — after a merge the pool scatters the returned change
-sets into the shared matrices too, so steady-state flushes publish zero
-label bytes.
+re-syncs the label/highway/D matrices **only when it cannot prove the
+blocks already hold them** — after a merge the pool scatters the returned
+change sets into the shared matrices too, so steady-state flushes publish
+zero label bytes.
 
 Lifecycle: the writer creating a block owns it.  ``close()`` unlinks every
 block (also registered via ``atexit`` as a safety net for pools that are
@@ -52,7 +52,7 @@ from repro.obs.log import get_logger
 _log = get_logger("repro.parallel.snapshot")
 
 #: Block fields, in a fixed order (names become shared-memory suffixes).
-STATE_FIELDS = ("indptr", "indices", "labels", "highway")
+STATE_FIELDS = ("indptr", "indices", "labels", "highway", "dist")
 
 #: Headroom multiplier on reallocation: sizes may grow this much again
 #: before the next generation bump.
@@ -96,13 +96,14 @@ class SharedShardState:
         self._blocks: dict[str, shared_memory.SharedMemory] = {}
         self._capacity: dict[str, int] = {}
         self._meta: ShardStateMeta | None = None
-        # Weakrefs identifying the labelling whose content the label and
-        # highway blocks currently mirror (see mark_synced).
+        # Weakrefs identifying the labelling whose content the label,
+        # highway and D blocks currently mirror (see mark_synced).
         self._sync_ref = None
         self._sync_arrays: tuple | None = None
         #: writer-side views over the blocks, sized to the current meta.
         self.labels: np.ndarray | None = None  # shape: (V, R) int64
         self.highway: np.ndarray | None = None  # shape: (R, R) int64
+        self.dist: np.ndarray | None = None  # shape: (V, R) int64
         self.sync_bytes_total = 0
         atexit.register(self.close)
 
@@ -116,10 +117,10 @@ class SharedShardState:
         """Expose (G', Γ) to the workers; returns ``(meta, synced_bytes)``.
 
         The CSR arrays are copied every call (topology changes with every
-        batch).  The label/highway matrices are copied only when the sync
-        token does not prove the blocks already hold ``labelling`` —
+        batch).  The label/highway/D matrices are copied only when the
+        sync token does not prove the blocks already hold ``labelling`` —
         after the first batch of a steady flush stream that is never.
-        ``synced_bytes`` counts the label/highway bytes actually copied,
+        ``synced_bytes`` counts the label/highway/D bytes actually copied,
         the quantity the delta protocol exists to drive to zero.
         """
         num_vertices = labelling.num_vertices
@@ -135,6 +136,7 @@ class SharedShardState:
             "indices": len(csr.indices) * _ITEM,
             "labels": num_vertices * num_landmarks * _ITEM,
             "highway": num_landmarks * num_landmarks * _ITEM,
+            "dist": num_vertices * num_landmarks * _ITEM,
         }
         meta = self._meta
         realloc = (
@@ -157,12 +159,18 @@ class SharedShardState:
         self._view("indices", (len(csr.indices),))[:] = csr.indices
         self.labels = self._view("labels", (num_vertices, num_landmarks))
         self.highway = self._view("highway", (num_landmarks, num_landmarks))
+        self.dist = self._view("dist", (num_vertices, num_landmarks))
 
         synced = 0
         if not self.is_synced_to(labelling):
             self.labels[:] = labelling.labels
             self.highway[:] = labelling.highway
-            synced = labelling.labels.nbytes + labelling.highway.nbytes
+            self.dist[:] = labelling.dist
+            synced = (
+                labelling.labels.nbytes
+                + labelling.highway.nbytes
+                + labelling.dist.nbytes
+            )
             self.sync_bytes_total += synced
             self.mark_synced(labelling)
             _log.debug(
@@ -228,23 +236,25 @@ class SharedShardState:
         matrix, a sequential batch producing a fresh ``copy()`` — breaks
         the token and forces a resync.  The one undetectable case is
         in-place writes through the *same* arrays between batches (e.g. a
-        caller poking ``set_r_label`` directly); such callers must use
+        caller poking a label cell directly); such callers must use
         :meth:`invalidate`.
         """
         self._sync_ref = weakref.ref(labelling)
         self._sync_arrays = (
             weakref.ref(labelling.labels),
             weakref.ref(labelling.highway),
+            weakref.ref(labelling.dist),
         )
 
     def is_synced_to(self, labelling: HighwayCoverLabelling) -> bool:
         if self._sync_ref is None or self._sync_arrays is None:
             return False
-        ref_labels, ref_highway = self._sync_arrays
+        ref_labels, ref_highway, ref_dist = self._sync_arrays
         return (
             self._sync_ref() is labelling
             and ref_labels() is labelling.labels
             and ref_highway() is labelling.highway
+            and ref_dist() is labelling.dist
         )
 
     def invalidate(self) -> None:
@@ -267,6 +277,7 @@ class SharedShardState:
                 pass
         self.labels = None
         self.highway = None
+        self.dist = None
         self._meta = None
         self._sync_ref = None
         self._sync_arrays = None

@@ -3,11 +3,12 @@
 Everything here is module-level and operates on picklable inputs only, so
 the tasks work under any multiprocessing start method (fork, spawn,
 forkserver).  A shard task owns a contiguous slice of the landmark set:
-labels for different landmarks are disjoint columns of the label matrix
-(Section 6 of the paper), so each worker repairs into private scratch
-for exactly the columns its landmarks own and ships back a **sparse
-change set** — ``(vertex, landmark, distance)`` triples plus changed
-highway cells — instead of whole columns.
+labels and landmark distances for different landmarks are disjoint
+columns of the label matrix and of D (Section 6 of the paper), so each
+worker repairs into private scratch for exactly the columns its landmarks
+own and ships back a **sparse change set** — ``(vertex, landmark, value)``
+triples for the label and D cells plus changed highway cells — instead
+of whole columns.
 
 State arrives through :class:`~repro.parallel.snapshot.ShardStateMeta`:
 the worker attaches the writer's shared-memory blocks once, caches the
@@ -38,7 +39,7 @@ import numpy as np
 
 from repro.constants import INF
 from repro.core.batch_search import OrientedUpdate
-from repro.core.batchhl import changed_label_entries, process_one_landmark
+from repro.core.batchhl import changed_entries, process_one_landmark
 from repro.core.construction import landmark_column
 from repro.core.labelling import HighwayCoverLabelling
 from repro.graph.csr import CSRGraph
@@ -47,8 +48,6 @@ from repro.parallel.snapshot import STATE_FIELDS, ShardStateMeta
 #: Per-landmark outcome, same shape process_landmarks reports:
 #: (n_affected, search_seconds, repair_seconds, cells_changed, affected).
 LandmarkOutcome = tuple[int, float, float, int, list[int]]
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 #: prefix -> (generation, {field: SharedMemory}); survives across tasks.
 _segments: dict[str, tuple[int, dict[str, shared_memory.SharedMemory]]] = {}
@@ -111,18 +110,19 @@ def _attach_state(
     indices = np.ndarray((arcs,), np.int64, buffer=blocks["indices"].buf)
     labels = np.ndarray((n, r), np.int64, buffer=blocks["labels"].buf)
     highway = np.ndarray((r, r), np.int64, buffer=blocks["highway"].buf)
-    for view in (indptr, indices, labels, highway):
+    dist = np.ndarray((n, r), np.int64, buffer=blocks["dist"].buf)
+    for view in (indptr, indices, labels, highway, dist):
         view.flags.writeable = False
-    labelling = HighwayCoverLabelling(labels, highway, meta.landmarks)
+    labelling = HighwayCoverLabelling(labels, highway, meta.landmarks, dist)
     _views[meta.prefix] = (key, indptr, indices, labelling)
     return indptr, indices, labelling, attached, remapped
 
 
 class _ColumnStore:
-    """Quacks like the label matrix for the columns one shard owns.
+    """Quacks like the label matrix or D for the columns one shard owns.
 
-    The repair kernels address labels exclusively as
-    ``labels[rows, landmark_idx]`` with the landmark they are repairing —
+    The repair kernels address both exclusively as
+    ``matrix[rows, landmark_idx]`` with the landmark they are repairing —
     a dict of private per-column scratch arrays serves those reads and
     writes without copying the other R-1 columns.  A landmark outside the
     shard raises ``KeyError``: no kernel write may ever escape the shard.
@@ -130,8 +130,9 @@ class _ColumnStore:
 
     __slots__ = ("columns",)
 
-    def __init__(self) -> None:
-        self.columns: dict[int, np.ndarray] = {}
+    def __init__(self, base: np.ndarray, shard: list[int]) -> None:
+        # Column of a C-order matrix: the copy also de-strides it.
+        self.columns = {i: base[:, i].copy() for i in shard}
 
     def __getitem__(self, key: tuple[Any, int]) -> Any:
         rows, col = key
@@ -146,20 +147,18 @@ class _ShardScratch:
     """Worker-private ``labelling_new`` restricted to one shard.
 
     Duck-types the slice of :class:`HighwayCoverLabelling` the repair
-    kernels touch: label access through :class:`_ColumnStore` (columns
-    copied from the shared matrix on demand), a private highway copy
-    (repair reads earlier landmarks' refreshed rows within the shard, and
-    mirror writes must not escape the process), and the shared landmark
-    bookkeeping, which repair never mutates.
+    kernels touch: label and D access through :class:`_ColumnStore`
+    (the shard's columns copied from the shared matrices), a private
+    highway copy (repair reads earlier landmarks' refreshed rows within
+    the shard, and mirror writes must not escape the process), and the
+    shared landmark bookkeeping, which repair never mutates.
     """
 
-    __slots__ = ("labels", "highway", "landmarks", "landmark_index")
+    __slots__ = ("labels", "dist", "highway", "landmarks", "landmark_index")
 
     def __init__(self, base: HighwayCoverLabelling, shard: list[int]) -> None:
-        self.labels = _ColumnStore()
-        for i in shard:
-            # Column of a C-order matrix: the copy also de-strides it.
-            self.labels.columns[i] = base.labels[:, i].copy()
+        self.labels = _ColumnStore(base.labels, shard)
+        self.dist = _ColumnStore(base.dist, shard)
         self.highway = base.highway.copy()
         self.landmarks = base.landmarks
         self.landmark_index = base.landmark_index
@@ -172,23 +171,23 @@ class _ShardScratch:
         self.highway[j, i] = distance
 
 
+#: One matrix's sparse change set: parallel ``(rows, cols, vals)``
+#: arrays, applied as ``matrix[rows, cols] = vals``.
+ChangeSet = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass
 class ShardResult:
     """Sparse change set one update shard ships back to the writer.
 
-    ``label_rows``/``label_cols``/``label_vals`` are parallel arrays of
-    rewritten label cells (``labels[row, col] = val``); ``highway_*``
-    likewise for this shard's highway rows.  Payload is O(|changed|), not
+    ``changes`` maps each labelling matrix the shard rewrote —
+    ``"labels"``, ``"dist"`` (D) and ``"highway"`` (this shard's rows
+    only) — to its :data:`ChangeSet`.  Payload is O(|changed|), not
     O(V · |shard|).
     """
 
     shard: list[int]
-    label_rows: np.ndarray
-    label_cols: np.ndarray
-    label_vals: np.ndarray
-    highway_rows: np.ndarray
-    highway_cols: np.ndarray
-    highway_vals: np.ndarray
+    changes: dict[str, ChangeSet]
     outcomes: list[LandmarkOutcome]
     #: total worker wall time for the shard (attach + search + repair).
     wall_seconds: float
@@ -200,15 +199,11 @@ class ShardResult:
     @property
     def payload_bytes(self) -> int:
         """Shipped result size: change arrays + affected lists."""
-        return (
-            self.label_rows.nbytes
-            + self.label_cols.nbytes
-            + self.label_vals.nbytes
-            + self.highway_rows.nbytes
-            + self.highway_cols.nbytes
-            + self.highway_vals.nbytes
-            + sum(8 * len(outcome[4]) for outcome in self.outcomes)
-        )
+        return sum(
+            array.nbytes
+            for change in self.changes.values()
+            for array in change
+        ) + sum(8 * len(outcome[4]) for outcome in self.outcomes)
 
 
 def run_update_shard(
@@ -220,9 +215,9 @@ def run_update_shard(
     """Batch search + repair for every landmark in ``shard``.
 
     Mirrors one iteration of the sequential per-landmark loop: old
-    distances are decoded from the shared labelling, the search runs over
-    the shared CSR of G', and repair writes into per-column scratch.
-    Only the changed entries leave the process.
+    distances are read from the shared D, the search runs over the
+    shared CSR of G', and repair writes into per-column scratch.  Only
+    the changed entries leave the process.
     """
     t0 = time.perf_counter()
     indptr, indices, labelling_old, attached, remapped = _attach_state(meta)
@@ -233,9 +228,7 @@ def run_update_shard(
     scratch = _ShardScratch(labelling_old, shard)
 
     outcomes: list[LandmarkOutcome] = []
-    rows_chunks: list[np.ndarray] = []
-    cols_chunks: list[np.ndarray] = []
-    vals_chunks: list[np.ndarray] = []
+    pieces: dict[str, list[ChangeSet]] = {"labels": [], "dist": []}
     for i in shard:
         n_affected, search_s, repair_s, changed, affected, _ = (
             process_one_landmark(
@@ -243,27 +236,37 @@ def run_update_shard(
             )
         )
         outcomes.append((n_affected, search_s, repair_s, changed, affected))
-        rows, vals = changed_label_entries(
-            labelling_old.labels, scratch.labels.columns[i], i, affected
+        for field, field_pieces in pieces.items():
+            rows, vals = changed_entries(
+                getattr(labelling_old, field),
+                getattr(scratch, field).columns[i],
+                i,
+                affected,
+            )
+            field_pieces.append(
+                (rows, np.full(rows.size, i, dtype=np.int64), vals)
+            )
+    changes: dict[str, ChangeSet] = {}
+    for field, field_pieces in pieces.items():
+        # One piece per landmark, and shards are never empty.
+        rows, cols, vals = (
+            np.concatenate(part) for part in zip(*field_pieces)
         )
-        if rows.size:
-            rows_chunks.append(rows)
-            cols_chunks.append(np.full(rows.size, i, dtype=np.int64))
-            vals_chunks.append(vals)
+        changes[field] = (rows, cols, vals)
 
     shard_arr = np.asarray(shard, dtype=np.int64)
     old_rows = labelling_old.highway[shard_arr, :]
     new_rows = scratch.highway[shard_arr, :]
     h_r, h_c = np.nonzero(new_rows != old_rows)
+    changes["highway"] = (
+        shard_arr[h_r],
+        h_c.astype(np.int64, copy=False),
+        new_rows[h_r, h_c],
+    )
 
     return ShardResult(
         shard=list(shard),
-        label_rows=np.concatenate(rows_chunks) if rows_chunks else _EMPTY,
-        label_cols=np.concatenate(cols_chunks) if cols_chunks else _EMPTY,
-        label_vals=np.concatenate(vals_chunks) if vals_chunks else _EMPTY,
-        highway_rows=shard_arr[h_r],
-        highway_cols=h_c.astype(np.int64, copy=False),
-        highway_vals=new_rows[h_r, h_c],
+        changes=changes,
         outcomes=outcomes,
         wall_seconds=time.perf_counter() - t0,
         attached=attached,
@@ -280,6 +283,8 @@ class BuildShardResult:
     columns: np.ndarray
     #: (len(shard), R) — highway rows ``H[i, j] = d(r_i, r_j)``.
     highway_rows: np.ndarray
+    #: (V, len(shard)) — D columns ``D[v, i] = d(r_i, v)``.
+    dist_columns: np.ndarray
     wall_seconds: float
 
 
@@ -309,13 +314,18 @@ def run_build_shard(
 
     columns = np.empty((n, len(shard)), dtype=np.int64)
     highway_rows = np.full((len(shard), len(landmarks)), INF, dtype=np.int64)
+    dist_columns = np.empty((n, len(shard)), dtype=np.int64)
     for position, i in enumerate(shard):
-        columns[:, position], highway_rows[position, :] = landmark_column(
+        column, highway_row, dist = landmark_column(
             graph, landmark_list[i], is_landmark, landmark_list
         )
+        columns[:, position] = column
+        highway_rows[position, :] = highway_row
+        dist_columns[:, position] = dist
     return BuildShardResult(
         shard=list(shard),
         columns=columns,
         highway_rows=highway_rows,
+        dist_columns=dist_columns,
         wall_seconds=time.perf_counter() - t0,
     )

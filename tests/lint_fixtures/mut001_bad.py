@@ -1,7 +1,7 @@
 """MUT001 fixtures: stores into frozen/guarded arrays outside writers.
 
 Expected findings: lines 10 and 11 (frozen indptr/indices), lines 14,
-16 and 18 (guarded labels/highway, two via local aliases).
+16, 18 and 19 (guarded labels/highway/dist, two via local aliases).
 """
 
 
@@ -16,3 +16,4 @@ class QueryPath:
         labels[v + 1] = d
         hw = state.highway
         hw[v] = d
+        state.dist[v, 0] = d

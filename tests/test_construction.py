@@ -10,6 +10,7 @@ import pytest
 
 from repro.constants import INF, NO_LABEL
 from repro.core.construction import bfs_landmark_lengths, build_labelling
+from repro.core.labelling import decode_distances
 from repro.graph import generators
 
 
@@ -113,9 +114,11 @@ def test_minimality_against_all_covers():
         for v in range(graph.num_vertices):
             if lab.labels[v, i] == NO_LABEL:
                 continue
-            removed = lab.copy()
-            removed.remove_r_label(v, i)
-            decoded, _ = removed.distances_from(i)
+            # D is maintained, not decoded: read the Eq. 2 decode of the
+            # labels with the entry dropped.
+            removed = lab.labels.copy()
+            removed[v, i] = NO_LABEL
+            decoded = decode_distances(removed, lab.highway, landmarks)[:, i]
             assert decoded[v] > truth[v], (
                 f"entry ({r}, {v}) is redundant — labelling not minimal"
             )

@@ -8,7 +8,10 @@ asserting the repo's strongest invariants:
 * sequential == threads == processes, bit-for-bit on the label matrices;
 * served distances == BFS ground truth on sampled pairs;
 * the same for the directed index: every variant == rebuild for both
-  labellings, and sequential == threads bit-for-bit on both.
+  labellings, and sequential == threads bit-for-bit on both;
+* after every batch, on every row, the maintained landmark-distance
+  matrix D equals the Eq. 2 decode of labels + highway (the rebuild and
+  bit-for-bit comparisons above cover D as well).
 
 Every assertion message carries the failing seed; re-run a single seed
 with ``REPRO_FUZZ_SEEDS=<seed> pytest tests/test_equivalence_fuzz.py``
@@ -22,10 +25,12 @@ import random
 import time
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from repro import EdgeUpdate, HighwayCoverIndex
 from repro.core.directed import DirectedHighwayCoverIndex
+from repro.core.labelling import decode_distances
 from repro.graph import generators
 from repro.workloads.queries import sample_query_pairs
 from tests.conftest import bfs_oracle, random_mixed_updates
@@ -113,6 +118,18 @@ def random_fuzz_batch(graph, rng: random.Random) -> list[EdgeUpdate]:
     return updates
 
 
+def assert_dist_decodes(labelling, context: str) -> None:
+    """The maintained D equals the Eq. 2 decode of labels + highway."""
+    want = decode_distances(
+        labelling.labels, labelling.highway, labelling.landmarks
+    )
+    cells = np.argwhere(labelling.dist != want)
+    assert not cells.size, (
+        f"{context}: D differs from the Eq. 2 decode at (vertex, landmark)"
+        f" {cells[:5].tolist()}"
+    )
+
+
 def assert_queries_exact(index, rng: random.Random, context: str) -> None:
     for s, t in sample_query_pairs(index.graph, 20, seed=rng.randrange(2**30)):
         got, want = index.distance(s, t), bfs_oracle(index.graph, s, t)
@@ -135,6 +152,7 @@ def test_every_variant_matches_rebuild(seed):
             )
             problems = index.check_minimality()
             assert problems == [], f"{context}: {problems[:5]}"
+            assert_dist_decodes(index.labelling, context)
             assert_queries_exact(index, batch_rng, context)
 
 
@@ -154,6 +172,10 @@ def test_backends_bitwise_equal(seed, shard_pool):
     for round_no in range(3):
         updates = random_fuzz_batch(reference.graph, batch_rng)
         reference.batch_update(updates, parallel=None)
+        assert_dist_decodes(
+            reference.labelling,
+            f"seed={seed} backend=sequential round={round_no}",
+        )
         for backend, index in others.items():
             index.batch_update(
                 updates,
@@ -164,6 +186,7 @@ def test_backends_bitwise_equal(seed, shard_pool):
                 f"seed={seed} backend={backend} round={round_no}"
                 f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
             )
+            assert_dist_decodes(index.labelling, context)
             assert reference.labelling.equals(index.labelling), (
                 f"{context}: "
                 + "; ".join(reference.labelling.diff(index.labelling)[:5])
@@ -199,6 +222,7 @@ def test_processes_remap_and_worker_death(seed, shard_pool):
             f"seed={seed} stage={stage}"
             f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
         )
+        assert_dist_decodes(subject.labelling, context)
         assert reference.labelling.equals(subject.labelling), (
             f"{context}: "
             + "; ".join(reference.labelling.diff(subject.labelling)[:5])
@@ -260,6 +284,10 @@ def test_unit_variants_agree_with_batch_on_processes(seed, shard_pool):
             parallel=backend,
             pool=shard_pool if backend == "processes" else None,
         )
+        assert_dist_decodes(
+            index.labelling,
+            f"seed={seed} variant={variant} backend={backend}",
+        )
         results.append((variant, backend, index))
     _, _, reference = results[0]
     for variant, backend, index in results[1:]:
@@ -313,6 +341,8 @@ def test_directed_variants_match_rebuild_and_threads(seed):
             for side in ("forward", "backward"):
                 want = getattr(reference, side)
                 got = getattr(threaded, side)
+                assert_dist_decodes(want, f"{context} {side}")
+                assert_dist_decodes(got, f"{context} {side} threads")
                 assert want.equals(got), (
                     f"{context} {side}: " + "; ".join(want.diff(got)[:5])
                 )

@@ -114,6 +114,40 @@ def test_load_rejects_bad_version(tmp_path):
         HighwayCoverIndex.load(path)
 
 
+def _save_archive(path, num_vertices, landmarks, labels_shape=None):
+    import numpy as np
+
+    r = len(landmarks)
+    np.savez(
+        path,
+        format_version=np.int64(1),
+        num_vertices=np.int64(num_vertices),
+        edges=np.array([[0, 1], [1, 2]], dtype=np.int64),
+        labels=np.full(labels_shape or (num_vertices, r), -1, dtype=np.int64),
+        highway=np.zeros((r, r), dtype=np.int64),
+        landmarks=np.array(landmarks, dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize(
+    "landmarks, labels_shape",
+    [
+        ((0, 3), None),  # landmark id out of range
+        ((-1, 1), None),  # negative landmark id
+        ((1, 1), None),  # duplicated landmark id
+        ((0, 1), (2, 2)),  # label rows do not match the vertex count
+        ((0, 1), (3, 3)),  # label columns do not match the landmarks
+    ],
+)
+def test_load_rejects_inconsistent_labelling(
+    tmp_path, landmarks, labels_shape
+):
+    path = tmp_path / "bad.npz"
+    _save_archive(path, 3, landmarks, labels_shape)
+    with pytest.raises(IndexStateError):
+        HighwayCoverIndex.load(path)
+
+
 def test_empty_graph_rejected():
     from repro.graph.dynamic_graph import DynamicGraph
 

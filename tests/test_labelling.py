@@ -5,7 +5,7 @@ import pytest
 
 from repro.constants import INF, NO_LABEL
 from repro.core.construction import build_labelling
-from repro.core.labelling import HighwayCoverLabelling
+from repro.core.labelling import HighwayCoverLabelling, decode_distances
 from repro.core.lengths import FALSE_KEY, TRUE_KEY
 from repro.errors import IndexStateError
 from repro.graph import generators
@@ -20,9 +20,9 @@ def small_labelling():
 def test_entry_access_roundtrip():
     _, lab = small_labelling()
     assert lab.r_label(2, 0) == 2
-    lab.set_r_label(2, 0, 7)
+    lab.labels[2, 0] = 7
     assert lab.r_label(2, 0) == 7
-    lab.remove_r_label(2, 0)
+    lab.labels[2, 0] = NO_LABEL
     assert lab.r_label(2, 0) is None
 
 
@@ -58,16 +58,21 @@ def test_distances_from_uses_highway_detour():
     assert flag[2] == TRUE_KEY  # covered through landmark 0
 
 
-def test_landmark_distance_scalar_matches_vector():
+def test_distances_from_matches_the_eq2_decode():
+    """D from construction equals the Eq. 2 decode of labels + highway,
+    and distances_from and decoded_landmark_distances read its columns
+    and rows."""
     graph = generators.erdos_renyi(40, 0.1, seed=1)
+    graph.ensure_vertex(41)  # two isolated vertices: INF rows
     lab = build_labelling(graph, (0, 1, 2))
+    decoded = decode_distances(lab.labels, lab.highway, lab.landmarks)
+    assert np.array_equal(lab.dist, decoded)
     for i in range(3):
-        dist, flag = lab.distances_from(i)
-        for v in range(graph.num_vertices):
-            d, f = lab.landmark_distance(i, v)
-            assert d == dist[v]
-            if d < INF:
-                assert f == flag[v]
+        dist, _ = lab.distances_from(i)
+        assert np.array_equal(dist, decoded[:, i])
+    for v in range(graph.num_vertices):
+        assert np.array_equal(lab.decoded_landmark_distances(v), decoded[v])
+    assert (lab.dist[40:] == INF).all()
 
 
 def test_upper_bound_is_valid_bound():
@@ -79,6 +84,10 @@ def test_upper_bound_is_valid_bound():
         bound = lab.upper_bound(s, t)
         true = bfs_distance_pair(graph, s, t)
         assert bound >= true
+        # Eq. 3 through the labels themselves: min over r of the decoded
+        # s side plus t's raw r-label (the O(R^2) form) gives the same.
+        raw_t = np.where(lab.labels[t] == NO_LABEL, INF, lab.labels[t])
+        assert bound == min(int((lab.dist[s] + raw_t).min()), INF)
 
 
 def test_grow_adds_empty_rows():
@@ -88,6 +97,7 @@ def test_grow_adds_empty_rows():
     assert lab.r_label(7, 0) is None
     dist, flag = lab.distances_from(0)
     assert dist[7] >= INF
+    assert lab.dist.shape == (8, 2) and (lab.dist[5:] == INF).all()
     # Growing smaller is a no-op.
     lab.grow(3)
     assert lab.num_vertices == 8
@@ -96,24 +106,37 @@ def test_grow_adds_empty_rows():
 def test_copy_independent():
     _, lab = small_labelling()
     clone = lab.copy()
-    clone.set_r_label(2, 0, 9)
+    clone.labels[2, 0] = 9
     assert lab.r_label(2, 0) == 2
     assert not lab.equals(clone)
     assert lab.equals(lab.copy())
+    # D is part of the labelling: a D-only difference is a difference.
+    clone = lab.copy()
+    clone.dist[2, 0] = 9
+    assert lab.dist[2, 0] == 2
+    assert not lab.equals(clone)
 
 
 def test_diff_reports_mismatches():
     _, lab = small_labelling()
     clone = lab.copy()
-    clone.set_r_label(1, 0, 5)
+    clone.labels[1, 0] = 5
     clone.set_highway_symmetric(0, 1, 9)
+    clone.dist[3, 1] = 0
     problems = clone.diff(lab)
     assert any("label(1" in p for p in problems)
     assert any("highway" in p for p in problems)
+    assert "dist(3, r1=4): 0 vs 1" in problems
 
 
 def test_shape_validation():
     labels = np.full((4, 2), NO_LABEL, dtype=np.int64)
-    highway = np.zeros((3, 3), dtype=np.int64)
+    dist = np.full((4, 2), INF, dtype=np.int64)
     with pytest.raises(IndexStateError):
-        HighwayCoverLabelling(labels, highway, (0, 1))
+        HighwayCoverLabelling(
+            labels, np.zeros((3, 3), dtype=np.int64), (0, 1), dist
+        )
+    with pytest.raises(IndexStateError):
+        HighwayCoverLabelling(
+            labels, np.zeros((2, 2), dtype=np.int64), (0, 1), dist[:3]
+        )

@@ -27,6 +27,7 @@ from repro.api import (
     unregister_oracle,
 )
 from repro.constants import INF
+from repro.core.labelling import HighwayCoverLabelling, decode_distances
 from repro.errors import (
     CapabilityError,
     IndexStateError,
@@ -123,6 +124,26 @@ def sample_pairs(n: int, count: int, seed: int = 11):
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
 
 
+def assert_distance_matrices_exact(name: str, oracle) -> None:
+    """Highway cover oracles only: each labelling's maintained D equals
+    the Eq. 2 decode of its labels + highway, and the whole labelling,
+    D included, equals a fresh build."""
+    sides = [
+        getattr(oracle, side, None)
+        for side in ("labelling", "forward", "backward")
+    ]
+    labellings = [
+        side for side in sides if isinstance(side, HighwayCoverLabelling)
+    ]
+    for labelling in labellings:
+        decoded = decode_distances(
+            labelling.labels, labelling.highway, labelling.landmarks
+        )
+        assert (labelling.dist == decoded).all(), name
+    if labellings:
+        assert oracle.check_minimality() == [], name
+
+
 def make_updates(kind: str, graph, rng: random.Random):
     """A small valid mixed batch for the oracle's graph kind."""
     if kind == "weighted":
@@ -183,6 +204,7 @@ def test_batch_update_keeps_queries_exact(name, shard_pool):
     oracle = build(name, graph, shard_pool)
     stats = oracle.batch_update(make_updates(kind, oracle.graph, random.Random(5)))
     assert stats.n_applied > 0
+    assert_distance_matrices_exact(name, oracle)
     for s, t in sample_pairs(oracle.graph.num_vertices, 40, seed=13):
         assert oracle.distance(s, t) == reference_distance(
             kind, oracle.graph, s, t
@@ -486,6 +508,7 @@ def test_vertex_growing_update_then_exact(name, shard_pool):
         stats.affected_vertices,
     )
     assert {3, n, n + 1} <= stats.affected_vertices
+    assert_distance_matrices_exact(name, oracle)
     probes = sample_pairs(n + 2, 40, seed=31)
     probes += [(0, n), (0, n + 1), (3, n + 1), (n, n + 1), (n + 1, 0)]
     for s, t in probes:

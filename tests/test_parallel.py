@@ -238,6 +238,32 @@ def test_bytes_shipped_stays_delta_sized(shard_pool):
     )
 
 
+def test_shared_dist_block_mirrors_the_repaired_labelling(shard_pool):
+    """After a flush the shared D block holds labelling_new's D, so the
+    next flush publishes no label bytes at all."""
+    import numpy as np
+
+    from repro.obs.metrics import get_registry
+
+    rng = random.Random(12)
+    index = HighwayCoverIndex(build_pair(12), num_landmarks=6)
+    synced = get_registry().counter("repro_pool_state_sync_bytes_total", "")
+    for round_no in range(2):
+        before = synced.value
+        index.batch_update(
+            random_mixed_updates(index.graph, rng, 4, 4),
+            parallel="processes",
+            pool=shard_pool,
+        )
+        state = shard_pool._state
+        assert state.is_synced_to(index.labelling)
+        assert np.array_equal(state.dist, index.labelling.dist)
+        assert np.array_equal(state.labels, index.labelling.labels)
+        if round_no:
+            assert synced.value == before, "the next flush re-synced"
+    assert index.check_minimality() == []
+
+
 def test_sharded_index_rejects_per_batch_shard_override(shard_pool):
     graph = build_pair(14)
     index = open_oracle("hcl-sharded", graph, num_landmarks=3, pool=shard_pool)

@@ -104,10 +104,11 @@ def test_mut001_catches_stores_and_aliases():
         ("MUT001", 14),  # state.labels[v] = d
         ("MUT001", 16),  # via the `labels` alias
         ("MUT001", 18),  # via the `hw` alias
+        ("MUT001", 19),  # state.dist[v, 0] = d
     ]
     frozen = [f for f in result.active if f.line in (10, 11)]
     assert all("frozen CSR array" in f.message for f in frozen)
-    guarded = [f for f in result.active if f.line in (14, 16, 18)]
+    guarded = [f for f in result.active if f.line in (14, 16, 18, 19)]
     assert all("writer" in f.message for f in guarded)
 
 

@@ -82,6 +82,34 @@ def test_minimality_after_mixed_weight_updates(seed):
     assert index.check_minimality() == [], seed
 
 
+def test_maintained_distances_follow_increases_and_decreases():
+    """D equals the Eq. 2 decode and a fresh build after weight increases
+    (and a deletion), then after decreases (and an insertion)."""
+    import numpy as np
+
+    from repro.core.labelling import decode_distances
+
+    rng = random.Random(21)
+    wgraph = random_weighted(40, 0.12, seed=21)
+    index = WeightedHighwayCoverIndex(wgraph, num_landmarks=4)
+    edges = list(wgraph.edges())
+    rng.shuffle(edges)
+    increases = [
+        WeightUpdate(a, b, w + rng.randint(2, 6)) for a, b, w in edges[:5]
+    ]
+    increases.append(WeightUpdate(*edges[5][:2], None))
+    decreases = [WeightUpdate(a, b, 1) for a, b, _ in edges[6:11]]
+    decreases.append(WeightUpdate(0, 41, 2))  # insertion, grows the graph
+    for batch in (increases, decreases):
+        index.batch_update(batch)
+        lab = index.labelling
+        assert np.array_equal(
+            lab.dist, decode_distances(lab.labels, lab.highway, lab.landmarks)
+        )
+        assert index.check_minimality() == []
+    assert index.labelling.dist[40, :].tolist() == [INF] * 4  # isolated
+
+
 def test_queries_after_updates():
     rng = random.Random(11)
     wgraph = random_weighted(30, 0.15, seed=3)

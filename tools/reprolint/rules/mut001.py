@@ -4,10 +4,12 @@ The CSR structure arrays (``indptr``/``indices``) are immutable by
 contract: every reader — query kernels, shard workers, epoch snapshots —
 assumes they never change after build, and the shared-memory backend
 literally maps them read-only into workers.  The ``labels``/``highway``
-arrays *are* mutated, but only by the designated writer modules
-(``repro.core`` repair kernels, ``repro.parallel`` shard state); a store
-from anywhere else bypasses the lock/epoch discipline those modules
-implement.
+arrays and the landmark-distance matrix ``dist`` (D) *are* mutated, but
+only by the designated writer modules (``repro.core`` construction and
+repair kernels, ``repro.parallel`` shard state); a store from anywhere
+else bypasses the lock/epoch discipline those modules implement, and a
+label write without the matching D write breaks the labelling's
+invariant that D is the decode of labels + highway.
 
 Flags subscript stores and augmented assignments whose base is one of
 the watched attributes, with simple alias tracking through local
@@ -27,11 +29,11 @@ class FrozenArrayWriteRule(Rule):
     id = "MUT001"
     summary = (
         "no stores into frozen CSR arrays (indptr/indices) or guarded"
-        " label/highway arrays outside the writer modules"
+        " label/highway/dist arrays outside the writer modules"
     )
     rationale = (
         "indptr/indices are immutable after build — kernels and the"
-        " shared-memory layout assume it. labels/highway are mutated"
+        " shared-memory layout assume it. labels/highway/dist are mutated"
         " under lock/epoch discipline that lives in repro.core and"
         " repro.parallel; a store anywhere else is either a stale-read"
         " race or silent index corruption."
@@ -44,7 +46,7 @@ class FrozenArrayWriteRule(Rule):
 
     def __init__(self) -> None:
         self.frozen_attrs = frozenset({"indptr", "indices"})
-        self.guarded_attrs = frozenset({"labels", "highway"})
+        self.guarded_attrs = frozenset({"labels", "highway", "dist"})
         self.writer_modules: tuple[str, ...] = ("repro.core", "repro.parallel")
 
     def configure(self, options: dict[str, object]) -> None:
@@ -126,7 +128,7 @@ class FrozenArrayWriteRule(Rule):
             writers = ", ".join(self.writer_modules)
             message = (
                 f"store into guarded array '{attr}' outside the writer"
-                f" modules ({writers}) — label/highway mutation must go"
+                f" modules ({writers}) — label/highway/D mutation must go"
                 " through the locked repair/shard-state APIs"
             )
         yield self.finding(ctx, target, message, hint=self.fix_recipe)
