@@ -250,11 +250,11 @@ class OracleBase:
     # -- snapshots / persistence ----------------------------------------
 
     def snapshot(self) -> "OracleBase":
-        """A frozen copy sharing no mutable state with this oracle.
+        """A frozen copy that no later update of this oracle shows in.
 
         The default deep-copies the whole oracle — always correct, not
-        always cheapest; labelling-based oracles override with targeted
-        copies.
+        always cheapest; the highway cover oracles override it by
+        sharing state read-only or copy-on-write.
         """
         clone = copy.deepcopy(self)
         clone._closed = False

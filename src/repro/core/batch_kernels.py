@@ -19,9 +19,10 @@ Each kernel takes either a frozen :class:`~repro.graph.csr.CSRGraph` or
 the live graph (anything with ``num_vertices`` and ``neighbors(v)``: a
 :class:`~repro.graph.dynamic_graph.DynamicGraph` or a digraph's
 ``out_view()``/``in_view()``).  The narrow phase reads neighbours
-through one lookup, the CSR's cached adjacency lists or the live
-graph's ``neighbors``, so it runs on either; the wide phase advances
-whole frontiers as numpy arrays and needs the CSR arrays.
+through one lookup, the CSR's :meth:`~repro.graph.csr.CSRGraph.list_view`
+(its expanded adjacency lists, else rows sliced on first read) or the
+live graph's ``neighbors``, so it runs on either; the wide phase
+advances whole frontiers as numpy arrays and needs the CSR arrays.
 
 Why level synchrony is sound here: updates have unit weights, so every
 key a search or repair can generate at "distance" ``d`` is produced
@@ -80,8 +81,8 @@ def _as_index_array(values: Any) -> np.ndarray:
 
 
 def _python_view(graph: Any) -> Any:
-    """The narrow phase's neighbour provider: a CSR's cached adjacency
-    lists (Python ints, expanded once per CSR), else the live graph."""
+    """The narrow phase's neighbour provider: a CSR's rows as lists of
+    Python ints (see :meth:`CSRGraph.list_view`), else the live graph."""
     return graph.list_view() if isinstance(graph, CSRGraph) else graph
 
 
@@ -331,10 +332,10 @@ def batch_repair_adaptive(
     if not isinstance(graph, CSRGraph) or len(affected) <= (
         switch_width * max(1, graph.num_vertices >> 14)
     ):
-        # A CSR's cached adjacency lists are (almost always) already
-        # warm: a small affected set means the search ran its Python
-        # phase, which expanded them.  Iterating them beats per-element
-        # numpy slice indexing by ~3x in the heap loops.
+        # A CSR's rows as Python lists: mostly already read, since a
+        # small affected set means the search ran its Python phase over
+        # the same rows.  Iterating them beats per-element numpy slice
+        # indexing by ~3x in the heap loops.
         return batch_repair(
             _python_view(graph),
             affected,

@@ -24,10 +24,11 @@ Every landmark runs the same two kernels,
 :func:`~repro.core.batch_kernels.batch_search_adaptive` and
 :func:`~repro.core.batch_kernels.batch_repair_adaptive`, whatever the
 backend or batch size.  Only the graph they read differs: a sub-batch of
-more than one update, or any sub-batch on the processes backend, is
-frozen once into :class:`~repro.graph.csr.CSRGraph` rows that every pass
-and landmark shares; a unit sub-batch on an in-process backend skips that
-O(V + E) freeze and the kernels read the live graph.
+more than one update, or any sub-batch on the processes backend, reads
+the graph's own :class:`~repro.graph.csr.CSRGraph` rows, which every pass
+and landmark shares and which the graph re-encodes only where the batch
+wrote; a unit sub-batch on an in-process backend skips even that, and
+the kernels read the live graph.
 
 Variants (Section 7.1):
 
@@ -66,10 +67,9 @@ from repro.core.labelling import HighwayCoverLabelling
 from repro.core.stats import ShardTiming, UpdateStats
 from repro.errors import BatchError
 from repro.graph.batch import Batch, apply_batch, normalize_batch, revert_batch
-from repro.graph.csr import CSRGraph
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
-from repro.obs.trace import get_tracer, span
+from repro.obs.trace import get_tracer
 
 _log = get_logger("repro.core.batchhl")
 
@@ -262,29 +262,18 @@ def _pass_plan(
 
     G' is frozen once per multi-update sub-batch: every pass and landmark
     reads the same immutable CSR arrays (so the kernels can switch to
-    their vector phase), and the processes backend ships them directly
-    instead of re-encoding the graph.  Unit sub-batches skip the O(V + E)
-    freeze on in-process backends — their cost is proportional to the
-    affected region, not the graph — and the kernels read the live
-    adjacency.
+    their vector phase), and the processes backend ships them directly.
+    The graph owns that view and re-encodes only the rows the batch
+    wrote, so the freeze costs a memcpy of the arrays plus O(batch)
+    Python work.  Unit sub-batches on in-process backends skip even that
+    — their cost is proportional to the affected region, not the graph —
+    and the kernels read the live adjacency.
     """
     rows: tuple[Any, ...] = (
         (graph.out_view(), graph.in_view()) if directed else (graph,)
     )
     if parallel == "processes" or len(batch) > 1:
-        with span("freeze_csr", vertices=graph.num_vertices):
-            rows = (
-                CSRGraph.from_digraph(graph)
-                if directed
-                else (CSRGraph.from_graph(graph),)
-            )
-        if parallel == "threads":
-            # Warm the cached adjacency lists once on the writer: the
-            # adaptive kernels' Python phase reads them lazily, and a
-            # cold cache would make every worker thread race to build
-            # the same O(V + E) expansion.
-            for csr in rows:
-                csr.adjacency_lists()
+        rows = graph.csr() if directed else (graph.csr(),)
     if not directed:
         return [(rows[0], None, orient_updates(batch))]
     out_rows, in_rows = rows

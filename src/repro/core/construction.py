@@ -18,7 +18,7 @@ import numpy as np
 from repro.constants import INF, NO_LABEL
 from repro.core.labelling import HighwayCoverLabelling
 from repro.errors import ReproError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.csr import landmark_lengths as csr_landmark_lengths
 
 
@@ -107,7 +107,9 @@ def build_labelling(
     landmark_list = list(landmarks)
     # One frozen CSR view serves every landmark's BFS tree (the mutable
     # graph is only read here); the vectorised kernel runs per landmark.
-    view = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+    # A graph that maintains its own view lends it, so the writer's next
+    # freeze re-encodes rows instead of starting over.
+    view = as_csr(graph)
     for i, root in enumerate(landmarks):
         column, highway_row, dist = landmark_column(
             view, root, is_landmark, landmark_list

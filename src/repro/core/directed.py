@@ -10,12 +10,13 @@ Two one-sided labellings are maintained over the same landmark set:
   test suite asserts this invariant).
 
 This module keeps only what is directed: the pair of labellings, the pair
-of frozen CSR views (out-rows and in-rows), and building, snapshotting,
-rebuilding and checking them.  Updates and queries delegate to the shared
-code.  :func:`~repro.core.batchhl.run_batch_update` runs Algorithm 1 as
-one pass per labelling, with each update oriented per direction: a
-directed edge ``a -> b`` can only anchor at ``b`` in the forward pass and
-at ``a`` in the backward pass.  :func:`~repro.core.queries.query_distance`
+of frozen CSR views (out-rows and in-rows, which the digraph maintains),
+and building, snapshotting, rebuilding and checking them.  Updates and
+queries delegate to the shared code.
+:func:`~repro.core.batchhl.run_batch_update` runs Algorithm 1 as one pass
+per labelling, with each update oriented per direction: a directed edge
+``a -> b`` can only anchor at ``b`` in the forward pass and at ``a`` in
+the backward pass.  :func:`~repro.core.queries.query_distance`
 bounds ``s -> t`` by ``d(s -> r_j)`` (backward labelling) plus
 ``d(r_j -> t)`` (forward labels), then runs a bounded bidirectional BFS
 that expands forward from ``s`` and backward from ``t`` over the
@@ -62,6 +63,7 @@ class DirectedHighwayCoverIndex(OracleBase):
         self._forward = build_labelling(graph.out_view(), landmarks)
         self._backward = build_labelling(graph.in_view(), landmarks)
         self._landmark_set = frozenset(landmarks)
+        # The pair a snapshot was published with; None on a writer.
         self._csr_pair: tuple[CSRGraph, CSRGraph] | None = None
 
     # ------------------------------------------------------------------
@@ -96,20 +98,18 @@ class DirectedHighwayCoverIndex(OracleBase):
     # ------------------------------------------------------------------
 
     def ensure_csr(self) -> tuple[CSRGraph, CSRGraph]:
-        """Frozen (forward, backward) CSR views of the current digraph."""
+        """Frozen (forward, backward) CSR views of the current digraph:
+        the digraph's own pair on a writer, the pinned one on a snapshot
+        (see ensure_csr on the undirected index)."""
         pair = self._csr_pair
-        if (
-            pair is None
-            or pair[0].num_vertices != self._graph.num_vertices
-            or pair[0].num_arcs != self._graph.num_edges
-        ):
-            pair = CSRGraph.from_digraph(self._graph)
+        if pair is None:
+            pair = self._graph.csr()
             pair[0].adjacency_lists()  # warm for the adaptive kernel's
-            pair[1].adjacency_lists()  # Python phase (see ensure_csr on
-            self._csr_pair = pair      # the undirected index)
+            pair[1].adjacency_lists()  # Python phase
         return pair
 
     def _invalidate_csr(self) -> None:
+        """Unpin a snapshot's views once its graph may have changed."""
         self._csr_pair = None
 
     def distance(self, s: int, t: int) -> float:
@@ -177,15 +177,17 @@ class DirectedHighwayCoverIndex(OracleBase):
         return stats
 
     def snapshot(self) -> "DirectedHighwayCoverIndex":
-        """A frozen copy (graph + both labellings) for concurrent reads,
-        shipped with its CSR views prebuilt."""
+        """A frozen copy for concurrent reads that shares instead of
+        copying, as on the undirected index: a copy-on-write clone of
+        the digraph, read-only views of both labellings' arrays, and the
+        digraph's current CSR pair, pinned."""
+        pair = self.ensure_csr()
         clone = DirectedHighwayCoverIndex.__new__(DirectedHighwayCoverIndex)
         clone._graph = self._graph.copy()
-        clone._forward = self._forward.copy()
-        clone._backward = self._backward.copy()
+        clone._forward = self._forward.published()
+        clone._backward = self._backward.published()
         clone._landmark_set = self._landmark_set
-        clone._csr_pair = None
-        clone.ensure_csr()
+        clone._csr_pair = pair
         return clone
 
     # ------------------------------------------------------------------
@@ -199,19 +201,17 @@ class DirectedHighwayCoverIndex(OracleBase):
         self._invalidate_csr()
 
     def check_minimality(self) -> list[str]:
-        """Compare both labellings against from-scratch builds."""
+        """Compare both labellings against from-scratch builds, which read
+        a from-scratch freeze of the digraph, never its maintained views."""
         landmarks = self._forward.landmarks
+        out_rows, in_rows = CSRGraph.from_digraph(self._graph)
         problems = [
             f"forward: {p}"
-            for p in self._forward.diff(
-                build_labelling(self._graph.out_view(), landmarks)
-            )
+            for p in self._forward.diff(build_labelling(out_rows, landmarks))
         ]
         problems += [
             f"backward: {p}"
-            for p in self._backward.diff(
-                build_labelling(self._graph.in_view(), landmarks)
-            )
+            for p in self._backward.diff(build_labelling(in_rows, landmarks))
         ]
         return problems
 

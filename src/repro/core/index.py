@@ -84,6 +84,8 @@ class HighwayCoverIndex(OracleBase):
             pool=pool,
         )
         self._landmark_set = frozenset(self._labelling.landmarks)
+        # The CSR a snapshot was published with; None on a writer, whose
+        # reads ask the graph for its current view.
         self._csr: CSRGraph | None = None
 
     @classmethod
@@ -153,29 +155,25 @@ class HighwayCoverIndex(OracleBase):
     # ------------------------------------------------------------------
 
     def ensure_csr(self) -> CSRGraph:
-        """The frozen CSR read view of the current graph (built lazily).
+        """The frozen CSR read view of the current graph.
 
         Every query path runs on this view, never on the mutable
-        adjacency sets; ``batch_update``/``rebuild`` drop it so the next
-        read re-freezes the updated topology.  ``snapshot()`` builds it
-        eagerly so published epochs ship query-ready.
+        adjacency sets.  A writer asks its graph, which re-encodes the
+        rows written since its last view (see
+        :meth:`~repro.graph.dynamic_graph.DynamicGraph.csr`); a snapshot
+        returns the view it was published with, no questions asked.
         """
         csr = self._csr
-        if (
-            csr is None
-            or csr.num_vertices != self._graph.num_vertices
-            or csr.num_arcs != 2 * self._graph.num_edges
-        ):
-            csr = CSRGraph.from_graph(self._graph)
+        if csr is None:
+            csr = self._graph.csr()
             # Warm the cached adjacency lists too: the adaptive query
-            # kernel's Python phase reads them on every bounded search,
-            # and paying the expansion here keeps first-query latency
-            # flat after a freeze.
+            # kernel's Python phase reads them on every bounded search.
+            # The graph expands them once; later re-encodes carry them.
             csr.adjacency_lists()
-            self._csr = csr
         return csr
 
     def _invalidate_csr(self) -> None:
+        """Unpin a snapshot's view once its graph may have changed."""
         self._csr = None
 
     def distance(self, s: int, t: int) -> float:
@@ -229,19 +227,23 @@ class HighwayCoverIndex(OracleBase):
     def snapshot(self) -> "HighwayCoverIndex":
         """A frozen copy of this index for lock-free concurrent reads.
 
-        Returns a new :class:`HighwayCoverIndex` over copies of the graph
-        and labelling.  The copy shares nothing mutable with this index, so
-        readers may keep querying it while ``batch_update`` repairs the
-        original — this is the epoch-publication hook the online serving
-        layer (:mod:`repro.service`) builds on.  Cost is O(V·R + V + E)
-        per call; queries against the snapshot never block on writers.
-        The snapshot ships with its CSR read view prebuilt, so readers
-        never pay (or race on) a lazy freeze.
+        Returns a new :class:`HighwayCoverIndex` that shares instead of
+        copying: a copy-on-write clone of the graph, read-only views of
+        the labelling's arrays (:meth:`HighwayCoverLabelling.published`)
+        and the graph's current CSR view, pinned.  Later batches on this
+        index never show in it — they write private copies of the rows
+        and labelling they change — so readers may keep querying it while
+        ``batch_update`` repairs the original; this is the
+        epoch-publication hook the online serving layer
+        (:mod:`repro.service`) builds on.  Cost is O(V + R) plus
+        re-encoding the rows written since the last view; queries against
+        the snapshot never block on writers and never check the graph.
         """
+        csr = self.ensure_csr()
         frozen = HighwayCoverIndex.from_parts(
-            self._graph.copy(), self._labelling.copy()
+            self._graph.copy(), self._labelling.published()
         )
-        frozen.ensure_csr()
+        frozen._csr = csr
         return frozen
 
     # ------------------------------------------------------------------
@@ -296,8 +298,7 @@ class HighwayCoverIndex(OracleBase):
             )
         finally:
             # Even a failed batch may have grown the vertex set (growth
-            # survives the revert) — the frozen read view is stale either
-            # way.
+            # survives the revert) — a pinned view is stale either way.
             self._invalidate_csr()
         self._labelling = new_labelling
         return stats
@@ -378,9 +379,13 @@ class HighwayCoverIndex(OracleBase):
         """Compare against a from-scratch build; [] iff identical.
 
         This is Theorem 5.21 as an executable check — used by the test
-        suite and available to users as a debugging aid.
+        suite and available to users as a debugging aid.  The rebuild
+        reads a from-scratch freeze of the graph, never the view the
+        graph maintains, so the check does not trust what it checks.
         """
-        fresh = build_labelling(self._graph, self._labelling.landmarks)
+        fresh = build_labelling(
+            CSRGraph.from_graph(self._graph), self._labelling.landmarks
+        )
         return self._labelling.diff(fresh)
 
     def close(self) -> None:

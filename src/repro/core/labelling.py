@@ -14,8 +14,9 @@ where unreachable).  D is the Eq. 2 decode of labels + highway
 construction stores the distances its BFS or Dijkstra already computes,
 ``grow`` appends ``INF`` rows, every repair scatters the affected
 vertices' new distances into its landmark's column, and loading an
-archive fills it with one decode.  ``copy``, ``equals`` and ``diff``
-carry it, so every equality check against a fresh build also checks D.
+archive fills it with one decode.  ``copy``, ``published``, ``equals``
+and ``diff`` carry it, so every equality check against a fresh build
+also checks D.
 The hot reads are then cheap:
 
 * ``distances_from(i)`` — the landmark distances :math:`d^L_G(r_i, \\cdot)`
@@ -132,6 +133,22 @@ class HighwayCoverLabelling:
             self.landmarks,
             self.dist.copy(),
         )
+
+    def published(self) -> "HighwayCoverLabelling":
+        """A labelling over read-only views of these arrays, for an epoch
+        snapshot: no copy, and a write through it raises ``ValueError``.
+
+        Sharing is safe because no writer touches a labelling's arrays
+        in place once they can be published: every batch repairs a
+        ``copy()``, and ``grow`` reassigns the attributes.
+        """
+        views = []
+        for array in (self.labels, self.highway, self.dist):
+            view = array.view()
+            view.flags.writeable = False
+            views.append(view)
+        labels, highway, dist = views
+        return HighwayCoverLabelling(labels, highway, self.landmarks, dist)
 
     def grow(self, num_vertices: int) -> None:
         """Extend labels and D with empty, unreachable rows for new

@@ -404,10 +404,12 @@ class WeightedHighwayCoverIndex(OracleBase):
         return stats
 
     def snapshot(self) -> "WeightedHighwayCoverIndex":
-        """A frozen copy (graph + labelling) for concurrent reads."""
+        """A frozen copy for concurrent reads: a copy of the graph and
+        read-only views of the labelling's arrays
+        (:meth:`HighwayCoverLabelling.published`)."""
         clone = WeightedHighwayCoverIndex.__new__(WeightedHighwayCoverIndex)
         clone._graph = self._graph.copy()
-        clone._labelling = self._labelling.copy()
+        clone._labelling = self._labelling.published()
         clone._landmark_set = self._landmark_set
         return clone
 

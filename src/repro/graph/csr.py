@@ -22,18 +22,22 @@ Python dict-of-set adjacency one vertex at a time:
   the vector phase); on directed graphs pass the backward CSR for the
   reverse side.
 
-Mutable graphs (:class:`~repro.graph.dynamic_graph.DynamicGraph` and the
-directed views) stay the write-side substrate; a CSR view is built once
-per batch / epoch / construction and is never mutated — writers build a
-fresh one after applying updates.  The worker-process snapshot module
-(:mod:`repro.parallel.snapshot`) ships these same two arrays across
-process boundaries.
+Mutable graphs (:class:`~repro.graph.dynamic_graph.DynamicGraph` and
+:class:`~repro.graph.digraph.DynamicDiGraph`) stay the write-side
+substrate, and each owns its CSR view.  A view is never mutated: the
+graph's first freeze encodes every row (:meth:`CSRGraph.from_graph`),
+and every later one re-encodes only the rows written since
+(:meth:`CSRGraph.reencode`), sharing nothing mutable with the view it
+replaces.  Epoch snapshots pin the view they were published with.  The
+worker-process snapshot module (:mod:`repro.parallel.snapshot`) ships
+these same two arrays across process boundaries.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import Any, Collection, Iterable
+from typing import Any, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +46,49 @@ from repro.errors import GraphError
 from repro.obs.metrics import get_registry
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _record_freeze(seconds: float, rows: int) -> None:
+    """Count one freeze or re-encode and the rows it encoded."""
+    registry = get_registry()
+    registry.counter(
+        "repro_csr_freeze_total",
+        "graph snapshots frozen or re-encoded to CSR",
+    ).inc()
+    registry.counter(
+        "repro_csr_freeze_seconds_total",
+        "wall time spent freezing and re-encoding graphs to CSR",
+    ).inc(seconds)
+    registry.counter(
+        "repro_csr_rows_encoded_total",
+        "adjacency rows encoded by CSR freezes and re-encodes",
+    ).inc(rows)
+
+
+class _SlicedRows:
+    """Neighbour rows sliced from CSR arrays on first read, then memoised.
+
+    The lazy stand-in for :meth:`CSRGraph.adjacency_lists`: a reader that
+    touches a few hundred rows (a worker shard's narrow phase) pays for
+    those rows, not for expanding all V of them.
+    """
+
+    __slots__ = ("_indptr", "_indices", "_rows")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        self._indptr = indptr
+        self._indices = indices
+        self._rows: dict[int, list[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._indptr) - 1
+
+    def __getitem__(self, vertex: int) -> list[int]:
+        row = self._rows.get(vertex)
+        if row is None:
+            lo, hi = self._indptr[vertex], self._indptr[vertex + 1]
+            row = self._rows[vertex] = self._indices[lo:hi].tolist()
+        return row
 
 
 class CSRListView:
@@ -57,7 +104,7 @@ class CSRListView:
 
     __slots__ = ("_adj",)
 
-    def __init__(self, adjacency: list[list[int]]) -> None:
+    def __init__(self, adjacency: "list[list[int]] | _SlicedRows") -> None:
         self._adj = adjacency
 
     @property
@@ -77,11 +124,11 @@ class CSRGraph:
     For undirected graphs each edge appears in both rows; for directed
     graphs build one instance per traversal direction
     (:meth:`from_digraph` returns the forward/backward pair).  Instances
-    are immutable by convention — kernels only read, and writers build a
-    fresh view after mutating the dynamic graph.
+    are immutable by convention — kernels only read, and a writer's next
+    view is a new instance (:meth:`reencode`).
     """
 
-    __slots__ = ("indptr", "indices", "_lists", "_arange")
+    __slots__ = ("indptr", "indices", "_lists", "_rows", "_arange")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         if indptr.ndim != 1 or indices.ndim != 1:
@@ -91,6 +138,7 @@ class CSRGraph:
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self._lists: list[list[int]] | None = None
+        self._rows: _SlicedRows | None = None
         self._arange: np.ndarray | None = None
 
     def _iota(self) -> np.ndarray:
@@ -125,14 +173,7 @@ class CSRGraph:
         indices = np.fromiter(
             (w for row in chunks for w in row), dtype=np.int64, count=total
         )
-        registry = get_registry()
-        registry.counter(
-            "repro_csr_freeze_total", "graph snapshots frozen to CSR"
-        ).inc()
-        registry.counter(
-            "repro_csr_freeze_seconds_total",
-            "wall time spent freezing graphs to CSR",
-        ).inc(time.perf_counter() - t0)
+        _record_freeze(time.perf_counter() - t0, n)
         return cls(indptr, indices)
 
     @classmethod
@@ -141,6 +182,63 @@ class CSRGraph:
         return cls.from_graph(digraph.out_view()), cls.from_graph(
             digraph.in_view()
         )
+
+    def reencode(
+        self, adjacency: Sequence[Collection[int]], dirty: Collection[int]
+    ) -> "CSRGraph":
+        """A new view of ``adjacency`` that re-sorts only the ``dirty`` rows.
+
+        Every row outside ``dirty`` must hold what this view encodes (rows
+        past its vertex count: nothing), so ``indptr`` follows from the
+        old degrees with the dirty rows' replaced, and ``indices`` is one
+        concatenation of this view's untouched slices with the re-sorted
+        dirty rows.  When this view's adjacency lists are expanded, the
+        new view gets a shallow copy of them with the dirty rows swapped
+        in.  Costs O(V + E) array work plus Python work in proportion to
+        the dirty rows; even with every row dirty it costs less than
+        :meth:`from_graph` plus :meth:`adjacency_lists`, so a graph never
+        needs to fall back to a full freeze.  The result is identical to
+        :meth:`from_graph` on the same topology.
+        """
+        t0 = time.perf_counter()
+        n_old = self.num_vertices
+        n = len(adjacency)
+        order = sorted(dirty)
+        rows = [sorted(adjacency[v]) for v in order]
+        lengths = [len(row) for row in rows]
+        degree = np.zeros(n, dtype=np.int64)  # shape: (V,) int64
+        degree[:n_old] = np.diff(self.indptr)
+        degree[order] = lengths
+        indptr = np.zeros(n + 1, dtype=np.int64)  # shape: (V+1,) int64
+        np.cumsum(degree, out=indptr[1:])
+        fresh_rows = np.fromiter(
+            itertools.chain.from_iterable(rows),
+            dtype=np.int64,
+            count=sum(lengths),
+        )
+        bounds = self.indptr
+        pieces: list[np.ndarray] = []
+        start = 0  # first old row whose slice is not yet copied
+        at = 0  # where the next dirty row starts in fresh_rows
+        for v, length in zip(order, lengths):
+            pieces.append(
+                self.indices[bounds[min(start, n_old)] : bounds[min(v, n_old)]]
+            )
+            pieces.append(fresh_rows[at : at + length])
+            at += length
+            start = v + 1
+        pieces.append(self.indices[bounds[min(start, n_old)] :])
+        fresh = CSRGraph(indptr, np.concatenate(pieces))
+        if self._lists is not None:
+            lists = self._lists.copy()
+            lists.extend([] for _ in range(n - n_old))
+            for v, row in zip(order, rows):
+                lists[v] = row
+            fresh._lists = lists
+        if self._arange is not None and len(self._arange) >= fresh.num_arcs:
+            fresh._arange = self._arange
+        _record_freeze(time.perf_counter() - t0, len(order))
+        return fresh
 
     # ------------------------------------------------------------------
     # introspection
@@ -165,9 +263,11 @@ class CSRGraph:
     def adjacency_lists(self) -> list[list[int]]:
         """Expand into a list-of-lists of Python ints (cached).
 
-        The expansion is built once per CSR view and shared: the adaptive
-        query kernel, the batch search/repair traversals and
-        :meth:`list_view` all read the same lists.  Treat them as frozen.
+        The expansion is built once and shared: the adaptive query
+        kernel, the batch search/repair traversals and :meth:`list_view`
+        all read the same lists, and :meth:`reencode` carries them to the
+        next view with only the written rows replaced.  Treat them as
+        frozen.
         """
         if self._lists is None:
             bounds = self.indptr.tolist()
@@ -179,11 +279,31 @@ class CSRGraph:
         return self._lists
 
     def list_view(self) -> CSRListView:
-        """A :class:`CSRListView` for the pure-Python kernels."""
-        return CSRListView(self.adjacency_lists())
+        """A :class:`CSRListView` for the pure-Python kernels.
+
+        It reads the expanded adjacency lists when this view has them;
+        otherwise rows are sliced on first read and memoised on this
+        view, so a reader pays only for the rows it touches.
+        """
+        if self._lists is not None:
+            return CSRListView(self._lists)
+        if self._rows is None:
+            self._rows = _SlicedRows(self.indptr, self.indices)
+        return CSRListView(self._rows)
 
     def __repr__(self) -> str:
         return f"CSRGraph(|V|={self.num_vertices}, arcs={self.num_arcs})"
+
+
+def as_csr(graph: Any) -> CSRGraph:
+    """``graph`` as a frozen view: itself if it is one, the view it
+    maintains (:class:`~repro.graph.dynamic_graph.DynamicGraph` and the
+    digraph direction views own one), else a fresh
+    :meth:`CSRGraph.from_graph` freeze."""
+    if isinstance(graph, CSRGraph):
+        return graph
+    maintained = getattr(graph, "csr", None)
+    return CSRGraph.from_graph(graph) if maintained is None else maintained()
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,12 @@ stays cheap.  The container itself is deliberately dumb: batch *semantics*
 (deduplication, validity, insert/delete cancellation) live in
 :mod:`repro.graph.batch` so that every index shares one implementation of the
 paper's Section 3 rules.
+
+Two things keep epochs cheap to publish.  The graph owns its frozen CSR
+view (:meth:`DynamicGraph.csr`): every write records the rows it touched,
+and the next call re-encodes only those rows.  And :meth:`DynamicGraph.copy`
+is copy-on-write: the clone shares the adjacency sets and the CSR view,
+and whichever graph first writes a vertex afterwards copies that one set.
 """
 
 from __future__ import annotations
@@ -14,18 +20,43 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.errors import GraphError
+from repro.graph.csr import CSRGraph
+from repro.obs.trace import span
+
+
+def private_row(
+    adjacency: list[set[int]], owned: set[int] | None, vertex: int
+) -> set[int]:
+    """``adjacency[vertex]``, ready to write.
+
+    ``owned`` holds the rows this graph has made private since its last
+    copy-on-write ``copy()`` (None: it was never copied, so every row is
+    private).  Any other row may still be shared with a copy, so it is
+    replaced by a private copy first.
+    """
+    if owned is None or vertex in owned:
+        return adjacency[vertex]
+    row = adjacency[vertex] = set(adjacency[vertex])
+    owned.add(vertex)
+    return row
 
 
 class DynamicGraph:
     """A mutable, undirected, unweighted graph with O(1) edge updates."""
 
-    __slots__ = ("_adj", "_num_edges")
+    __slots__ = ("_adj", "_num_edges", "_csr", "_dirty", "_owned")
 
     def __init__(self, num_vertices: int = 0) -> None:
         if num_vertices < 0:
             raise GraphError("num_vertices must be non-negative")
         self._adj: list[set[int]] = [set() for _ in range(num_vertices)]
         self._num_edges = 0
+        # The frozen view as of the last csr() call, and the rows written
+        # since (tracked only once a view exists).
+        self._csr: CSRGraph | None = None
+        self._dirty: set[int] = set()
+        # Rows made private since the last copy(); None = never copied.
+        self._owned: set[int] | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -43,11 +74,52 @@ class DynamicGraph:
         return graph
 
     def copy(self) -> "DynamicGraph":
-        """Deep copy (adjacency sets are duplicated)."""
+        """An O(V) copy-on-write clone.
+
+        The clone shares every adjacency set and the frozen CSR view;
+        after the call neither graph owns a shared set, so whichever
+        writes a vertex first copies that one set, and no write ever
+        shows on the other side.  Safe on a graph that is only read, such
+        as a published snapshot's, while other graphs it shares sets with
+        keep writing.
+        """
         clone = DynamicGraph(0)
-        clone._adj = [set(neighbours) for neighbours in self._adj]
+        clone._adj = self._adj.copy()
         clone._num_edges = self._num_edges
+        clone._csr = self._csr
+        clone._dirty = set(self._dirty)
+        clone._owned = set()
+        self._owned = set()
         return clone
+
+    def csr(self) -> CSRGraph:
+        """The frozen CSR view of the current topology.
+
+        The first call encodes every row; later calls re-encode only the
+        rows written since the previous one (nothing at all when no row
+        was), inside one ``freeze_csr`` span.  The view is immutable:
+        holders of an earlier one keep seeing the topology it froze.
+        """
+        csr = self._csr
+        dirty = self._dirty
+        if csr is not None and not dirty and csr.num_vertices == len(self._adj):
+            return csr
+        rows = len(self._adj) if csr is None else len(dirty)
+        with span("freeze_csr", vertices=len(self._adj), rows=rows):
+            if csr is None:
+                csr = CSRGraph.from_graph(self)
+            else:
+                csr = csr.reencode(self._adj, dirty)
+        self._csr = csr
+        self._dirty = set()
+        return csr
+
+    def _row(self, vertex: int) -> set[int]:
+        """``vertex``'s adjacency set for a write: marked for the next
+        re-encode, and made private first if a copy may share it."""
+        if self._csr is not None:
+            self._dirty.add(vertex)
+        return private_row(self._adj, self._owned, vertex)
 
     # ------------------------------------------------------------------
     # size / membership
@@ -70,14 +142,20 @@ class DynamicGraph:
 
     def add_vertex(self) -> int:
         """Append a fresh isolated vertex and return its id."""
-        self._adj.append(set())
+        self.ensure_vertex(len(self._adj))
         return len(self._adj) - 1
 
     def ensure_vertex(self, vertex: int) -> None:
-        """Grow the vertex set so that ``vertex`` exists (no-op if it does)."""
+        """Grow the vertex set so that ``vertex`` exists (no-op if it does).
+
+        New rows are empty and this graph's own, so neither the CSR view
+        nor a copy needs to hear about them.
+        """
         if vertex < 0:
             raise GraphError(f"vertex {vertex} is negative")
         while vertex >= len(self._adj):
+            if self._owned is not None:
+                self._owned.add(len(self._adj))
             self._adj.append(set())
 
     # ------------------------------------------------------------------
@@ -101,8 +179,8 @@ class DynamicGraph:
         self._check_vertex(b)
         if b in self._adj[a]:
             return False
-        self._adj[a].add(b)
-        self._adj[b].add(a)
+        self._row(a).add(b)
+        self._row(b).add(a)
         self._num_edges += 1
         return True
 
@@ -146,7 +224,7 @@ class DynamicGraph:
         targets = arcs[:, 1]
         grown = 0
         for src, lo, hi in zip(sources.tolist(), starts, ends):
-            adj = self._adj[src]
+            adj = self._row(src)
             before = len(adj)
             adj.update(targets[lo:hi].tolist())
             grown += len(adj) - before
@@ -161,8 +239,8 @@ class DynamicGraph:
         self._check_vertex(b)
         if b not in self._adj[a]:
             return False
-        self._adj[a].discard(b)
-        self._adj[b].discard(a)
+        self._row(a).discard(b)
+        self._row(b).discard(a)
         self._num_edges -= 1
         return True
 

@@ -44,11 +44,11 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, cast
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.stats import ShardTiming
 from repro.errors import BatchError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, as_csr
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.parallel.snapshot import SharedShardState, encode_graph
+from repro.parallel.snapshot import SharedShardState
 from repro.parallel.snapshot import ShardStateMeta
 from repro.parallel.worker import (
     BuildShardResult,
@@ -439,9 +439,11 @@ class LandmarkShardPool:
         labelling = HighwayCoverLabelling.empty(graph.num_vertices, landmarks)
         if not shards:
             return labelling
-        indptr, indices = encode_graph(graph)
+        # The graph lends the view it maintains (a first freeze that its
+        # later batches re-encode from), or is frozen here.
+        csr = as_csr(graph)
         results = self._run_sharded(
-            _build_task, shards, indptr, indices, landmarks
+            _build_task, shards, csr.indptr, csr.indices, landmarks
         )
         for result in results:
             labelling.labels[:, result.shard] = result.columns

@@ -33,8 +33,6 @@ enforces exactly this.
 
 from __future__ import annotations
 
-from typing import Any
-
 import atexit
 import itertools
 import os
@@ -293,16 +291,3 @@ class SharedShardState:
             f"SharedShardState(prefix={self._prefix!r},"
             f" generation={self.generation}, {state})"
         )
-
-
-def encode_graph(graph: Any) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-encode a graph (delegates to :meth:`CSRGraph.from_graph`).
-
-    A :class:`CSRGraph` passes its arrays through unchanged — callers
-    that already froze a view for the in-process read paths ship it to
-    the workers without re-walking the adjacency.
-    """
-    if isinstance(graph, CSRGraph):
-        return graph.indptr, graph.indices
-    csr = CSRGraph.from_graph(graph)
-    return csr.indptr, csr.indices

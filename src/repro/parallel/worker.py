@@ -221,9 +221,12 @@ def run_update_shard(
     """
     t0 = time.perf_counter()
     indptr, indices, labelling_old, attached, remapped = _attach_state(meta)
-    # A fresh CSRGraph per task: its cached adjacency-list expansion must
-    # not outlive this batch — the writer rewrites the block contents in
-    # place between batches.  Wrapping is O(1); the arrays are shared.
+    # A fresh CSRGraph per task: the rows the kernels' narrow phase
+    # slices from it on first read (CSRGraph.list_view) are memoised on
+    # it, and must not outlive this batch — the writer rewrites the block
+    # contents in place between batches.  Wrapping is O(1); the arrays
+    # are shared, and a task pays for the rows it reads, not for
+    # expanding all V of them.
     csr = CSRGraph(indptr[: meta.num_vertices + 1], indices)
     scratch = _ShardScratch(labelling_old, shard)
 

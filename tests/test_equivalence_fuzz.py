@@ -11,7 +11,10 @@ asserting the repo's strongest invariants:
   labellings, and sequential == threads bit-for-bit on both;
 * after every batch, on every row, the maintained landmark-distance
   matrix D equals the Eq. 2 decode of labels + highway (the rebuild and
-  bit-for-bit comparisons above cover D as well).
+  bit-for-bit comparisons above cover D as well);
+* after every batch, on every row — a failed, rolled-back batch included
+  — the CSR view the graph maintains by re-encoding written rows equals
+  a from-scratch freeze in ``indptr``, ``indices`` and adjacency lists.
 
 Every assertion message carries the failing seed; re-run a single seed
 with ``REPRO_FUZZ_SEEDS=<seed> pytest tests/test_equivalence_fuzz.py``
@@ -32,6 +35,8 @@ from repro import EdgeUpdate, HighwayCoverIndex
 from repro.core.directed import DirectedHighwayCoverIndex
 from repro.core.labelling import decode_distances
 from repro.graph import generators
+from repro.graph.csr import CSRGraph
+from repro.graph.digraph import DynamicDiGraph
 from repro.workloads.queries import sample_query_pairs
 from tests.conftest import bfs_oracle, random_mixed_updates
 
@@ -130,6 +135,25 @@ def assert_dist_decodes(labelling, context: str) -> None:
     )
 
 
+def assert_csr_matches_freeze(graph, context: str) -> None:
+    """The graph's maintained CSR view equals a from-scratch freeze."""
+    if isinstance(graph, DynamicDiGraph):
+        pairs = zip(graph.csr(), CSRGraph.from_digraph(graph))
+    else:
+        pairs = zip((graph.csr(),), (CSRGraph.from_graph(graph),))
+    for maintained, fresh in pairs:
+        assert np.array_equal(maintained.indptr, fresh.indptr), (
+            f"{context}: maintained CSR indptr differs from a fresh freeze"
+        )
+        assert np.array_equal(maintained.indices, fresh.indices), (
+            f"{context}: maintained CSR indices differ from a fresh freeze"
+        )
+        assert maintained.adjacency_lists() == fresh.adjacency_lists(), (
+            f"{context}: maintained adjacency lists differ from a fresh"
+            " freeze"
+        )
+
+
 def assert_queries_exact(index, rng: random.Random, context: str) -> None:
     for s, t in sample_query_pairs(index.graph, 20, seed=rng.randrange(2**30)):
         got, want = index.distance(s, t), bfs_oracle(index.graph, s, t)
@@ -153,6 +177,7 @@ def test_every_variant_matches_rebuild(seed):
             problems = index.check_minimality()
             assert problems == [], f"{context}: {problems[:5]}"
             assert_dist_decodes(index.labelling, context)
+            assert_csr_matches_freeze(index.graph, context)
             assert_queries_exact(index, batch_rng, context)
 
 
@@ -176,6 +201,10 @@ def test_backends_bitwise_equal(seed, shard_pool):
             reference.labelling,
             f"seed={seed} backend=sequential round={round_no}",
         )
+        assert_csr_matches_freeze(
+            reference.graph,
+            f"seed={seed} backend=sequential round={round_no}",
+        )
         for backend, index in others.items():
             index.batch_update(
                 updates,
@@ -187,6 +216,7 @@ def test_backends_bitwise_equal(seed, shard_pool):
                 f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
             )
             assert_dist_decodes(index.labelling, context)
+            assert_csr_matches_freeze(index.graph, context)
             assert reference.labelling.equals(index.labelling), (
                 f"{context}: "
                 + "; ".join(reference.labelling.diff(index.labelling)[:5])
@@ -223,6 +253,8 @@ def test_processes_remap_and_worker_death(seed, shard_pool):
             f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
         )
         assert_dist_decodes(subject.labelling, context)
+        assert_csr_matches_freeze(reference.graph, context)
+        assert_csr_matches_freeze(subject.graph, context)
         assert reference.labelling.equals(subject.labelling), (
             f"{context}: "
             + "; ".join(reference.labelling.diff(subject.labelling)[:5])
@@ -251,10 +283,16 @@ def test_processes_remap_and_worker_death(seed, shard_pool):
         time.sleep(0.01)
     assert shard_pool._executor._broken
     updates = random_fuzz_batch(reference.graph, batch_rng)
+    edges_before = sorted(subject.graph.edges())
     with pytest.raises(BrokenProcessPool):
         subject.batch_update(updates, parallel="processes", pool=shard_pool)
-    # The failed batch rolled its edge mutations back; the retry runs on
-    # a fresh executor whose workers attach to the surviving blocks.
+    # The failed batch rolled its edge mutations back, and the view the
+    # graph maintains follows the rollback; the retry runs on a fresh
+    # executor whose workers attach to the surviving blocks.
+    assert sorted(subject.graph.edges()) == edges_before
+    assert_csr_matches_freeze(
+        subject.graph, f"seed={seed} stage=rolled-back"
+    )
     apply_both(updates, "post-kill-retry")
 
 
@@ -284,10 +322,9 @@ def test_unit_variants_agree_with_batch_on_processes(seed, shard_pool):
             parallel=backend,
             pool=shard_pool if backend == "processes" else None,
         )
-        assert_dist_decodes(
-            index.labelling,
-            f"seed={seed} variant={variant} backend={backend}",
-        )
+        context = f"seed={seed} variant={variant} backend={backend}"
+        assert_dist_decodes(index.labelling, context)
+        assert_csr_matches_freeze(index.graph, context)
         results.append((variant, backend, index))
     _, _, reference = results[0]
     for variant, backend, index in results[1:]:
@@ -338,6 +375,8 @@ def test_directed_variants_match_rebuild_and_threads(seed):
             )
             problems = reference.check_minimality()
             assert problems == [], f"{context}: {problems[:5]}"
+            assert_csr_matches_freeze(reference.graph, context)
+            assert_csr_matches_freeze(threaded.graph, f"{context} threads")
             for side in ("forward", "backward"):
                 want = getattr(reference, side)
                 got = getattr(threaded, side)

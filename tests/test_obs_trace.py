@@ -242,3 +242,55 @@ def test_in_process_phase_span_children_cover_its_wall(monkeypatch, directed):
         assert [c["name"] for c in children] == ["decode", "search", "repair"]
         assert children[0]["dur"] >= 4 * 20_000
         assert sum(c["dur"] for c in children) >= 0.95 * phase["dur"]
+
+
+@pytest.mark.parametrize(
+    "directed", [False, True], ids=["undirected", "directed"]
+)
+def test_flush_reencodes_only_the_rows_its_batch_wrote(directed):
+    """One traced multi-update flush through the serving engine freezes
+    exactly once: a single freeze_csr span under the batch update, whose
+    row count is the batch's distinct endpoints (on a digraph, one out-row
+    per tail plus one in-row per head), and publishing the epoch reuses
+    that view instead of freezing again."""
+    from repro.core.directed import DirectedHighwayCoverIndex
+
+    grid = generators.grid(6, 6)
+    if directed:
+        writer = DirectedHighwayCoverIndex(
+            generators.to_directed(grid, reciprocal_p=1.0), num_landmarks=4
+        )
+    else:
+        writer = HighwayCoverIndex(grid, num_landmarks=4)
+    updates = [
+        EdgeUpdate.delete(0, 1),
+        EdgeUpdate.insert(0, 35),
+        EdgeUpdate.insert(14, 35),
+    ]
+    if directed:  # one out-row per distinct tail, one in-row per head
+        expected_rows = len({u.u for u in updates}) + len(
+            {u.v for u in updates}
+        )
+    else:
+        expected_rows = len({w for u in updates for w in (u.u, u.v)})
+    service = DistanceService(
+        writer, policy=FlushPolicy(max_batch=100, max_delay=None)
+    )
+    tracer = get_tracer()
+    with service:
+        service.submit_many(updates)
+        tracer.enable()
+        tracer.clear()
+        try:
+            service.flush()
+            events = tracer.events()
+        finally:
+            tracer.disable()
+            tracer.clear()
+        assert service.distance(0, 35) == 1
+
+    freezes = [e for e in events if e["name"] == "freeze_csr"]
+    assert len(freezes) == 1, [e["name"] for e in events]
+    assert freezes[0]["args"]["rows"] == expected_rows
+    by_id = _by_id(events)
+    assert by_id[freezes[0]["args"]["parent_id"]]["name"] == "batch_update"

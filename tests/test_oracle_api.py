@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import random
 
+import numpy as np
 import pytest
 
 from tests.conftest import bfs_oracle
@@ -229,17 +230,64 @@ def test_static_rebuild_reports_update_stats(name):
 # ----------------------------------------------------------------------
 
 
+def csr_arrays(oracle) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Copies of the CSR arrays an index reads, or None without a CSR."""
+    ensure = getattr(oracle, "ensure_csr", None)
+    if ensure is None:
+        return None
+    views = ensure()
+    views = views if isinstance(views, tuple) else (views,)
+    return [(view.indptr.copy(), view.indices.copy()) for view in views]
+
+
 @pytest.mark.parametrize("name", ALL_ORACLES)
 def test_snapshot_is_isolated_from_updates(name, shard_pool):
+    """Snapshots share graph sets, CSR and labelling arrays with their
+    writer; later writer batches must change none of what they show."""
     kind = graph_kind(name)
     graph = make_graph(kind)
     oracle = build(name, graph, shard_pool)
     pairs = sample_pairs(graph.num_vertices, 20, seed=17)
     before = {pair: oracle.distance(*pair) for pair in pairs}
     frozen = oracle.snapshot()
-    oracle.batch_update(make_updates(kind, oracle.graph, random.Random(29)))
+    edges = sorted(frozen.graph.edges())
+    arrays = csr_arrays(frozen)
+    rng = random.Random(29)
+    for _ in range(3):
+        oracle.batch_update(make_updates(kind, oracle.graph, rng))
     for pair, expected in before.items():
         assert frozen.distance(*pair) == expected, (name, pair)
+    assert sorted(frozen.graph.edges()) == edges
+    if arrays is not None:
+        for (indptr, indices), (now_ptr, now_idx) in zip(
+            arrays, csr_arrays(frozen)
+        ):
+            assert np.array_equal(indptr, now_ptr), name
+            assert np.array_equal(indices, now_idx), name
+    if hasattr(frozen, "check_minimality"):
+        assert frozen.check_minimality() == [], name
+
+
+@pytest.mark.parametrize("name", ["hcl", "hcl-directed", "hcl-weighted"])
+def test_published_labelling_arrays_are_read_only(name):
+    """A snapshot wraps its writer's arrays instead of copying them, so
+    a write through the snapshot must fail rather than reach the writer."""
+    oracle = build(name, make_graph(graph_kind(name)))
+    frozen = oracle.snapshot()
+    labellings = (
+        (frozen.forward, frozen.backward)
+        if name == "hcl-directed"
+        else (frozen.labelling,)
+    )
+    for labelling in labellings:
+        for array in (labelling.labels, labelling.highway, labelling.dist):
+            with pytest.raises(ValueError):
+                array[0, 0] = 7
+    # The writer keeps updating (it repairs copies) and stays exact.
+    oracle.batch_update(
+        make_updates(graph_kind(name), oracle.graph, random.Random(3))
+    )
+    assert oracle.check_minimality() == []
 
 
 @pytest.mark.parametrize("name", ALL_ORACLES)
