@@ -178,7 +178,8 @@ def experiment_parallel_update(
     table.add_note(
         "sequential's makespan_s is the idealised one-core-per-landmark"
         " model; threads' is the max overlapped landmark wall; processes'"
-        " is the max real shard wall (incl. attach and D column reads)"
+        " is the max real shard wall (incl. attach and the shard's scratch"
+        " copies of its label and D columns)"
     )
     return table
 

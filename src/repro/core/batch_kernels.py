@@ -7,13 +7,21 @@ whatever the backend or batch size.  The heap implementations in
 against; :func:`repro.core.batch_repair.batch_repair` is both that
 reference and the repair's narrow phase.
 
-Both kernels read the old landmark distances ``(old_dist, old_flag)``
-that :meth:`~repro.core.labelling.HighwayCoverLabelling.distances_from`
-returns: column i of the old labelling's landmark-distance matrix D and
-the Lemma 5.14 flags.  Repair writes the new ones back — the r-labels,
-the landmark's highway row, and every affected vertex's new distance in
-column i of ``labelling_new.dist`` (INF where it became unreachable) —
-so D stays exact without ever being recomputed.
+Both kernels read the old landmark lengths ``(old_dist, old_flag)``
+that :meth:`~repro.core.labelling.HighwayCoverLabelling.landmark_lengths`
+returns in O(1): a read-only view of column i of the old labelling's
+landmark-distance matrix D, and a
+:class:`~repro.core.labelling.LandmarkFlags` that evaluates the Lemma
+5.14 flag only where a kernel indexes it — one vertex at a time in the
+narrow phases, an index array at a time in the vector phases.  So a
+landmark whose search stays narrow touches O(affected) of the old state
+and nothing else.  Only a search that goes wide (its vector phase) reads
+the whole column and every flag, once, into contiguous arrays that its
+level sweeps then gather from.  Repair writes the new
+lengths back — the r-labels, the landmark's highway row, and every
+affected vertex's new distance in column i of ``labelling_new.dist``
+(INF where it became unreachable) — so D stays exact without ever being
+recomputed.
 
 Each kernel takes either a frozen :class:`~repro.graph.csr.CSRGraph` or
 the live graph (anything with ``num_vertices`` and ``neighbors(v)``: a
@@ -95,7 +103,7 @@ def batch_search_adaptive(
     graph: Any,
     oriented_updates: Iterable[OrientedUpdate],
     old_dist: np.ndarray,  # shape: (V,) int64
-    old_flag: np.ndarray | None,  # shape: (V,) int64
+    old_flag: Any,
     is_landmark: np.ndarray | None,  # shape: (V,) bool
     improved: bool,
     switch_width: int | None = None,
@@ -105,9 +113,11 @@ def batch_search_adaptive(
     ``improved=False`` is Algorithm 2, ``improved=True`` is Algorithm 3
     (the heap references in :mod:`repro.core.batch_search`), which
     additionally needs ``old_flag`` / ``is_landmark``.  ``old_dist`` and
-    ``old_flag`` are the int64 arrays straight from
-    :meth:`HighwayCoverLabelling.distances_from` — no ``tolist()``
-    round-trip, so the search's own fixed cost is O(anchors), not O(V).
+    ``old_flag`` come straight from
+    :meth:`HighwayCoverLabelling.landmark_lengths` (any pair indexable by
+    a vertex or an int64 index array works, e.g. materialised arrays) —
+    no copy and no ``tolist()`` round-trip, so the search's own fixed
+    cost is O(anchors), not O(V).
     ``graph`` is G', frozen or live; only a :class:`CSRGraph` can switch
     to the vector phase.  Returns the affected vertices as plain Python
     ints (level order).
@@ -201,6 +211,13 @@ def batch_search_adaptive(
 
     # -- vector phase: convert state, then numpy level sweeps ----------
     n = graph.num_vertices
+    # The sweeps gather old state for whole frontiers, level after level:
+    # read D's strided column and every flag once, into contiguous arrays
+    # (~2 ms at 100k vertices).  Evaluating the flags through the reader
+    # per level made the search on a 300x300 grid 15-30% slower.
+    old_dist = np.ascontiguousarray(old_dist)
+    if improved:
+        old_flag = old_flag[np.arange(n, dtype=np.int64)]
     aff_mask = np.zeros(n, dtype=bool)
     if result:
         aff_mask[_as_index_array(result)] = True
@@ -303,7 +320,7 @@ def batch_repair_adaptive(
     landmark_idx: int,
     labelling_new: Any,
     old_dist: np.ndarray,  # shape: (V,) int64
-    old_flag: np.ndarray,  # shape: (V,) int64
+    old_flag: Any,
     is_landmark: np.ndarray,  # shape: (V,) bool
     symmetric_highway: bool = True,
     pred_graph: Any = None,

@@ -16,6 +16,12 @@ label is written exactly once:
 * every settled vertex writes its new distance (INF if unreachable) into
   the landmark's column of D, the labelling's landmark-distance matrix.
 
+The old landmark lengths come from the in-place reader of
+:meth:`~repro.core.labelling.HighwayCoverLabelling.landmark_lengths` (or,
+in the tests, from materialised arrays): a distance read is an array
+lookup, a flag read evaluates Lemma 5.14 at one vertex, so the boundary
+loop reads a flag only for a neighbour whose distance can still win.
+
 The implementation uses a lazy-deletion heap keyed by (distance, flag):
 relaxations out of a settled vertex always target strictly larger distances,
 so heap order coincides with the paper's "remove the whole V_min level"
@@ -50,8 +56,12 @@ def batch_repair(
 
     ``old_dist`` / ``old_flag`` are the pre-update landmark distances; for a
     vertex *outside* the affected set they equal the new ones (Lemma 5.15),
-    which is what makes boundary inference sound.  Returns the number of
-    vertices whose stored label or highway entry actually changed.
+    which is what makes boundary inference sound.  In production they are
+    the in-place reader of
+    :meth:`~repro.core.labelling.HighwayCoverLabelling.landmark_lengths`,
+    whose flags cost a lookup each, so a flag is read only where a
+    comparison needs it.  Returns the number of vertices whose stored
+    label or highway entry actually changed.
 
     ``symmetric_highway=False`` writes only ``H[i, j]`` (the directed
     index keeps separate forward/backward highways).
@@ -77,8 +87,10 @@ def batch_repair(
             if d_w >= INF:
                 continue
             cand_d = d_w + 1
+            if cand_d > best_d:
+                continue  # no flag can make a longer bound win
             cand_f = TRUE_KEY if v_is_landmark else old_flag[w]
-            if (cand_d, cand_f) < (best_d, best_f):
+            if cand_d < best_d or cand_f < best_f:
                 best_d, best_f = cand_d, cand_f
         bounds[v] = (best_d, best_f)
         heap.append((best_d, best_f, v))

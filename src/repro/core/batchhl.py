@@ -7,10 +7,14 @@ copy of that labelling.  The copy is essential: every landmark's search
 reads *old* distances, column i of the old labelling's landmark-distance
 matrix D, so repairs for earlier landmarks must not leak into later
 searches (this is also what makes landmark-level parallelism safe: labels
-and D columns for different landmarks are disjoint, Section 6).  Repair
-scatters the affected vertices' new distances into the copy's D column,
-so a landmark costs O(V) for that column read plus work proportional to
-its affected region, with no decode of Γ.
+and D columns for different landmarks are disjoint, Section 6).  The
+kernels read that old state in place, through an O(1) reader that
+evaluates the Lemma 5.14 flags only at the vertices they touch, and
+repair scatters the affected vertices' new distances into the copy's D
+column, so a landmark costs work proportional to its affected region:
+no decode of Γ, and no O(V) pass over its column unless its search
+grows wide enough for the vector phase, which reads the column and the
+flags once.  The labelling copy itself is still O(V·R) per pass.
 
 The driver serves both highway cover indexes.  An undirected graph has one
 labelling and one *pass* over G' that tries each update in both
@@ -379,25 +383,26 @@ def _trace_phase_children(
     shard_timings: list[ShardTiming],
     backend: str,
 ) -> None:
-    """Aggregate decode, search and repair children of one pass's span.
+    """Aggregate outside-kernel, search and repair children of one pass's
+    span.
 
     In-process backends have no per-shard tracks (the pool synthesizes
     those for the processes backend from ShardTiming); one child per
     phase, in the order each landmark runs them, still shows where the
-    pass's wall time went.  The ``decode`` child (the O(V) read of D's
-    column and the landmark flags) is whatever of each landmark's wall
-    its search and repair did not take.
+    pass's wall time went.  The ``outside_kernels`` child is whatever of
+    each landmark's wall its search and repair did not take: opening the
+    O(1) reader of the old landmark state, plus the timers themselves.
     """
-    decode_us = 1e6 * sum(
+    outside_us = 1e6 * sum(
         t.wall_seconds - t.search_seconds - t.repair_seconds
         for t in shard_timings
     )
     search_us = 1e6 * sum(t.search_seconds for t in shard_timings)
     repair_us = 1e6 * sum(t.repair_seconds for t in shard_timings)
     for name, start_us, duration_us in (
-        ("decode", started_us, decode_us),
-        ("search", started_us + decode_us, search_us),
-        ("repair", started_us + decode_us + search_us, repair_us),
+        ("outside_kernels", started_us, outside_us),
+        ("search", started_us + outside_us, search_us),
+        ("repair", started_us + outside_us + search_us, repair_us),
     ):
         tracer.record_complete(
             name,
@@ -450,15 +455,18 @@ def process_one_landmark(
     Shared by the in-process backends below and the worker-process shard
     tasks (:mod:`repro.parallel.worker`), so the kernel call contract
     lives in exactly one place: the kernels read ``(old_dist, old_flag)``
-    from column i of the old labelling's D, and repair writes labels,
-    highway and D column i of ``labelling_new``.  ``graph`` is G', frozen
-    or live (see :mod:`repro.core.batch_kernels`); ``pred_graph`` carries
-    the reverse direction for directed repair.  Returns ``(n_affected,
-    search_seconds, repair_seconds, cells_changed, affected_vertices,
-    wall_seconds)``; the O(V) column read is in the wall time only.
+    in place from the old labelling
+    (:meth:`~repro.core.labelling.HighwayCoverLabelling.landmark_lengths`:
+    a read-only view of D's column i and flags evaluated where read), and
+    repair writes labels, highway and D column i of ``labelling_new``.
+    ``graph`` is G', frozen or live (see :mod:`repro.core.batch_kernels`);
+    ``pred_graph`` carries the reverse direction for directed repair.
+    Returns ``(n_affected, search_seconds, repair_seconds, cells_changed,
+    affected_vertices, wall_seconds)``; opening the O(1) reader is in the
+    wall time only.
     """
     t0 = time.perf_counter()
-    dist, flag = labelling_old.distances_from(i)
+    dist, flag = labelling_old.landmark_lengths(i)
     is_landmark = labelling_old.is_landmark
     t1 = time.perf_counter()
     affected = batch_search_adaptive(

@@ -19,9 +19,12 @@ and ``diff`` carry it, so every equality check against a fresh build
 also checks D.
 The hot reads are then cheap:
 
-* ``distances_from(i)`` — the landmark distances :math:`d^L_G(r_i, \\cdot)`
-  of *every* vertex, used to seed batch search: column i of D plus the
-  O(V) landmark flag of Lemma 5.14;
+* ``landmark_lengths(i)`` — the landmark lengths
+  :math:`d^L_G(r_i, \\cdot)` that batch search and repair read, in O(1):
+  a read-only view of column i of D and a :class:`LandmarkFlags` that
+  evaluates the landmark flag of Lemma 5.14 only at the vertices a
+  kernel indexes, so a landmark's batch pays for the vertices it
+  touches, not for all V;
 * ``decoded_landmark_distances(v)`` — row v of D;
 * ``upper_bound(s, t)`` — the query-time bound :math:`d^\\top_{st}` (Eq. 3)
   as one O(R) row sum, from one labelling or, on a digraph, from a
@@ -30,7 +33,7 @@ The hot reads are then cheap:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -62,6 +65,49 @@ def decode_distances(
     dist[rows] = highway.T
     dist[rows, range(len(rows))] = 0
     return dist
+
+
+class LandmarkFlags:
+    """The landmark flags of one landmark r_i, evaluated where read.
+
+    ``flags[v]`` is TRUE_KEY iff some shortest r_i-v path passes through
+    another landmark, which for a *minimal* labelling is exactly "v is
+    reachable and has no r_i-label" (Lemma 5.14); every landmark but the
+    root is TRUE_KEY and the root is FALSE_KEY.  An int index gives one
+    int (the kernels' narrow phases), an int64 index array an int64 array
+    (their vector phases); nothing is computed for vertices never read.
+    """
+
+    __slots__ = ("_root", "_labels", "_dist", "_landmark_index", "_is_landmark")
+
+    def __init__(
+        self,
+        labelling: "HighwayCoverLabelling",
+        landmark_idx: int,
+        dist: np.ndarray,  # shape: (V,) int64
+    ) -> None:
+        self._root = labelling.landmarks[landmark_idx]
+        self._labels = labelling.labels[:, landmark_idx]
+        self._dist = dist
+        self._landmark_index = labelling.landmark_index
+        self._is_landmark = labelling.is_landmark
+
+    def __getitem__(self, vertices: Any) -> Any:
+        if isinstance(vertices, np.ndarray):
+            # FALSE_KEY where v has an r-label or is unreachable, else
+            # TRUE_KEY: with TRUE_KEY = 0 and FALSE_KEY = 1 that is the
+            # condition itself, cast.
+            has_label_or_inf = self._labels[vertices] != NO_LABEL
+            has_label_or_inf |= self._dist[vertices] >= INF
+            flag = has_label_or_inf.astype(np.int64)
+            flag[self._is_landmark[vertices]] = TRUE_KEY
+            flag[vertices == self._root] = FALSE_KEY
+            return flag
+        if vertices in self._landmark_index:
+            return FALSE_KEY if vertices == self._root else TRUE_KEY
+        if self._labels[vertices] != NO_LABEL or self._dist[vertices] >= INF:
+            return FALSE_KEY
+        return TRUE_KEY
 
 
 class HighwayCoverLabelling:
@@ -199,31 +245,23 @@ class HighwayCoverLabelling:
     # vectorised reads
     # ------------------------------------------------------------------
 
-    def distances_from(self, landmark_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """All landmark distances :math:`d^L_G(r, v) = (d, l)` from landmark r.
+    def landmark_lengths(
+        self, landmark_idx: int
+    ) -> tuple[np.ndarray, LandmarkFlags]:
+        """The landmark lengths :math:`d^L_G(r, v) = (d, l)` from landmark
+        r, read in place: ``(dist, flags)``.
 
-        Returns ``(dist, flag_key)`` int64 arrays over all vertices:
+        * ``dist[v]`` is :math:`d_G(r, v)`: a read-only view of column r
+          of D, no copy (landmark rows hold their highway distance, the
+          root 0);
+        * ``flags[v]`` is the encoded landmark flag (see
+          :class:`LandmarkFlags`), computed only at the vertices read.
 
-        * ``dist[v]`` is :math:`d_G(r, v)`, a copy of column r of D
-          (landmark rows hold their highway distance, the root 0);
-        * ``flag_key[v]`` encodes the landmark flag (TRUE_KEY iff some
-          shortest r-v path passes through another landmark), which for a
-          *minimal* labelling is exactly "v is reachable and has no
-          r-label" (Lemma 5.14).  Every landmark but the root is
-          TRUE_KEY; the root is FALSE_KEY.
-
-        O(V): no label decode.
+        O(1), whatever V.
         """
-        dist = self.dist[:, landmark_idx].copy()
-        # FALSE_KEY where v has an r-label or is unreachable, else
-        # TRUE_KEY: with TRUE_KEY = 0 and FALSE_KEY = 1 that is the
-        # condition itself, cast (one pass, no masked scatter).
-        has_label_or_inf = self.labels[:, landmark_idx] != NO_LABEL
-        has_label_or_inf |= dist >= INF
-        flag = has_label_or_inf.astype(np.int64)
-        flag[list(self.landmarks)] = TRUE_KEY
-        flag[self.landmarks[landmark_idx]] = FALSE_KEY
-        return dist, flag
+        dist = self.dist[:, landmark_idx]
+        dist.flags.writeable = False
+        return dist, LandmarkFlags(self, landmark_idx, dist)
 
     def decoded_landmark_distances(self, vertex: int) -> np.ndarray:
         """Exact distances from every landmark to ``vertex``: row

@@ -10,6 +10,14 @@ is set exactly for increases.  Removing an edge is an increase to infinity;
 adding one is a decrease from infinity, so the unweighted algorithms are the
 special case where every weight is 1.
 
+A batch follows the unweighted driver's per-landmark contract: search
+and repair read the old landmark lengths in place
+(:meth:`~repro.core.labelling.HighwayCoverLabelling.landmark_lengths`,
+no O(V) copy or ``tolist()`` per landmark), repair writes into one copy
+of the labelling, and the batch emits one ``process_landmarks`` span
+with the same children and the same ``repro_batch_*`` counters
+(``backend="sequential"``) as :func:`repro.core.batchhl.run_batch_update`.
+
 Queries run the labelling bound plus a distance-bounded Dijkstra over the
 landmark-sparsified graph.
 """
@@ -26,12 +34,14 @@ import numpy as np
 from repro.api.protocol import Capabilities, OracleBase
 from repro.api.registry import register_oracle
 from repro.constants import INF, externalise
+from repro.core.batchhl import _record_phase_metrics, _trace_phase_children
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.landmarks import select_landmarks
 from repro.core.lengths import FALSE_KEY, TRUE_KEY
 from repro.core.stats import ShardTiming, UpdateStats
 from repro.errors import BatchError
 from repro.graph.weighted_graph import WeightedDynamicGraph, WeightUpdate
+from repro.obs.trace import get_tracer
 
 
 # ----------------------------------------------------------------------
@@ -97,13 +107,15 @@ AppliedChange = tuple[int, int, int, int]
 def weighted_batch_search(
     wgraph: WeightedDynamicGraph,
     changes: list[AppliedChange],
-    old_dist: list[int],
+    old_dist: Any,
 ) -> list[int]:
     """Affected superset w.r.t. one landmark on a weighted graph.
 
     ``wgraph`` already reflects G'.  Anchors are seeded through the updated
     edge at ``min(w_old, w_new)`` in both orientations; propagation uses the
     new weights and prunes with ``candidate <= old distance``.
+    ``old_dist`` is read per vertex (in production, the old labelling's
+    D column, in place).
     """
     heap: list[tuple[int, int]] = []
     for a, b, w_old, w_new in changes:
@@ -111,7 +123,7 @@ def weighted_batch_search(
         if hop >= INF:
             continue
         for tail, head in ((a, b), (b, a)):
-            candidate = old_dist[tail] + hop
+            candidate = int(old_dist[tail]) + hop
             if candidate <= old_dist[head]:
                 heap.append((candidate, head))
     heapq.heapify(heap)
@@ -135,12 +147,15 @@ def weighted_batch_repair(
     affected: list[int],
     landmark_idx: int,
     labelling_new: HighwayCoverLabelling,
-    old_dist: list[int],
-    old_flag: list[int],
-    is_landmark: list[bool],
+    old_dist: Any,
+    old_flag: Any,
+    is_landmark: Any,
 ) -> int:
     """Weighted Algorithm 4: settle affected vertices in distance order,
-    writing labels, highway and D as the unweighted heap repair does."""
+    writing labels, highway and D as the unweighted heap repair does.
+
+    ``old_dist`` / ``old_flag`` are read per vertex, like the unweighted
+    heap repair's: a flag only where a comparison needs it."""
     affected_set = set(affected)
     bounds: dict[int, tuple[int, int]] = {}
     heap: list[tuple[int, int, int]] = []
@@ -150,12 +165,15 @@ def weighted_batch_repair(
         for w, weight in wgraph.neighbors(v).items():
             if w in affected_set:
                 continue
-            d_w = old_dist[w]
+            d_w = int(old_dist[w])
             if d_w >= INF:
                 continue
-            cand = (d_w + weight, TRUE_KEY if v_is_landmark else old_flag[w])
-            if cand < (best_d, best_f):
-                best_d, best_f = cand
+            cand_d = d_w + weight
+            if cand_d > best_d:
+                continue  # no flag can make a longer bound win
+            cand_f = TRUE_KEY if v_is_landmark else old_flag[w]
+            if cand_d < best_d or cand_f < best_f:
+                best_d, best_f = cand_d, cand_f
         bounds[v] = (best_d, best_f)
         heap.append((best_d, best_f, v))
     heapq.heapify(heap)
@@ -359,35 +377,49 @@ class WeightedHighwayCoverIndex(OracleBase):
 
             labelling_old = self._labelling
             labelling_new = labelling_old.copy()
-            is_landmark = labelling_old.is_landmark.tolist()
-            for i in range(labelling_old.num_landmarks):
-                # As on the unweighted indexes, the O(V) read of D's
-                # column (and here its tolist()) counts towards the
-                # landmark's wall time only.
-                t0 = time.perf_counter()
-                dist_arr, flag_arr = labelling_old.distances_from(i)
-                old_dist = dist_arr.tolist()
-                old_flag = flag_arr.tolist()
-                t1 = time.perf_counter()
-                affected = weighted_batch_search(graph, changes, old_dist)
-                t2 = time.perf_counter()
-                stats.labels_changed += weighted_batch_repair(
-                    graph, affected, i, labelling_new, old_dist, old_flag,
-                    is_landmark,
-                )
-                t3 = time.perf_counter()
-                stats.affected_per_landmark[i] += len(affected)
-                stats.affected_vertices.update(affected)
-                stats.search_seconds += t2 - t1
-                stats.repair_seconds += t3 - t2
-                stats.shard_timings.append(
-                    ShardTiming(
-                        shard=i,
-                        num_landmarks=1,
-                        search_seconds=t2 - t1,
-                        repair_seconds=t3 - t2,
-                        wall_seconds=t3 - t0,
+            is_landmark = labelling_old.is_landmark
+            tracer = get_tracer()
+            phases_started = tracer.now_us() if tracer.enabled else 0
+            with tracer.span(
+                "process_landmarks",
+                landmarks=labelling_old.num_landmarks,
+                backend="sequential",
+                batch=len(changes),
+            ) as phases_span:
+                for i in range(labelling_old.num_landmarks):
+                    # As on the unweighted indexes, the kernels read D's
+                    # column and the flags in place; opening the reader
+                    # counts towards the landmark's wall time only.
+                    t0 = time.perf_counter()
+                    old_dist, old_flag = labelling_old.landmark_lengths(i)
+                    t1 = time.perf_counter()
+                    affected = weighted_batch_search(graph, changes, old_dist)
+                    t2 = time.perf_counter()
+                    stats.labels_changed += weighted_batch_repair(
+                        graph, affected, i, labelling_new, old_dist,
+                        old_flag, is_landmark,
                     )
+                    t3 = time.perf_counter()
+                    stats.affected_per_landmark[i] += len(affected)
+                    stats.affected_vertices.update(affected)
+                    stats.search_seconds += t2 - t1
+                    stats.repair_seconds += t3 - t2
+                    stats.shard_timings.append(
+                        ShardTiming(
+                            shard=i,
+                            num_landmarks=1,
+                            search_seconds=t2 - t1,
+                            repair_seconds=t3 - t2,
+                            wall_seconds=t3 - t0,
+                        )
+                    )
+            if phases_span is not None:
+                _trace_phase_children(
+                    tracer,
+                    phases_span,
+                    phases_started,
+                    stats.shard_timings,
+                    "sequential",
                 )
             stats.makespan_seconds = max(
                 (t.wall_seconds for t in stats.shard_timings), default=0.0
@@ -400,6 +432,7 @@ class WeightedHighwayCoverIndex(OracleBase):
                 graph.set_weight(u, v, None if old_w >= INF else old_w)
             raise
         self._labelling = labelling_new
+        _record_phase_metrics(stats, "sequential")
         stats.total_seconds = time.perf_counter() - started
         return stats
 

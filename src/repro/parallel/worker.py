@@ -10,6 +10,12 @@ own and ships back a **sparse change set** — ``(vertex, landmark, value)``
 triples for the label and D cells plus changed highway cells — instead
 of whole columns.
 
+The kernels read the old state where it lies: process_one_landmark
+hands them the shared labelling's O(1) reader (a read-only view of D's
+column and Lemma 5.14 flags evaluated only at the vertices they touch),
+so the only O(V) work per landmark left in a shard is the private
+scratch copy of the label and D columns that repair writes into.
+
 State arrives through :class:`~repro.parallel.snapshot.ShardStateMeta`:
 the worker attaches the writer's shared-memory blocks once, caches the
 attachment (and the array views derived from it) at module level, and
@@ -214,10 +220,12 @@ def run_update_shard(
 ) -> ShardResult:
     """Batch search + repair for every landmark in ``shard``.
 
-    Mirrors one iteration of the sequential per-landmark loop: old
-    distances are read from the shared D, the search runs over the
-    shared CSR of G', and repair writes into per-column scratch.  Only
-    the changed entries leave the process.
+    Mirrors one iteration of the sequential per-landmark loop through
+    :func:`~repro.core.batchhl.process_one_landmark`: the kernels read
+    the old landmark lengths in place from the shared D and labels (no
+    per-landmark copy of either), the search runs over the shared CSR of
+    G', and repair writes into per-column scratch.  Only the changed
+    entries leave the process.
     """
     t0 = time.perf_counter()
     indptr, indices, labelling_old, attached, remapped = _attach_state(meta)

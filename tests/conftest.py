@@ -6,6 +6,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # The reprolint static-analysis suite ships in tools/, not src/ — its
@@ -14,7 +15,8 @@ _TOOLS_DIR = str(Path(__file__).resolve().parent.parent / "tools")
 if _TOOLS_DIR not in sys.path:
     sys.path.insert(0, _TOOLS_DIR)
 
-from repro.constants import INF
+from repro.constants import INF, NO_LABEL
+from repro.core.lengths import FALSE_KEY, TRUE_KEY
 from repro.graph import generators
 from repro.graph.batch import EdgeUpdate
 from repro.graph.traversal import bfs_distance_pair
@@ -22,6 +24,51 @@ from repro.graph.traversal import bfs_distance_pair
 
 def externalise(distance: int) -> float:
     return float("inf") if distance >= INF else distance
+
+
+def landmark_arrays(labelling, landmark_idx: int):
+    """Reference for ``labelling.landmark_lengths(i)``: the old landmark
+    lengths of every vertex materialised as ``(dist, flag)`` int64
+    arrays, in O(V).
+
+    ``dist`` is a copy of column i of D; ``flag`` is the Lemma 5.14 flag
+    over all vertices: FALSE_KEY for the root, TRUE_KEY for every other
+    landmark, and for any other vertex FALSE_KEY iff it has an r-label or
+    its D entry is INF.  The heap references take these arrays; the
+    equivalence tests check the production reader against them.
+    """
+    dist = labelling.dist[:, landmark_idx].copy()
+    has_label_or_inf = labelling.labels[:, landmark_idx] != NO_LABEL
+    has_label_or_inf |= dist >= INF
+    flag = np.where(has_label_or_inf, FALSE_KEY, TRUE_KEY).astype(np.int64)
+    flag[list(labelling.landmarks)] = TRUE_KEY
+    flag[labelling.landmarks[landmark_idx]] = FALSE_KEY
+    return dist, flag
+
+
+def assert_reader_matches_reference(labelling, context: str) -> None:
+    """For every landmark, the in-place reader gives the reference's
+    distances and flags at every vertex, read one vertex at a time (as
+    the kernels' narrow phases do) and as one int64 index array (as
+    their vector phases do)."""
+    vertices = np.arange(labelling.num_vertices, dtype=np.int64)
+    for i in range(labelling.num_landmarks):
+        want_dist, want_flag = landmark_arrays(labelling, i)
+        dist, flags = labelling.landmark_lengths(i)
+        where = f"{context} landmark={i}"
+        assert np.array_equal(dist, want_dist), f"{where}: D column differs"
+        got = flags[vertices]
+        assert got.dtype == np.int64, f"{where}: flag array dtype {got.dtype}"
+        bad = np.nonzero(got != want_flag)[0]
+        assert not bad.size, (
+            f"{where}: array flags differ at vertices {bad[:5].tolist()}"
+        )
+        one_by_one = [flags[v] for v in range(labelling.num_vertices)]
+        bad = [v for v, f in enumerate(one_by_one) if f != want_flag[v]]
+        assert not bad, f"{where}: per-vertex flags differ at {bad[:5]}"
+        assert all(type(f) is int for f in one_by_one), (
+            f"{where}: a per-vertex flag is not an int"
+        )
 
 
 def bfs_oracle(graph, s: int, t: int) -> float:

@@ -8,9 +8,11 @@ drives both over the same instances and asserts
 * identical affected *sets* for Algorithms 2 and 3 (order is free — the
   repair semantics depend only on membership);
 * bit-identical repaired labellings (labels + highway) and identical
-  ``cells_changed`` counts for Algorithm 4;
+  ``cells_changed`` counts for Algorithm 4
 
-over the frozen CSR at three switch widths — 0 (pure vector phase), the
+— the heaps reading the O(V) materialised reference arrays, the adaptive
+kernels the in-place reader production hands them (``landmark_lengths``)
+— over the frozen CSR at three switch widths — 0 (pure vector phase), the
 adaptive default, and huge (pure Python phase — itself
 level-synchronous, so this also pins the Python phase against the
 heaps) — and over the live graph (the mutable ``DynamicGraph``, or a
@@ -44,7 +46,7 @@ from repro.core.landmarks import select_landmarks
 from repro.graph import generators
 from repro.graph.batch import apply_batch, normalize_batch
 from repro.graph.csr import CSRGraph
-from tests.conftest import random_mixed_updates
+from tests.conftest import landmark_arrays, random_mixed_updates
 
 SWITCH_WIDTHS = (0, 64, 10**9)
 
@@ -111,8 +113,11 @@ def test_search_and_repair_kernels_match_heaps(seed):
 
     for improved in (False, True):
         for i in range(len(landmarks)):
-            dist, flag = labelling.distances_from(i)
-            old_dist, old_flag = dist.tolist(), flag.tolist()
+            # The heaps read the materialised reference arrays, the
+            # adaptive kernels the in-place reader, as in production.
+            ref_dist, ref_flag = landmark_arrays(labelling, i)
+            old_dist, old_flag = ref_dist.tolist(), ref_flag.tolist()
+            dist, flag = labelling.landmark_lengths(i)
             if improved:
                 heap_affected = batch_search_improved(
                     csr.list_view(), oriented, old_dist, old_flag,
@@ -188,17 +193,20 @@ def test_directed_kernels_match_heaps_on_csr_and_live_views(seed):
         is_landmark = labelling.is_landmark
         for improved in (False, True):
             for i in range(len(landmarks)):
-                dist, flag = labelling.distances_from(i)
+                ref_dist, ref_flag = landmark_arrays(labelling, i)
+                dist, flag = labelling.landmark_lengths(i)
                 if improved:
                     heap_affected = batch_search_improved(
-                        live, oriented, dist, flag, is_landmark
+                        live, oriented, ref_dist, ref_flag, is_landmark
                     )
                 else:
-                    heap_affected = batch_search_basic(live, oriented, dist)
+                    heap_affected = batch_search_basic(
+                        live, oriented, ref_dist
+                    )
                 heap_labelling = labelling.copy()
                 heap_changed = batch_repair(
-                    live, heap_affected, i, heap_labelling, dist, flag,
-                    is_landmark, symmetric_highway=False,
+                    live, heap_affected, i, heap_labelling, ref_dist,
+                    ref_flag, is_landmark, symmetric_highway=False,
                     pred_view=live_pred,
                 )
                 sides = [(csr, pred_csr, width) for width in SWITCH_WIDTHS]

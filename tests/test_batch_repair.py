@@ -7,6 +7,7 @@ from repro.core.construction import build_labelling
 from repro.graph.batch import EdgeUpdate, apply_batch, normalize_batch
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph import generators
+from tests.conftest import landmark_arrays
 
 
 def run_repair(graph, updates, landmarks, affected_override=None):
@@ -17,7 +18,7 @@ def run_repair(graph, updates, landmarks, affected_override=None):
     labelling_new = labelling.copy()
     is_landmark = labelling.is_landmark.tolist()
     for i in range(len(landmarks)):
-        dist, flag = labelling.distances_from(i)
+        dist, flag = landmark_arrays(labelling, i)
         old_dist, old_flag = dist.tolist(), flag.tolist()
         affected = (
             affected_override
@@ -79,7 +80,7 @@ def test_repair_counts_changed_cells():
     batch = normalize_batch([EdgeUpdate.insert(0, 2)], graph)
     apply_batch(graph, batch)
     labelling_new = labelling.copy()
-    dist, flag = labelling.distances_from(0)
+    dist, flag = landmark_arrays(labelling, 0)
     changed = batch_repair(
         graph,
         [2],

@@ -23,7 +23,7 @@ from repro.core.construction import build_labelling
 from repro.core.landmarks import select_landmarks
 from repro.graph import generators
 from repro.graph.batch import apply_batch, normalize_batch
-from tests.conftest import random_mixed_updates
+from tests.conftest import landmark_arrays, random_mixed_updates
 
 
 def run_searches(graph, updates, landmarks):
@@ -36,7 +36,7 @@ def run_searches(graph, updates, landmarks):
     is_landmark = labelling.is_landmark.tolist()
     results = []
     for i in range(len(landmarks)):
-        dist, flag = labelling.distances_from(i)
+        dist, flag = landmark_arrays(labelling, i)
         old_dist = dist.tolist()
         old_flag = flag.tolist()
         basic = set(batch_search_basic(graph, oriented, old_dist))
@@ -74,7 +74,7 @@ def test_trivial_update_produces_no_anchor():
     batch = normalize_batch([EdgeUpdate.insert(1, 3)], graph)
     apply_batch(graph, batch)
     oriented = orient_updates(batch)
-    dist, flag = labelling.distances_from(0)
+    dist, flag = landmark_arrays(labelling, 0)
     assert (
         batch_search_basic(graph, oriented, dist.tolist()) == []
     ), "equidistant endpoints affect nothing (Lemma 5.2)"
@@ -104,7 +104,7 @@ def test_improved_search_prunes_example_59_cases():
     batch = normalize_batch([EdgeUpdate.insert(2, 3)], graph)
     apply_batch(graph, batch)
     oriented = orient_updates(batch)
-    dist, flag = labelling.distances_from(0)
+    dist, flag = landmark_arrays(labelling, 0)
     basic = set(batch_search_basic(graph, oriented, dist.tolist()))
     improved = set(
         batch_search_improved(
@@ -127,7 +127,7 @@ def test_improved_search_keeps_example_59_case_b():
     batch = normalize_batch([EdgeUpdate.insert(2, 3)], graph)
     apply_batch(graph, batch)
     oriented = orient_updates(batch)
-    dist, flag = labelling.distances_from(0)
+    dist, flag = landmark_arrays(labelling, 0)
     improved = set(
         batch_search_improved(
             graph, oriented, dist.tolist(), flag.tolist(),

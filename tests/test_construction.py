@@ -12,6 +12,7 @@ from repro.constants import INF, NO_LABEL
 from repro.core.construction import bfs_landmark_lengths, build_labelling
 from repro.core.labelling import decode_distances
 from repro.graph import generators
+from tests.conftest import landmark_arrays
 
 
 def brute_force_landmark_length(graph, root, landmarks, vertex):
@@ -88,7 +89,7 @@ def test_star_labelling_is_tiny():
     # Every leaf's path to landmark 1 passes through landmark 0, so only
     # the 0-labels survive.
     assert lab.size() == 48  # 49 leaves minus landmark 1 itself
-    dist, _ = lab.distances_from(1)
+    dist, _ = landmark_arrays(lab, 1)
     assert dist[17] == 2
 
 
@@ -98,7 +99,7 @@ def test_disconnected_graph():
     graph.add_edge(4, 5)
     lab = build_labelling(graph, (0,))
     assert lab.r_label(4, 0) is None
-    dist, _ = lab.distances_from(0)
+    dist, _ = landmark_arrays(lab, 0)
     assert dist[4] >= INF
 
 

@@ -12,6 +12,11 @@ asserting the repo's strongest invariants:
 * after every batch, on every row, the maintained landmark-distance
   matrix D equals the Eq. 2 decode of labels + highway (the rebuild and
   bit-for-bit comparisons above cover D as well);
+* after every batch, on every row (both labellings of a digraph), the
+  in-place reader the kernels use, ``landmark_lengths(i)``, gives the
+  O(V) reference's distances and Lemma 5.14 flags at every vertex — the
+  root, the other landmarks, unreachable and freshly grown vertices —
+  read per vertex and as one index array, for every landmark;
 * after every batch, on every row — a failed, rolled-back batch included
   — the CSR view the graph maintains by re-encoding written rows equals
   a from-scratch freeze in ``indptr``, ``indices`` and adjacency lists.
@@ -38,7 +43,11 @@ from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DynamicDiGraph
 from repro.workloads.queries import sample_query_pairs
-from tests.conftest import bfs_oracle, random_mixed_updates
+from tests.conftest import (
+    assert_reader_matches_reference,
+    bfs_oracle,
+    random_mixed_updates,
+)
 
 DEFAULT_SEEDS = (3, 17, 88, 204, 977)
 VARIANTS = ("bhl", "bhl+", "bhl-s", "uhl", "uhl+")
@@ -177,6 +186,7 @@ def test_every_variant_matches_rebuild(seed):
             problems = index.check_minimality()
             assert problems == [], f"{context}: {problems[:5]}"
             assert_dist_decodes(index.labelling, context)
+            assert_reader_matches_reference(index.labelling, context)
             assert_csr_matches_freeze(index.graph, context)
             assert_queries_exact(index, batch_rng, context)
 
@@ -201,6 +211,10 @@ def test_backends_bitwise_equal(seed, shard_pool):
             reference.labelling,
             f"seed={seed} backend=sequential round={round_no}",
         )
+        assert_reader_matches_reference(
+            reference.labelling,
+            f"seed={seed} backend=sequential round={round_no}",
+        )
         assert_csr_matches_freeze(
             reference.graph,
             f"seed={seed} backend=sequential round={round_no}",
@@ -216,6 +230,7 @@ def test_backends_bitwise_equal(seed, shard_pool):
                 f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
             )
             assert_dist_decodes(index.labelling, context)
+            assert_reader_matches_reference(index.labelling, context)
             assert_csr_matches_freeze(index.graph, context)
             assert reference.labelling.equals(index.labelling), (
                 f"{context}: "
@@ -253,6 +268,7 @@ def test_processes_remap_and_worker_death(seed, shard_pool):
             f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
         )
         assert_dist_decodes(subject.labelling, context)
+        assert_reader_matches_reference(subject.labelling, context)
         assert_csr_matches_freeze(reference.graph, context)
         assert_csr_matches_freeze(subject.graph, context)
         assert reference.labelling.equals(subject.labelling), (
@@ -324,6 +340,7 @@ def test_unit_variants_agree_with_batch_on_processes(seed, shard_pool):
         )
         context = f"seed={seed} variant={variant} backend={backend}"
         assert_dist_decodes(index.labelling, context)
+        assert_reader_matches_reference(index.labelling, context)
         assert_csr_matches_freeze(index.graph, context)
         results.append((variant, backend, index))
     _, _, reference = results[0]
@@ -381,7 +398,9 @@ def test_directed_variants_match_rebuild_and_threads(seed):
                 want = getattr(reference, side)
                 got = getattr(threaded, side)
                 assert_dist_decodes(want, f"{context} {side}")
+                assert_reader_matches_reference(want, f"{context} {side}")
                 assert_dist_decodes(got, f"{context} {side} threads")
+                assert_reader_matches_reference(got, f"{context} {side} threads")
                 assert want.equals(got), (
                     f"{context} {side}: " + "; ".join(want.diff(got)[:5])
                 )

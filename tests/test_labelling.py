@@ -9,6 +9,7 @@ from repro.core.labelling import HighwayCoverLabelling, decode_distances
 from repro.core.lengths import FALSE_KEY, TRUE_KEY
 from repro.errors import IndexStateError
 from repro.graph import generators
+from tests.conftest import assert_reader_matches_reference, landmark_arrays
 
 
 def small_labelling():
@@ -39,28 +40,29 @@ def test_size_counts_entries():
     assert lab.size_bytes() > 0
 
 
-def test_distances_from_decodes_landmarks_and_flags():
+def test_landmark_lengths_reads_landmarks_and_flags():
     _, lab = small_labelling()
-    dist, flag = lab.distances_from(0)
+    dist, flag = lab.landmark_lengths(0)
     assert list(dist) == [0, 1, 2, 3, 4]
     assert flag[0] == FALSE_KEY  # the root itself
     assert flag[4] == TRUE_KEY  # another landmark: flag always True
     assert flag[2] == FALSE_KEY  # has direct r-label
+    assert flag[np.array([0, 4, 2])].tolist() == [FALSE_KEY, TRUE_KEY, FALSE_KEY]
 
 
-def test_distances_from_uses_highway_detour():
+def test_landmark_lengths_uses_highway_detour():
     # Star with centre 0; landmarks 0 and 1.  Vertex 2's label omits
     # landmark 1 iff covered; decode must go through the highway.
     graph = generators.star(4)
     lab = build_labelling(graph, (0, 1))
-    dist, flag = lab.distances_from(1)
+    dist, flag = lab.landmark_lengths(1)
     assert dist[2] == 2  # 1 -> 0 -> 2 via highway
     assert flag[2] == TRUE_KEY  # covered through landmark 0
 
 
-def test_distances_from_matches_the_eq2_decode():
+def test_landmark_lengths_matches_the_eq2_decode():
     """D from construction equals the Eq. 2 decode of labels + highway,
-    and distances_from and decoded_landmark_distances read its columns
+    and landmark_lengths and decoded_landmark_distances read its columns
     and rows."""
     graph = generators.erdos_renyi(40, 0.1, seed=1)
     graph.ensure_vertex(41)  # two isolated vertices: INF rows
@@ -68,7 +70,7 @@ def test_distances_from_matches_the_eq2_decode():
     decoded = decode_distances(lab.labels, lab.highway, lab.landmarks)
     assert np.array_equal(lab.dist, decoded)
     for i in range(3):
-        dist, _ = lab.distances_from(i)
+        dist, _ = lab.landmark_lengths(i)
         assert np.array_equal(dist, decoded[:, i])
     for v in range(graph.num_vertices):
         assert np.array_equal(lab.decoded_landmark_distances(v), decoded[v])
@@ -95,8 +97,9 @@ def test_grow_adds_empty_rows():
     lab.grow(8)
     assert lab.num_vertices == 8
     assert lab.r_label(7, 0) is None
-    dist, flag = lab.distances_from(0)
+    dist, flag = lab.landmark_lengths(0)
     assert dist[7] >= INF
+    assert flag[7] == FALSE_KEY  # grown, unreachable
     assert lab.dist.shape == (8, 2) and (lab.dist[5:] == INF).all()
     # Growing smaller is a no-op.
     lab.grow(3)
@@ -140,3 +143,45 @@ def test_shape_validation():
         HighwayCoverLabelling(
             labels, np.zeros((2, 2), dtype=np.int64), (0, 1), dist[:3]
         )
+
+
+def test_landmark_lengths_flags_match_the_reference_everywhere():
+    """The reader's flags equal the O(V) reference at the root, the other
+    landmarks, labelled and covered vertices, unreachable vertices and
+    vertices grown after construction — per vertex and as an array."""
+    # Path 0-1-2-3 (landmarks 0 and 2), an isolated pair 4-5, then two
+    # grown vertices 6-7 that stay unreachable.
+    graph = generators.path(4)
+    graph.ensure_vertex(5)
+    graph.add_edge(4, 5)
+    lab = build_labelling(graph, (0, 2))
+    lab.grow(8)
+    assert_reader_matches_reference(lab, "path+isolated+grown")
+    dist, flag = lab.landmark_lengths(0)
+    assert [flag[v] for v in range(8)] == [
+        FALSE_KEY,  # the root
+        FALSE_KEY,  # labelled: 0-1 avoids landmark 2
+        TRUE_KEY,  # the other landmark
+        TRUE_KEY,  # covered: its shortest path runs through landmark 2
+        FALSE_KEY,  # unreachable
+        FALSE_KEY,  # unreachable
+        FALSE_KEY,  # grown, unreachable
+        FALSE_KEY,  # grown, unreachable
+    ]
+    want_dist, want_flag = landmark_arrays(lab, 0)
+    assert np.array_equal(flag[np.arange(8)], want_flag)
+    assert np.array_equal(dist, want_dist)
+
+
+def test_landmark_lengths_dist_is_a_read_only_view():
+    """The reader shares D's column instead of copying it, and a write
+    through it raises ValueError; the labelling's own D stays writable."""
+    _, lab = small_labelling()
+    dist, _ = lab.landmark_lengths(1)
+    assert np.shares_memory(dist, lab.dist)
+    with pytest.raises(ValueError):
+        dist[2] = 0
+    with pytest.raises(ValueError):
+        dist[np.array([1, 2])] = 0
+    assert lab.dist[2, 1] == 2
+    lab.dist[2, 1] = 2  # the writer's matrix is untouched by the view

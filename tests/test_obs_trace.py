@@ -193,18 +193,19 @@ def test_processes_flush_nests_per_shard_spans(tmp_path):
 def test_in_process_phase_span_children_cover_its_wall(monkeypatch, directed):
     """A sequential multi-update batch freezes G' once and gives each pass
     (one undirected, forward then backward directed) a process_landmarks
-    span whose decode, search and repair children, in that order, account
-    for its wall; the sub-batch is counted once."""
+    span whose outside_kernels, search and repair children, in that
+    order, account for its wall; a slow read of the old landmark lengths
+    lands in outside_kernels; the sub-batch is counted once."""
     from repro.core.directed import DirectedHighwayCoverIndex
     from repro.obs.metrics import get_registry
 
-    decode = HighwayCoverLabelling.distances_from
+    read = HighwayCoverLabelling.landmark_lengths
 
-    def slow_decode(self, landmark_idx):
+    def slow_read(self, landmark_idx):
         time.sleep(0.02)
-        return decode(self, landmark_idx)
+        return read(self, landmark_idx)
 
-    monkeypatch.setattr(HighwayCoverLabelling, "distances_from", slow_decode)
+    monkeypatch.setattr(HighwayCoverLabelling, "landmark_lengths", slow_read)
     grid = generators.grid(6, 6)
     if directed:
         index = DirectedHighwayCoverIndex(
@@ -239,9 +240,66 @@ def test_in_process_phase_span_children_cover_its_wall(monkeypatch, directed):
             ),
             key=lambda e: e["ts"],
         )
-        assert [c["name"] for c in children] == ["decode", "search", "repair"]
+        assert [c["name"] for c in children] == [
+            "outside_kernels",
+            "search",
+            "repair",
+        ]
         assert children[0]["dur"] >= 4 * 20_000
+        assert children[1]["dur"] < 20_000  # the slow read is not search
         assert sum(c["dur"] for c in children) >= 0.95 * phase["dur"]
+
+
+def test_weighted_batch_emits_one_phase_span_and_the_batch_counters():
+    """A weighted batch is traced and counted like an unweighted one: one
+    process_landmarks span with outside_kernels, search and repair
+    children, and one more sequential applied batch."""
+    from repro.core.weighted import WeightedHighwayCoverIndex
+    from repro.graph.weighted_graph import WeightUpdate
+    from repro.obs.metrics import get_registry
+
+    index = WeightedHighwayCoverIndex(
+        generators.with_random_weights(generators.grid(6, 6), seed=3),
+        num_landmarks=4,
+    )
+    registry = get_registry()
+    applied = 'repro_batches_applied_total{backend="sequential"}'
+    affected = 'repro_batch_affected_total{backend="sequential"}'
+    before = registry.snapshot()
+    tracer = get_tracer()
+    tracer.enable()
+    tracer.clear()
+    try:
+        stats = index.batch_update(
+            [WeightUpdate(0, 35, 2), WeightUpdate(0, 1, 9)]
+        )
+        events = tracer.events()
+    finally:
+        tracer.disable()
+        tracer.clear()
+
+    after = registry.snapshot()
+    assert after[applied] == before.get(applied, 0.0) + 1
+    assert after[affected] == before.get(affected, 0.0) + stats.total_affected
+    phases = [e for e in events if e["name"] == "process_landmarks"]
+    assert len(phases) == 1
+    (phase,) = phases
+    assert phase["args"]["backend"] == "sequential"
+    assert phase["args"]["landmarks"] == 4
+    children = sorted(
+        (
+            e
+            for e in events
+            if e["args"]["parent_id"] == phase["args"]["span_id"]
+        ),
+        key=lambda e: e["ts"],
+    )
+    assert [c["name"] for c in children] == [
+        "outside_kernels",
+        "search",
+        "repair",
+    ]
+    assert index.check_minimality() == []
 
 
 @pytest.mark.parametrize(

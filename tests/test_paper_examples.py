@@ -11,6 +11,7 @@ from repro.core.construction import build_labelling
 from repro.graph.batch import EdgeUpdate, apply_batch, normalize_batch
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.core.index import HighwayCoverIndex
+from tests.conftest import landmark_arrays
 
 # Figure 3 vertex ids.
 R, A, B, C, D, E, F, G = range(8)
@@ -55,7 +56,7 @@ def test_example_54_affected_set():
     labelling = build_labelling(graph, (R,))
     batch = normalize_batch(FIGURE3_UPDATES, graph)
     apply_batch(graph, batch)
-    dist, _ = labelling.distances_from(0)
+    dist, _ = landmark_arrays(labelling, 0)
     affected = set(
         batch_search_basic(graph, orient_updates(batch), dist.tolist())
     )

@@ -20,7 +20,7 @@ from repro.baselines.fulpll import FullPLLIndex
 from repro.core.index import HighwayCoverIndex
 from repro.graph.batch import EdgeUpdate, normalize_batch
 from repro.graph.dynamic_graph import DynamicGraph
-from tests.conftest import bfs_oracle
+from tests.conftest import bfs_oracle, landmark_arrays
 
 SETTINGS = settings(
     max_examples=30,
@@ -149,7 +149,7 @@ def test_affected_sets_nested(data):
     oriented = orient_updates(batch)
     is_landmark = labelling.is_landmark.tolist()
     for i, root in enumerate(landmarks):
-        dist, flag = labelling.distances_from(i)
+        dist, flag = landmark_arrays(labelling, i)
         basic = set(batch_search_basic(graph, oriented, dist.tolist()))
         improved = set(
             batch_search_improved(
