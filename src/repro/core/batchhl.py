@@ -2,19 +2,23 @@
 
 ``run_batch_update`` normalises a batch against the current graph, applies
 it, and then — per labelling and per landmark — runs batch search
-(Algorithm 2 or 3) followed by batch repair (Algorithm 4) against a fresh
-copy of that labelling.  The copy is essential: every landmark's search
+(Algorithm 2 or 3) followed by batch repair (Algorithm 4) into a private
+twin of that labelling.  The twin is essential: every landmark's search
 reads *old* distances, column i of the old labelling's landmark-distance
 matrix D, so repairs for earlier landmarks must not leak into later
 searches (this is also what makes landmark-level parallelism safe: labels
-and D columns for different landmarks are disjoint, Section 6).  The
-kernels read that old state in place, through an O(1) reader that
-evaluates the Lemma 5.14 flags only at the vertices they touch, and
-repair scatters the affected vertices' new distances into the copy's D
-column, so a landmark costs work proportional to its affected region:
-no decode of Γ, and no O(V) pass over its column unless its search
-grows wide enough for the vector phase, which reads the column and the
-flags once.  The labelling copy itself is still O(V·R) per pass.
+and D columns for different landmarks are disjoint, Section 6), and the
+old labelling may be published.  The kernels read that old state in
+place, through an O(1) reader that evaluates the Lemma 5.14 flags only at
+the vertices they touch, and repair scatters the affected vertices' new
+distances into the twin's D column, so a landmark costs work proportional
+to its affected region: no decode of Γ, and no O(V) pass over its column
+unless its search grows wide enough for the vector phase, which reads
+the column and the flags once.  The twin costs as little: it is the
+labelling's recycled back pair, the arrays of the labelling before it
+with the cells the previous pass wrote copied over
+(:meth:`~repro.core.labelling.HighwayCoverLabelling.repair_target`),
+and a full copy only when a reader still holds them.
 
 The driver serves both highway cover indexes.  An undirected graph has one
 labelling and one *pass* over G' that tries each update in both
@@ -318,11 +322,12 @@ def _apply_one_batch(
     repaired: list[HighwayCoverLabelling] = []
     try:
         # Everything after apply_batch sits inside the try: a failure in
-        # a copy (MemoryError on a large labelling) must revert the edge
-        # mutations just like a worker-pool failure mid-repair.
+        # making a repair target (MemoryError copying a large labelling)
+        # must revert the edge mutations just like a worker-pool failure
+        # mid-repair.
         passes = _pass_plan(graph, batch, directed, parallel)
         for labelling, (rows, pred_rows, oriented) in zip(labellings, passes):
-            labelling_new = labelling.copy()
+            labelling_new = labelling.repair_target()
             phases_started = tracer.now_us() if tracer.enabled else 0
             with tracer.span(
                 "process_landmarks",
@@ -359,6 +364,9 @@ def _apply_one_batch(
             stats.shard_timings.extend(shard_timings)
             stats.merge_seconds += merge_seconds
             stats.makespan_seconds += makespan
+            labelling_new.set_back_pair(
+                labelling, [outcome[4] for outcome in outcomes]
+            )
             repaired.append(labelling_new)
     except BaseException:
         # The graph is already G' but no labelling was replaced —

@@ -232,10 +232,10 @@ class HighwayCoverIndex(OracleBase):
         the labelling's arrays (:meth:`HighwayCoverLabelling.published`)
         and the graph's current CSR view, pinned.  Later batches on this
         index never show in it — they write private copies of the rows
-        and labelling they change — so readers may keep querying it while
-        ``batch_update`` repairs the original; this is the
-        epoch-publication hook the online serving layer
-        (:mod:`repro.service`) builds on.  Cost is O(V + R) plus
+        they change and repair labelling arrays no snapshot holds — so
+        readers may keep querying it while ``batch_update`` repairs the
+        original; this is the epoch-publication hook the online serving
+        layer (:mod:`repro.service`) builds on.  Cost is O(V + R) plus
         re-encoding the rows written since the last view; queries against
         the snapshot never block on writers and never check the graph.
         """

@@ -29,17 +29,46 @@ The hot reads are then cheap:
 * ``upper_bound(s, t)`` — the query-time bound :math:`d^\\top_{st}` (Eq. 3)
   as one O(R) row sum, from one labelling or, on a digraph, from a
   forward/backward pair.
+
+A batch pass never repairs a labelling that may be published; it repairs
+:meth:`~HighwayCoverLabelling.repair_target`, a private twin.  Each
+repaired labelling keeps a *back pair*: the labels and D of the labelling
+it was repaired from, and the cells that pass wrote.  The next pass
+recycles that pair once nothing else references it (copying over those
+cells and the (R, R) highway, O(cells) instead of an O(V·R) copy), so a
+writer alternates between two pairs of flat arrays.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+import itertools
+import sys
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.constants import INF, NO_LABEL
 from repro.core.lengths import FALSE_KEY, TRUE_KEY
 from repro.errors import IndexStateError
+from repro.obs.metrics import get_registry
+from repro.obs.trace import get_tracer
+
+#: ``sys.getrefcount`` of a back array that only its back pair references,
+#: read as :meth:`HighwayCoverLabelling.repair_target` reads it: the
+#: pair's own reference plus the one passed to ``getrefcount``.  Every
+#: other holder adds to it: a labelling still wrapping the array, and
+#: every view, view of a view or memoryview of it, since each keeps its
+#: owning array referenced.  ``tests/test_labelling.py`` pins the value.
+_UNHELD_REFS = 2
+
+
+class _BackPair(NamedTuple):
+    """The labels and D a labelling was repaired from, and the cells that
+    pass wrote, as flat C-order indices ``v * R + i``."""
+
+    labels: np.ndarray  # shape: (V, R) int64
+    dist: np.ndarray  # shape: (V, R) int64
+    cells: np.ndarray  # shape: (C,) int64
 
 
 def decode_distances(
@@ -123,6 +152,7 @@ class HighwayCoverLabelling:
         "landmarks",
         "landmark_index",
         "is_landmark",
+        "_back",
         "__weakref__",
     )
 
@@ -153,6 +183,7 @@ class HighwayCoverLabelling:
         self.is_landmark = np.zeros(labels.shape[0], dtype=bool)
         for r in landmarks:
             self.is_landmark[r] = True
+        self._back: _BackPair | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -180,13 +211,91 @@ class HighwayCoverLabelling:
             self.dist.copy(),
         )
 
+    def repair_target(self) -> "HighwayCoverLabelling":
+        """A writable labelling equal to this one, for one batch pass to
+        repair into.
+
+        It recycles the back pair when nothing else references either of
+        its arrays: the pass that made this labelling wrote only the
+        pair's recorded cells, so copying those cells over from this
+        labelling, plus the (R, R) highway, makes the pair equal to it.
+        Otherwise it is a :meth:`copy`: when a reader still holds either
+        array, after ``grow`` (which drops the pair), and when there is
+        no pair (a built or loaded labelling, or one repaired from
+        views).  The pair is taken off this labelling before anything is
+        written, so a pass that fails part-way through the recycled
+        arrays leaves the next pass on the copy path.
+
+        Each call is one ``labelling_buffers`` span, with ``recycled``
+        and the number of ``cells`` copied over, and one count of
+        ``repro_labelling_buffers_total{path="recycled"|"copied"}``.
+        """
+        pair, self._back = self._back, None
+        with get_tracer().span("labelling_buffers") as span:
+            if (
+                pair is None
+                or sys.getrefcount(pair.labels) != _UNHELD_REFS
+                or sys.getrefcount(pair.dist) != _UNHELD_REFS
+            ):
+                target, path, replayed = self.copy(), "copied", 0
+            else:
+                cells = pair.cells
+                np.put(pair.labels, cells, np.take(self.labels, cells))
+                np.put(pair.dist, cells, np.take(self.dist, cells))
+                target = HighwayCoverLabelling(
+                    pair.labels, self.highway.copy(), self.landmarks, pair.dist
+                )
+                path, replayed = "recycled", len(cells)
+            if span is not None:
+                span.set(recycled=path == "recycled", cells=replayed)
+        get_registry().counter(
+            "repro_labelling_buffers_total",
+            "labelling passes by how their repair target was made",
+            ("path",),
+        ).labels(path=path).inc()
+        return target
+
+    def set_back_pair(
+        self, parent: "HighwayCoverLabelling", written: Sequence[Sequence[int]]
+    ) -> None:
+        """Record that one pass repaired this labelling from ``parent``
+        and wrote column i only at rows ``written[i]``.
+
+        Those are landmark i's affected vertices: repair (Algorithm 4)
+        settles and writes only them, and every other vertex keeps its
+        landmark distance (Lemma 5.15).  ``parent``'s labels and D
+        become this labelling's back pair, for the next
+        :meth:`repair_target`.  Arrays that do not own their memory, or
+        are read-only, never become a pair: the reference count of a
+        view does not see the other views of its owner.
+        """
+        if any(
+            array.base is not None or not array.flags.writeable
+            for array in (parent.labels, parent.dist)
+        ):
+            return
+        lengths = [len(vertices) for vertices in written]
+        cells = np.fromiter(
+            itertools.chain.from_iterable(written),
+            dtype=np.int64,
+            count=sum(lengths),
+        )
+        cells *= self.num_landmarks
+        cells += np.repeat(
+            np.arange(self.num_landmarks, dtype=np.int64), lengths
+        )
+        self._back = _BackPair(parent.labels, parent.dist, cells)
+
     def published(self) -> "HighwayCoverLabelling":
         """A labelling over read-only views of these arrays, for an epoch
         snapshot: no copy, and a write through it raises ``ValueError``.
 
-        Sharing is safe because no writer touches a labelling's arrays
-        in place once they can be published: every batch repairs a
-        ``copy()``, and ``grow`` reassigns the attributes.
+        Sharing is safe because no writer touches an array in place while
+        anything references it.  A batch repairs a
+        :meth:`repair_target`: a copy, or the arrays of the epoch before
+        last once no snapshot, view or labelling holds them any more
+        (each of these views keeps its owner's reference count up).
+        ``grow`` reassigns the attributes.
         """
         views = []
         for array in (self.labels, self.highway, self.dist):
@@ -198,10 +307,11 @@ class HighwayCoverLabelling:
 
     def grow(self, num_vertices: int) -> None:
         """Extend labels and D with empty, unreachable rows for new
-        vertices."""
+        vertices, and drop the back pair, whose shape no longer fits."""
         current = self.labels.shape[0]
         if num_vertices <= current:
             return
+        self._back = None
         extra = (num_vertices - current, len(self.landmarks))
         self.labels = np.vstack(
             [self.labels, np.full(extra, NO_LABEL, dtype=np.int64)]

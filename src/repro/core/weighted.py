@@ -13,10 +13,12 @@ special case where every weight is 1.
 A batch follows the unweighted driver's per-landmark contract: search
 and repair read the old landmark lengths in place
 (:meth:`~repro.core.labelling.HighwayCoverLabelling.landmark_lengths`,
-no O(V) copy or ``tolist()`` per landmark), repair writes into one copy
-of the labelling, and the batch emits one ``process_landmarks`` span
-with the same children and the same ``repro_batch_*`` counters
-(``backend="sequential"``) as :func:`repro.core.batchhl.run_batch_update`.
+no O(V) copy or ``tolist()`` per landmark), repair writes into one
+:meth:`~repro.core.labelling.HighwayCoverLabelling.repair_target` (the
+recycled back pair, else a copy), and the batch emits one
+``process_landmarks`` span with the same children and the same
+``repro_batch_*`` counters (``backend="sequential"``) as
+:func:`repro.core.batchhl.run_batch_update`.
 
 Queries run the labelling bound plus a distance-bounded Dijkstra over the
 landmark-sparsified graph.
@@ -376,7 +378,8 @@ class WeightedHighwayCoverIndex(OracleBase):
                 stats.affected_vertices.add(v)
 
             labelling_old = self._labelling
-            labelling_new = labelling_old.copy()
+            labelling_new = labelling_old.repair_target()
+            written: list[list[int]] = []
             is_landmark = labelling_old.is_landmark
             tracer = get_tracer()
             phases_started = tracer.now_us() if tracer.enabled else 0
@@ -400,6 +403,7 @@ class WeightedHighwayCoverIndex(OracleBase):
                         old_flag, is_landmark,
                     )
                     t3 = time.perf_counter()
+                    written.append(affected)
                     stats.affected_per_landmark[i] += len(affected)
                     stats.affected_vertices.update(affected)
                     stats.search_seconds += t2 - t1
@@ -424,6 +428,7 @@ class WeightedHighwayCoverIndex(OracleBase):
             stats.makespan_seconds = max(
                 (t.wall_seconds for t in stats.shard_timings), default=0.0
             )
+            labelling_new.set_back_pair(labelling_old, written)
         except BaseException:
             # The labelling was never replaced: restore every weight set
             # so far (an invalid weight can fail mid-loop), in reverse,

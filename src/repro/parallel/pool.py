@@ -285,7 +285,8 @@ class LandmarkShardPool:
         """Search + repair every landmark across the worker shards.
 
         ``csr`` must be the frozen :class:`CSRGraph` of G' and
-        ``labelling_new`` a copy of ``labelling_old`` (grown to G''s
+        ``labelling_new`` a writable labelling equal to ``labelling_old``
+        (its :meth:`~HighwayCoverLabelling.repair_target`, grown to G''s
         vertex count).  Returns the per-landmark outcomes in landmark
         order, the makespan (max shard wall), the per-shard timings, and
         the writer-side merge time.

@@ -231,11 +231,14 @@ class SharedShardState:
 
         Identity-based: the token holds weakrefs to the labelling *and*
         its matrices, so any swap — ``grow()`` vstacking a new label
-        matrix, a sequential batch producing a fresh ``copy()`` — breaks
-        the token and forces a resync.  The one undetectable case is
-        in-place writes through the *same* arrays between batches (e.g. a
-        caller poking a label cell directly); such callers must use
-        :meth:`invalidate`.
+        matrix, a sequential batch producing a new labelling — breaks
+        the token and forces a resync.  A batch that recycles the arrays
+        of a labelling before last cannot write under a valid token:
+        while that labelling lives, its arrays are held and get copied,
+        and once it is gone its token is dead.  The one undetectable
+        case is in-place writes through the *same* arrays between batches
+        (e.g. a caller poking a label cell directly); such callers must
+        use :meth:`invalidate`.
         """
         self._sync_ref = weakref.ref(labelling)
         self._sync_arrays = (

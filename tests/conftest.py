@@ -20,6 +20,7 @@ from repro.core.lengths import FALSE_KEY, TRUE_KEY
 from repro.graph import generators
 from repro.graph.batch import EdgeUpdate
 from repro.graph.traversal import bfs_distance_pair
+from repro.obs.metrics import get_registry
 
 
 def externalise(distance: int) -> float:
@@ -69,6 +70,25 @@ def assert_reader_matches_reference(labelling, context: str) -> None:
         assert all(type(f) is int for f in one_by_one), (
             f"{where}: a per-vertex flag is not an int"
         )
+
+
+def buffer_paths() -> dict[str, float]:
+    """Labelling passes so far, process-wide, by how their repair target
+    was made: ``{"recycled": n, "copied": m}``, read from the
+    ``repro_labelling_buffers_total`` counter."""
+    snapshot = get_registry().snapshot()
+    return {
+        path: snapshot.get(
+            f'repro_labelling_buffers_total{{path="{path}"}}', 0.0
+        )
+        for path in ("recycled", "copied")
+    }
+
+
+def buffer_paths_since(before: dict[str, float]) -> dict[str, float]:
+    """The :func:`buffer_paths` counts added since ``before``."""
+    now = buffer_paths()
+    return {path: now[path] - before[path] for path in now}
 
 
 def bfs_oracle(graph, s: int, t: int) -> float:

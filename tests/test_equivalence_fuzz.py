@@ -19,7 +19,12 @@ asserting the repo's strongest invariants:
   read per vertex and as one index array, for every landmark;
 * after every batch, on every row — a failed, rolled-back batch included
   — the CSR view the graph maintains by re-encoding written rows equals
-  a from-scratch freeze in ``indptr``, ``indices`` and adjacency lists.
+  a from-scratch freeze in ``indptr``, ``indices`` and adjacency lists;
+* every row but one repairs into recycled labelling buffers at least
+  once (``repro_labelling_buffers_total{path="recycled"}``), so the
+  equalities above cover the recycled path and not only the copy; the
+  one row holds every published snapshot, so every pass copies, and the
+  snapshots' bytes never change.
 
 Every assertion message carries the failing seed; re-run a single seed
 with ``REPRO_FUZZ_SEEDS=<seed> pytest tests/test_equivalence_fuzz.py``
@@ -46,6 +51,8 @@ from repro.workloads.queries import sample_query_pairs
 from tests.conftest import (
     assert_reader_matches_reference,
     bfs_oracle,
+    buffer_paths,
+    buffer_paths_since,
     random_mixed_updates,
 )
 
@@ -163,6 +170,14 @@ def assert_csr_matches_freeze(graph, context: str) -> None:
         )
 
 
+def assert_recycled(before: dict[str, float], context: str) -> None:
+    """Some labelling pass since ``before`` recycled its back pair."""
+    assert buffer_paths_since(before)["recycled"] >= 1, (
+        f"{context}: no pass recycled its labelling buffers, so only the"
+        " copy path was tested"
+    )
+
+
 def assert_queries_exact(index, rng: random.Random, context: str) -> None:
     for s, t in sample_query_pairs(index.graph, 20, seed=rng.randrange(2**30)):
         got, want = index.distance(s, t), bfs_oracle(index.graph, s, t)
@@ -172,6 +187,7 @@ def assert_queries_exact(index, rng: random.Random, context: str) -> None:
 @pytest.mark.parametrize("seed", fuzz_seeds())
 def test_every_variant_matches_rebuild(seed):
     """batch_update == rebuild-from-scratch for all five variants."""
+    paths_before = buffer_paths()
     for variant in VARIANTS:
         rng, graph = random_instance(seed)
         batch_rng = random.Random(f"{seed}:{variant}")
@@ -189,11 +205,15 @@ def test_every_variant_matches_rebuild(seed):
             assert_reader_matches_reference(index.labelling, context)
             assert_csr_matches_freeze(index.graph, context)
             assert_queries_exact(index, batch_rng, context)
+    assert_recycled(paths_before, f"seed={seed}")
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
 def test_backends_bitwise_equal(seed, shard_pool):
-    """sequential == threads == processes on identical update streams."""
+    """sequential == threads == processes on identical update streams.
+
+    Three hostile rounds, then a clean one that grows no vertex, so every
+    backend's last pass recycles its labelling buffers."""
     rng, graph = random_instance(seed + 10_000)
     num_landmarks = rng.randint(4, 7)
     reference = HighwayCoverIndex(graph.copy(), num_landmarks=num_landmarks)
@@ -203,10 +223,20 @@ def test_backends_bitwise_equal(seed, shard_pool):
         )
         for backend in BACKENDS[1:]
     }
+    recycled = dict.fromkeys(BACKENDS, 0.0)
     batch_rng = random.Random(f"{seed}:backends")
-    for round_no in range(3):
-        updates = random_fuzz_batch(reference.graph, batch_rng)
+    for round_no in range(4):
+        if round_no < 3:
+            updates = random_fuzz_batch(reference.graph, batch_rng)
+        else:
+            updates = random_mixed_updates(reference.graph, batch_rng, 3, 3)
+        before = buffer_paths()
         reference.batch_update(updates, parallel=None)
+        recycled[None] += buffer_paths_since(before)["recycled"]
+        problems = reference.check_minimality()
+        assert problems == [], (
+            f"seed={seed} backend=sequential round={round_no}: {problems[:5]}"
+        )
         assert_dist_decodes(
             reference.labelling,
             f"seed={seed} backend=sequential round={round_no}",
@@ -220,11 +250,13 @@ def test_backends_bitwise_equal(seed, shard_pool):
             f"seed={seed} backend=sequential round={round_no}",
         )
         for backend, index in others.items():
+            before = buffer_paths()
             index.batch_update(
                 updates,
                 parallel=backend,
                 pool=shard_pool if backend == "processes" else None,
             )
+            recycled[backend] += buffer_paths_since(before)["recycled"]
             context = (
                 f"seed={seed} backend={backend} round={round_no}"
                 f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
@@ -237,8 +269,7 @@ def test_backends_bitwise_equal(seed, shard_pool):
                 + "; ".join(reference.labelling.diff(index.labelling)[:5])
             )
     context = f"seed={seed} final (reproduce: REPRO_FUZZ_SEEDS={seed})"
-    problems = reference.check_minimality()
-    assert problems == [], f"{context}: {problems[:5]}"
+    assert all(recycled.values()), f"{context}: recycled passes {recycled}"
     assert_queries_exact(reference, batch_rng, context)
 
 
@@ -262,7 +293,9 @@ def test_processes_remap_and_worker_death(seed, shard_pool):
 
     def apply_both(updates, stage):
         reference.batch_update(updates, parallel=None)
+        before = buffer_paths()
         subject.batch_update(updates, parallel="processes", pool=shard_pool)
+        paths = buffer_paths_since(before)
         context = (
             f"seed={seed} stage={stage}"
             f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
@@ -275,6 +308,7 @@ def test_processes_remap_and_worker_death(seed, shard_pool):
             f"{context}: "
             + "; ".join(reference.labelling.diff(subject.labelling)[:5])
         )
+        return paths
 
     apply_both(random_fuzz_batch(reference.graph, batch_rng), "warm")
     generation_before = shard_pool._state.generation
@@ -310,6 +344,13 @@ def test_processes_remap_and_worker_death(seed, shard_pool):
         subject.graph, f"seed={seed} stage=rolled-back"
     )
     apply_both(updates, "post-kill-retry")
+    # A clean batch that grows nothing: the processes backend repairs
+    # into the recycled buffers of the labelling before last.
+    paths = apply_both(
+        random_mixed_updates(reference.graph, batch_rng, 3, 3), "recycled"
+    )
+    assert paths["recycled"] == 1, f"seed={seed}: {paths}"
+    assert reference.check_minimality() == [], f"seed={seed}"
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
@@ -332,6 +373,7 @@ def test_unit_variants_agree_with_batch_on_processes(seed, shard_pool):
         ("uhl+", "processes"),
     ):
         index = HighwayCoverIndex(graph.copy(), num_landmarks=num_landmarks)
+        before = buffer_paths()
         index.batch_update(
             batch,
             variant=variant,
@@ -339,6 +381,10 @@ def test_unit_variants_agree_with_batch_on_processes(seed, shard_pool):
             pool=shard_pool if backend == "processes" else None,
         )
         context = f"seed={seed} variant={variant} backend={backend}"
+        if variant != "bhl+":
+            # From the third unit sub-batch on, each pass recycles the
+            # buffers of the sub-batch two back, which nothing publishes.
+            assert_recycled(before, context)
         assert_dist_decodes(index.labelling, context)
         assert_reader_matches_reference(index.labelling, context)
         assert_csr_matches_freeze(index.graph, context)
@@ -368,6 +414,7 @@ def test_directed_variants_match_rebuild_and_threads(seed):
         undirected, reciprocal_p=rng.uniform(0.2, 0.6), seed=seed
     )
     num_landmarks = rng.randint(3, 6)
+    paths_before = buffer_paths()
     for variant in VARIANTS:
         batch_rng = random.Random(f"{seed}:directed:{variant}")
         reference, threaded = (
@@ -404,3 +451,49 @@ def test_directed_variants_match_rebuild_and_threads(seed):
                 assert want.equals(got), (
                     f"{context} {side}: " + "; ".join(want.diff(got)[:5])
                 )
+    assert_recycled(paths_before, f"seed={seed}")
+
+
+@pytest.mark.parametrize("seed", fuzz_seeds())
+def test_held_snapshots_force_copies_and_stay_exact(seed):
+    """Holding every published snapshot keeps every labelling's arrays
+    referenced, so no pass may recycle them: each copies, the writer
+    stays bit-identical to a rebuild, and no held snapshot's labels,
+    highway or D ever change.
+
+    The batches grow no vertex: a grown labelling's arrays are new and
+    unpublished, and the pass after next may rightly recycle them."""
+    rng, graph = random_instance(seed + 50_000)
+    index = HighwayCoverIndex(graph, num_landmarks=rng.randint(3, 6))
+    batch_rng = random.Random(f"{seed}:held")
+
+    def label_bytes(snapshot):
+        lab = snapshot.labelling
+        return lab.labels.tobytes(), lab.highway.tobytes(), lab.dist.tobytes()
+
+    snapshot = index.snapshot()
+    held = [(snapshot, label_bytes(snapshot))]
+    before = buffer_paths()
+    for round_no in range(4):
+        variant = ("bhl", "bhl+")[round_no % 2]
+        index.batch_update(
+            random_mixed_updates(index.graph, batch_rng, 4, 4),
+            variant=variant,
+        )
+        context = (
+            f"seed={seed} round={round_no}"
+            f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
+        )
+        problems = index.check_minimality()
+        assert problems == [], f"{context}: {problems[:5]}"
+        assert_dist_decodes(index.labelling, context)
+        for epoch, (snapshot, content) in enumerate(held):
+            assert label_bytes(snapshot) == content, (
+                f"{context}: the labelling of held epoch {epoch} changed"
+            )
+        snapshot = index.snapshot()
+        held.append((snapshot, label_bytes(snapshot)))
+        del snapshot
+    assert buffer_paths_since(before) == {"recycled": 0.0, "copied": 4.0}, (
+        f"seed={seed}: a pass recycled arrays a held snapshot reads"
+    )

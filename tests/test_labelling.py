@@ -1,15 +1,30 @@
 """Storage-level tests for HighwayCoverLabelling."""
 
+import random
+import sys
+
 import numpy as np
 import pytest
 
+from repro import EdgeUpdate, HighwayCoverIndex
 from repro.constants import INF, NO_LABEL
 from repro.core.construction import build_labelling
-from repro.core.labelling import HighwayCoverLabelling, decode_distances
+from repro.core.labelling import (
+    _UNHELD_REFS,
+    HighwayCoverLabelling,
+    _BackPair,
+    decode_distances,
+)
 from repro.core.lengths import FALSE_KEY, TRUE_KEY
 from repro.errors import IndexStateError
 from repro.graph import generators
-from tests.conftest import assert_reader_matches_reference, landmark_arrays
+from tests.conftest import (
+    assert_reader_matches_reference,
+    buffer_paths,
+    buffer_paths_since,
+    landmark_arrays,
+    random_mixed_updates,
+)
 
 
 def small_labelling():
@@ -185,3 +200,166 @@ def test_landmark_lengths_dist_is_a_read_only_view():
         dist[np.array([1, 2])] = 0
     assert lab.dist[2, 1] == 2
     lab.dist[2, 1] = 2  # the writer's matrix is untouched by the view
+
+
+# ----------------------------------------------------------------------
+# recycled repair targets
+# ----------------------------------------------------------------------
+
+
+def _flush(index, rng) -> dict[str, float]:
+    """One mixed 3+3 batch; returns the repair-target paths it took."""
+    before = buffer_paths()
+    index.batch_update(random_mixed_updates(index.graph, rng, 3, 3))
+    return buffer_paths_since(before)
+
+
+COPIED = {"recycled": 0.0, "copied": 1.0}
+RECYCLED = {"recycled": 1.0, "copied": 0.0}
+
+
+def test_unheld_back_array_refcount_is_pinned():
+    """_UNHELD_REFS is what getrefcount reports, read as repair_target
+    reads it, for a back array nothing else holds, and one more holder
+    shows; so a later CPython that counts differently fails here instead
+    of silently copying on every pass (or recycling held arrays)."""
+    pair = _BackPair(
+        np.zeros((3, 2), dtype=np.int64),
+        np.zeros((3, 2), dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+    )
+    # Counted outside the asserts, whose rewriting holds references.
+    unheld = sys.getrefcount(pair.labels)
+    view = pair.dist[:, 0]
+    viewed = sys.getrefcount(pair.dist)
+    del view
+    released = sys.getrefcount(pair.dist)
+    assert (unheld, viewed, released) == (
+        _UNHELD_REFS,
+        _UNHELD_REFS + 1,
+        _UNHELD_REFS,
+    )
+
+
+def test_second_pass_recycles_and_matches_a_rebuild():
+    """After construction the first pass copies; every later pass
+    recycles the labelling before last, and stays bit-identical to a
+    rebuild."""
+    index = HighwayCoverIndex(
+        generators.erdos_renyi(60, 0.08, seed=5), num_landmarks=4
+    )
+    rng = random.Random(1)
+    assert _flush(index, rng) == COPIED
+    for _ in range(3):
+        assert _flush(index, rng) == RECYCLED
+        assert index.check_minimality() == []
+
+
+READERS = {
+    "published": lambda lab: lab.published(),
+    "landmark_lengths": lambda lab: lab.landmark_lengths(1)[0],
+    "label_column": lambda lab: lab.labels[:, 1],
+    "memoryview": lambda lab: memoryview(lab.dist),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_held_reader_forces_a_copy_until_released(reader):
+    """A reader of a labelling's arrays keeps them from being recycled:
+    the pass that would write them copies instead, and the reader's
+    bytes never change; once it is released, its arrays are recycled."""
+    index = HighwayCoverIndex(
+        generators.erdos_renyi(60, 0.08, seed=5), num_landmarks=4
+    )
+    rng = random.Random(2)
+
+    def held_bytes():
+        return bytes(memoryview(held.dist if reader == "published" else held))
+
+    held = READERS[reader](index.labelling)
+    before = held_bytes()
+    assert _flush(index, rng) == COPIED  # built: nothing to recycle
+    assert _flush(index, rng) == COPIED  # its pair is what `held` reads
+    assert held_bytes() == before
+    held = READERS[reader](index.labelling)  # and the old reader goes
+    assert _flush(index, rng) == RECYCLED
+    del held
+    assert _flush(index, rng) == RECYCLED  # the arrays `held` read
+    assert index.check_minimality() == []
+
+
+def test_grow_drops_the_back_pair():
+    """A batch that adds a vertex grows the labelling, whose pair no
+    longer fits: that pass copies, and the one after recycles again."""
+    index = HighwayCoverIndex(
+        generators.erdos_renyi(60, 0.08, seed=5), num_landmarks=4
+    )
+    rng = random.Random(3)
+    _flush(index, rng)
+    n = index.graph.num_vertices
+    before = buffer_paths()
+    index.batch_update([EdgeUpdate.insert(0, n), EdgeUpdate.insert(n, n + 1)])
+    assert buffer_paths_since(before) == COPIED
+    assert index.graph.num_vertices == n + 2
+    assert index.check_minimality() == []
+    assert _flush(index, rng) == RECYCLED
+    assert index.check_minimality() == []
+
+
+def test_a_repair_that_raises_part_way_leaves_the_next_pass_copying(
+    monkeypatch,
+):
+    """A pass that fails after writing some of the recycled arrays rolls
+    back; its pair is gone, so the next pass copies the published
+    labelling, and the result is bit-identical to a rebuild."""
+    from repro.core import batchhl
+
+    index = HighwayCoverIndex(
+        generators.erdos_renyi(60, 0.08, seed=5), num_landmarks=4
+    )
+    rng = random.Random(4)
+    _flush(index, rng)
+    edges = sorted(index.graph.edges())
+    real = batchhl.batch_repair_adaptive
+    calls = 0
+
+    def repair_then_fail(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise RuntimeError("repair failed part-way")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(batchhl, "batch_repair_adaptive", repair_then_fail)
+    before = buffer_paths()
+    with pytest.raises(RuntimeError, match="part-way"):
+        index.batch_update(random_mixed_updates(index.graph, rng, 3, 3))
+    assert buffer_paths_since(before) == RECYCLED  # it wrote two landmarks
+    monkeypatch.setattr(batchhl, "batch_repair_adaptive", real)
+    assert sorted(index.graph.edges()) == edges
+    assert index.check_minimality() == []
+    assert _flush(index, rng) == COPIED
+    assert index.check_minimality() == []
+    assert _flush(index, rng) == RECYCLED
+    assert index.check_minimality() == []
+
+
+def test_a_labelling_of_views_never_becomes_a_back_pair():
+    """A snapshot's labelling wraps read-only views of its writer's
+    arrays; batches applied to the snapshot itself copy every time, and
+    neither the writer's arrays nor its later passes are touched."""
+    index = HighwayCoverIndex(
+        generators.erdos_renyi(60, 0.08, seed=5), num_landmarks=4
+    )
+    rng = random.Random(5)
+    frozen = index.snapshot()
+    writer_bytes = index.labelling.labels.tobytes()
+    before = buffer_paths()
+    for _ in range(2):
+        frozen.batch_update(random_mixed_updates(frozen.graph, rng, 3, 3))
+    assert buffer_paths_since(before) == {"recycled": 0.0, "copied": 2.0}
+    assert frozen.check_minimality() == []
+    assert index.labelling.labels.tobytes() == writer_bytes
+    assert _flush(index, rng) == COPIED
+    assert _flush(index, rng) == RECYCLED
+    assert index.check_minimality() == []

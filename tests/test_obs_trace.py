@@ -352,3 +352,61 @@ def test_flush_reencodes_only_the_rows_its_batch_wrote(directed):
     assert freezes[0]["args"]["rows"] == expected_rows
     by_id = _by_id(events)
     assert by_id[freezes[0]["args"]["parent_id"]]["name"] == "batch_update"
+
+
+@pytest.mark.parametrize("name", ["hcl", "hcl-directed", "hcl-weighted"])
+def test_labelling_buffer_span_per_pass_shows_the_recycled_path(name):
+    """Each labelling pass makes its repair target inside one
+    labelling_buffers span, before its process_landmarks span: the first
+    flush after construction copies (recycled=False, no cells), the
+    second recycles the labelling before last and counts the cells it
+    copied over.  The directed index has two passes, so two spans."""
+    from repro.api import open_oracle
+    from repro.graph.weighted_graph import WeightUpdate
+    from repro.obs.metrics import get_registry
+
+    grid = generators.grid(6, 6)
+    if name == "hcl-directed":
+        graph = generators.to_directed(grid, reciprocal_p=1.0)
+    elif name == "hcl-weighted":
+        graph = generators.with_random_weights(grid, seed=3)
+    else:
+        graph = grid
+    oracle = open_oracle(name, graph, num_landmarks=4)
+    if name == "hcl-weighted":
+        batches = [
+            [WeightUpdate(0, 35, 2), WeightUpdate(0, 1, 9)],
+            [WeightUpdate(14, 35, 1), WeightUpdate(0, 1, 1)],
+        ]
+    else:
+        batches = [
+            [EdgeUpdate.insert(0, 35), EdgeUpdate.delete(0, 1)],
+            [EdgeUpdate.insert(14, 35), EdgeUpdate.insert(0, 1)],
+        ]
+    passes = 2 if name == "hcl-directed" else 1
+    counter = "repro_labelling_buffers_total"
+    tracer = get_tracer()
+    for flush_no, updates in enumerate(batches):
+        before = get_registry().snapshot()
+        tracer.enable()
+        tracer.clear()
+        try:
+            oracle.batch_update(updates)
+            events = tracer.events()
+        finally:
+            tracer.disable()
+            tracer.clear()
+        after = get_registry().snapshot()
+        recycled = flush_no > 0
+        path = "recycled" if recycled else "copied"
+        key = f'{counter}{{path="{path}"}}'
+        assert after[key] == before.get(key, 0.0) + passes, (name, flush_no)
+        spans = [e for e in events if e["name"] == "labelling_buffers"]
+        phases = [e for e in events if e["name"] == "process_landmarks"]
+        assert len(spans) == len(phases) == passes, [e["name"] for e in events]
+        for span_event, phase in zip(spans, phases):
+            assert span_event["args"]["recycled"] is recycled
+            cells = span_event["args"]["cells"]
+            assert cells > 0 if recycled else cells == 0
+            assert span_event["ts"] + span_event["dur"] <= phase["ts"]
+    assert oracle.check_minimality() == []

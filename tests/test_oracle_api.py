@@ -17,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from tests.conftest import bfs_oracle
+from tests.conftest import bfs_oracle, buffer_paths, buffer_paths_since
 from repro.api import (
     Capabilities,
     available_oracles,
@@ -125,17 +125,28 @@ def sample_pairs(n: int, count: int, seed: int = 11):
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
 
 
-def assert_distance_matrices_exact(name: str, oracle) -> None:
-    """Highway cover oracles only: each labelling's maintained D equals
-    the Eq. 2 decode of its labels + highway, and the whole labelling,
-    D included, equals a fresh build."""
+def labellings_of(oracle) -> list[HighwayCoverLabelling]:
+    """A highway cover oracle's labellings (forward and backward on a
+    digraph); none for the other oracles."""
     sides = [
         getattr(oracle, side, None)
         for side in ("labelling", "forward", "backward")
     ]
-    labellings = [
-        side for side in sides if isinstance(side, HighwayCoverLabelling)
+    return [side for side in sides if isinstance(side, HighwayCoverLabelling)]
+
+
+def labelling_bytes(labellings) -> list[tuple[bytes, bytes, bytes]]:
+    return [
+        (lab.labels.tobytes(), lab.highway.tobytes(), lab.dist.tobytes())
+        for lab in labellings
     ]
+
+
+def assert_distance_matrices_exact(name: str, oracle) -> None:
+    """Highway cover oracles only: each labelling's maintained D equals
+    the Eq. 2 decode of its labels + highway, and the whole labelling,
+    D included, equals a fresh build."""
+    labellings = labellings_of(oracle)
     for labelling in labellings:
         decoded = decode_distances(
             labelling.labels, labelling.highway, labelling.landmarks
@@ -243,7 +254,11 @@ def csr_arrays(oracle) -> list[tuple[np.ndarray, np.ndarray]] | None:
 @pytest.mark.parametrize("name", ALL_ORACLES)
 def test_snapshot_is_isolated_from_updates(name, shard_pool):
     """Snapshots share graph sets, CSR and labelling arrays with their
-    writer; later writer batches must change none of what they show."""
+    writer; later writer batches must change none of what they show.
+
+    On the highway cover oracles the second batch would recycle the
+    arrays the snapshot reads, so it copies; the third recycles the
+    first batch's, which nothing holds."""
     kind = graph_kind(name)
     graph = make_graph(kind)
     oracle = build(name, graph, shard_pool)
@@ -252,9 +267,18 @@ def test_snapshot_is_isolated_from_updates(name, shard_pool):
     frozen = oracle.snapshot()
     edges = sorted(frozen.graph.edges())
     arrays = csr_arrays(frozen)
+    labellings = labellings_of(frozen)
+    label_bytes = labelling_bytes(labellings)
+    paths_before = buffer_paths()
     rng = random.Random(29)
     for _ in range(3):
         oracle.batch_update(make_updates(kind, oracle.graph, rng))
+    passes = len(labellings)
+    assert buffer_paths_since(paths_before) == {
+        "recycled": passes,
+        "copied": 2 * passes,
+    }, name
+    assert labelling_bytes(labellings) == label_bytes, name
     for pair, expected in before.items():
         assert frozen.distance(*pair) == expected, (name, pair)
     assert sorted(frozen.graph.edges()) == edges
@@ -283,7 +307,8 @@ def test_published_labelling_arrays_are_read_only(name):
         for array in (labelling.labels, labelling.highway, labelling.dist):
             with pytest.raises(ValueError):
                 array[0, 0] = 7
-    # The writer keeps updating (it repairs copies) and stays exact.
+    # The writer keeps updating (it repairs arrays no snapshot holds) and
+    # stays exact.
     oracle.batch_update(
         make_updates(graph_kind(name), oracle.graph, random.Random(3))
     )

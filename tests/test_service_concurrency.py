@@ -10,14 +10,21 @@ read (a query that saw a half-repaired labelling or half-mutated graph).
 from __future__ import annotations
 
 import random
+import sys
 import threading
+import time
 
 from repro import DistanceService, EdgeUpdate, FlushPolicy
 from repro.graph import generators
+from repro.graph.batch import apply_batch, normalize_batch
 from repro.graph.traversal import bfs_distances
 from repro.constants import INF
 
-from tests.conftest import random_mixed_updates
+from tests.conftest import (
+    buffer_paths,
+    buffer_paths_since,
+    random_mixed_updates,
+)
 
 
 def oracle_table(graph, sources) -> dict:
@@ -228,3 +235,127 @@ def test_interleaved_writers_and_readers_stay_exact_per_epoch():
     ]
     assert torn == [], f"{len(torn)} answers matched no epoch: {torn[:5]}"
     assert answers, "readers never ran"
+
+
+def test_pinned_snapshots_answer_for_their_own_epoch_across_flushes():
+    """A background writer runs six flushes while reader threads pin
+    ``current_snapshot()`` across them.  Every answer a pinned snapshot
+    gives must equal *its own* epoch's BFS answer, not any epoch's: a
+    read from labelling buffers recycled under it could match another
+    epoch and still pass the per-any-epoch checks above.
+
+    Two holders keep each snapshot until two more epochs are out, so
+    the flush that would recycle its arrays must copy; a third reader
+    takes a fresh snapshot every few queries, and the flushes that no
+    holder blocks recycle.  The writer waits for every reader to make
+    progress before each flush, so each epoch is read while pinned."""
+    rng = random.Random(23)
+    graph = generators.erdos_renyi(100, 0.05, seed=23)
+    sources = rng.sample(range(graph.num_vertices), 6)
+    # Every epoch's batch and BFS table, computed up front on a copy.
+    reference = graph.copy()
+    tables = [oracle_table(reference, sources)]
+    batches = []
+    for _ in range(6):
+        updates = random_mixed_updates(reference, rng, 4, 4)
+        apply_batch(reference, normalize_batch(updates, reference))
+        batches.append(updates)
+        tables.append(oracle_table(reference, sources))
+    service = DistanceService(
+        graph.copy(),
+        num_landmarks=5,
+        policy=FlushPolicy(max_batch=10_000, max_delay=None),
+    )
+    paths_before = buffer_paths()
+
+    done = threading.Event()
+    progress = [0, 0, 0]
+    longest_hold = [0, 0, 0]
+    wrong: list[tuple[int, int, int, float, float]] = []
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def check(snapshot, local_rng, reader_no) -> None:
+        s = local_rng.choice(sources)
+        t = local_rng.randrange(graph.num_vertices)
+        got = snapshot.index.distance(s, t)
+        want = tables[snapshot.epoch][(s, t)]
+        with lock:
+            progress[reader_no] += 1
+            if got != want:
+                wrong.append((snapshot.epoch, s, t, got, want))
+
+    def holder(reader_no: int) -> None:
+        local_rng = random.Random(500 + reader_no)
+        try:
+            while not done.is_set():
+                pinned = service.current_snapshot()
+                while not done.is_set() and service.epoch < pinned.epoch + 2:
+                    check(pinned, local_rng, reader_no)
+                for _ in range(20):  # still exact after two flushes
+                    check(pinned, local_rng, reader_no)
+                with lock:
+                    longest_hold[reader_no] = max(
+                        longest_hold[reader_no], service.epoch - pinned.epoch
+                    )
+                del pinned
+        except BaseException as exc:
+            errors.append(exc)
+
+    def fresh(reader_no: int) -> None:
+        local_rng = random.Random(500 + reader_no)
+        try:
+            while not done.is_set():
+                snapshot = service.current_snapshot()
+                for _ in range(5):
+                    check(snapshot, local_rng, reader_no)
+                del snapshot
+        except BaseException as exc:
+            errors.append(exc)
+
+    def writer() -> None:
+        try:
+            for updates in batches:
+                with lock:
+                    seen = list(progress)
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:
+                    with lock:
+                        if all(p >= s + 20 for p, s in zip(progress, seen)):
+                            break
+                    time.sleep(0.001)
+                service.submit_many(updates)
+                service.flush()
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    threads = [
+        threading.Thread(target=holder, args=(0,)),
+        threading.Thread(target=holder, args=(1,)),
+        threading.Thread(target=fresh, args=(2,)),
+        threading.Thread(target=writer),
+    ]
+    # Switch threads often, so reads land inside repairs and publishes.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    paths = buffer_paths_since(paths_before)
+    service.close()
+
+    assert not errors, errors
+    assert service.epoch == len(batches)
+    assert wrong == [], f"{len(wrong)} answers off their epoch: {wrong[:5]}"
+    assert max(longest_hold[:2]) >= 2, longest_hold
+    assert paths["recycled"] + paths["copied"] == len(batches), paths
+    assert paths["recycled"] >= 1 and paths["copied"] >= 2, paths
+    assert service.current_snapshot().index.check_minimality() == []
