@@ -3,8 +3,9 @@
 Usage: check_obs_exports.py METRICS.prom TRACE.jsonl
 
 Asserts the Prometheus exposition parses and covers the serving metric
-families, and that the trace JSONL parses line-by-line with a flush span
-nesting per-shard search/repair children (the processes backend's
+families, among them both buffer-recycling counters with a recycled
+sample each, and that the trace JSONL parses line-by-line with a flush
+span nesting per-shard search/repair children (the processes backend's
 synthesized shard tracks).
 """
 
@@ -24,6 +25,16 @@ REQUIRED_FAMILIES = (
     "repro_epoch",
     "repro_pool_",
     "repro_csr_freeze_total",
+    "repro_labelling_buffers_total",
+    "repro_csr_buffers_total",
+)
+
+#: Flushes after the first reuse the buffers of the epoch before last:
+#: the labelling's from the second flush on, the CSR rows' from the
+#: third.  The smoke run flushes more often than that.
+RECYCLED_SAMPLES = (
+    'repro_labelling_buffers_total{path="recycled"}',
+    'repro_csr_buffers_total{path="recycled"}',
 )
 
 
@@ -35,6 +46,8 @@ def check_metrics(path: str) -> None:
             f"{path}: no sample for family prefix {prefix!r}"
         )
     assert samples["repro_queries_total{cache=\"miss\"}"] > 0
+    for key in RECYCLED_SAMPLES:
+        assert samples.get(key, 0) > 0, f"{path}: no {key} sample"
     print(f"{path}: {len(samples)} samples across all required families")
 
 

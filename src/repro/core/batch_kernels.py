@@ -227,7 +227,7 @@ def batch_search_adaptive(
     else:
         front = _as_index_array(frontier)
         front_cls = _EMPTY
-    indptr_lo, indptr_hi = graph.indptr[:-1], graph.indptr[1:]
+    row_lo, row_hi = graph.starts, graph.ends
     indices = graph.indices
     iota = graph._iota()
 
@@ -236,12 +236,10 @@ def batch_search_adaptive(
         chunks_v: list[np.ndarray] = []
         chunks_c: list[np.ndarray] = []
         if front.size:
-            targets = _gather_targets(
-                indptr_lo, indptr_hi, indices, front, iota
-            )
+            targets = _gather_targets(row_lo, row_hi, indices, front, iota)
             if targets.size:
                 if improved:
-                    counts = indptr_hi[front] - indptr_lo[front]
+                    counts = row_hi[front] - row_lo[front]
                     src_cls = np.repeat(front_cls, counts)
                     cand_cls = 2 * np.where(
                         is_landmark[targets], TRUE_KEY, src_cls >> 1
@@ -371,7 +369,7 @@ def batch_repair_adaptive(
     in_affected[members] = True
 
     # -- boundary-bound initialisation from non-affected predecessors --
-    p_lo, p_hi = pred_graph.indptr[:-1], pred_graph.indptr[1:]
+    p_lo, p_hi = pred_graph.starts, pred_graph.ends
     counts = p_hi[members] - p_lo[members]
     preds = _gather_targets(
         p_lo, p_hi, pred_graph.indices, members, pred_graph._iota()
@@ -399,7 +397,7 @@ def batch_repair_adaptive(
     settled = np.zeros(n, dtype=bool)  # shape: (V,) bool
     new_dist = np.full(n, INF, dtype=np.int64)  # shape: (V,) int64
     new_flag = np.full(n, FALSE_KEY, dtype=np.int64)  # shape: (V,) int64
-    f_lo, f_hi = graph.indptr[:-1], graph.indptr[1:]
+    f_lo, f_hi = graph.starts, graph.ends
     f_indices, f_iota = graph.indices, graph._iota()
     front_v, front_f = _EMPTY, _EMPTY
     level = -1

@@ -34,9 +34,10 @@ Every landmark runs the same two kernels,
 backend or batch size.  Only the graph they read differs: a sub-batch of
 more than one update, or any sub-batch on the processes backend, reads
 the graph's own :class:`~repro.graph.csr.CSRGraph` rows, which every pass
-and landmark shares and which the graph re-encodes only where the batch
-wrote; a unit sub-batch on an in-process backend skips even that, and
-the kernels read the live graph.
+and landmark shares and which the graph writes only where the last two
+batches wrote (:mod:`repro.graph.csr_rows`); a unit sub-batch on an
+in-process backend skips even that, and the kernels read the live
+graph.
 
 Variants (Section 7.1):
 
@@ -269,12 +270,12 @@ def _pass_plan(
     the search rows themselves.
 
     G' is frozen once per multi-update sub-batch: every pass and landmark
-    reads the same immutable CSR arrays (so the kernels can switch to
+    reads the same frozen CSR arrays (so the kernels can switch to
     their vector phase), and the processes backend ships them directly.
-    The graph owns that view and re-encodes only the rows the batch
-    wrote, so the freeze costs a memcpy of the arrays plus O(batch)
-    Python work.  Unit sub-batches on in-process backends skip even that
-    — their cost is proportional to the affected region, not the graph —
+    The graph owns that view and writes only the rows of its last two
+    batches into recycled row buffers, so the freeze costs O(batch)
+    work.  Unit sub-batches on in-process backends skip even that —
+    their cost is proportional to the affected region, not the graph —
     and the kernels read the live adjacency.
     """
     rows: tuple[Any, ...] = (

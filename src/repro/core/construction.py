@@ -108,7 +108,7 @@ def build_labelling(
     # One frozen CSR view serves every landmark's BFS tree (the mutable
     # graph is only read here); the vectorised kernel runs per landmark.
     # A graph that maintains its own view lends it, so the writer's next
-    # freeze re-encodes rows instead of starting over.
+    # freeze rewrites rows instead of starting over.
     view = as_csr(graph)
     for i, root in enumerate(landmarks):
         column, highway_row, dist = landmark_column(

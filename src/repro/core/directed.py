@@ -37,7 +37,7 @@ from repro.core.landmarks import select_landmarks
 from repro.core.queries import query_distance
 from repro.core.stats import UpdateStats
 from repro.graph.csr import CSRGraph, bfs_distances as csr_bfs_distances
-from repro.graph.digraph import DynamicDiGraph
+from repro.graph.digraph import DynamicDiGraph, FrozenDiGraph
 
 
 class DirectedHighwayCoverIndex(OracleBase):
@@ -54,7 +54,7 @@ class DirectedHighwayCoverIndex(OracleBase):
         seed: int = 0,
     ) -> None:
         self._check_buildable(graph)
-        self._graph = graph
+        self._graph: DynamicDiGraph | FrozenDiGraph = graph
         if landmarks is None:
             landmarks = select_landmarks(
                 graph, min(num_landmarks, graph.num_vertices), selection, seed
@@ -63,15 +63,16 @@ class DirectedHighwayCoverIndex(OracleBase):
         self._forward = build_labelling(graph.out_view(), landmarks)
         self._backward = build_labelling(graph.in_view(), landmarks)
         self._landmark_set = frozenset(landmarks)
-        # The pair a snapshot was published with; None on a writer.
-        self._csr_pair: tuple[CSRGraph, CSRGraph] | None = None
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 
     @property
-    def graph(self) -> DynamicDiGraph:
+    def graph(self) -> "DynamicDiGraph | FrozenDiGraph":
+        """The indexed digraph: the writer's own, or on a snapshot a
+        read-only :class:`~repro.graph.digraph.FrozenDiGraph` over the
+        pair it pins."""
         return self._graph
 
     @property
@@ -101,16 +102,10 @@ class DirectedHighwayCoverIndex(OracleBase):
         """Frozen (forward, backward) CSR views of the current digraph:
         the digraph's own pair on a writer, the pinned one on a snapshot
         (see ensure_csr on the undirected index)."""
-        pair = self._csr_pair
-        if pair is None:
-            pair = self._graph.csr()
-            pair[0].adjacency_lists()  # warm for the adaptive kernel's
-            pair[1].adjacency_lists()  # Python phase
+        pair = self._graph.csr()
+        pair[0].adjacency_lists()  # warm for the adaptive kernel's
+        pair[1].adjacency_lists()  # Python phase
         return pair
-
-    def _invalidate_csr(self) -> None:
-        """Unpin a snapshot's views once its graph may have changed."""
-        self._csr_pair = None
 
     def distance(self, s: int, t: int) -> float:
         """Exact directed distance ``s -> t``; inf if unreachable."""
@@ -161,33 +156,31 @@ class DirectedHighwayCoverIndex(OracleBase):
         batch leaves the arcs and both labellings as they were.
         """
         self._ensure_open()
-        try:
-            (self._forward, self._backward), stats = run_batch_update(
-                self._graph,
-                (self._forward, self._backward),
-                updates,
-                variant=variant,
-                parallel=parallel,
-                num_threads=num_threads,
-                num_shards=num_shards,
-                pool=pool,
-            )
-        finally:
-            self._invalidate_csr()
+        if isinstance(self._graph, FrozenDiGraph):
+            self._graph = self._graph.copy()  # a snapshot's own digraph
+        (self._forward, self._backward), stats = run_batch_update(
+            self._graph,
+            (self._forward, self._backward),
+            updates,
+            variant=variant,
+            parallel=parallel,
+            num_threads=num_threads,
+            num_shards=num_shards,
+            pool=pool,
+        )
         return stats
 
     def snapshot(self) -> "DirectedHighwayCoverIndex":
         """A frozen copy for concurrent reads that shares instead of
-        copying, as on the undirected index: a copy-on-write clone of
-        the digraph, read-only views of both labellings' arrays, and the
-        digraph's current CSR pair, pinned."""
-        pair = self.ensure_csr()
+        copying, as on the undirected index: read-only views of both
+        labellings' arrays and, as its graph, a
+        :class:`~repro.graph.digraph.FrozenDiGraph` over the digraph's
+        current CSR pair, pinned; the digraph is not copied."""
         clone = DirectedHighwayCoverIndex.__new__(DirectedHighwayCoverIndex)
-        clone._graph = self._graph.copy()
+        clone._graph = FrozenDiGraph(self.ensure_csr())
         clone._forward = self._forward.published()
         clone._backward = self._backward.published()
         clone._landmark_set = self._landmark_set
-        clone._csr_pair = pair
         return clone
 
     # ------------------------------------------------------------------
@@ -198,7 +191,6 @@ class DirectedHighwayCoverIndex(OracleBase):
         landmarks = self._forward.landmarks
         self._forward = build_labelling(self._graph.out_view(), landmarks)
         self._backward = build_labelling(self._graph.in_view(), landmarks)
-        self._invalidate_csr()
 
     def check_minimality(self) -> list[str]:
         """Compare both labellings against from-scratch builds, which read

@@ -42,7 +42,7 @@ from repro.core.stats import UpdateStats
 from repro.errors import BatchError
 from repro.graph.batch import EdgeUpdate
 from repro.graph.csr import CSRGraph, bfs_distances as csr_bfs_distances
-from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.dynamic_graph import DynamicGraph, FrozenGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
@@ -71,7 +71,7 @@ class HighwayCoverIndex(OracleBase):
         pool: "LandmarkShardPool | None" = None,
     ) -> None:
         self._check_buildable(graph)
-        self._graph = graph
+        self._graph: DynamicGraph | FrozenGraph = graph
         self._pool = pool
         if landmarks is None:
             landmarks = select_landmarks(
@@ -84,13 +84,12 @@ class HighwayCoverIndex(OracleBase):
             pool=pool,
         )
         self._landmark_set = frozenset(self._labelling.landmarks)
-        # The CSR a snapshot was published with; None on a writer, whose
-        # reads ask the graph for its current view.
-        self._csr: CSRGraph | None = None
 
     @classmethod
     def from_parts(
-        cls, graph: DynamicGraph, labelling: HighwayCoverLabelling
+        cls,
+        graph: "DynamicGraph | FrozenGraph",
+        labelling: HighwayCoverLabelling,
     ) -> "HighwayCoverIndex":
         """Wrap an existing (graph, labelling) pair without rebuilding.
 
@@ -102,7 +101,6 @@ class HighwayCoverIndex(OracleBase):
         index._pool = None
         index._labelling = labelling
         index._landmark_set = frozenset(labelling.landmarks)
-        index._csr = None
         return index
 
     # ------------------------------------------------------------------
@@ -110,7 +108,10 @@ class HighwayCoverIndex(OracleBase):
     # ------------------------------------------------------------------
 
     @property
-    def graph(self) -> DynamicGraph:
+    def graph(self) -> "DynamicGraph | FrozenGraph":
+        """The indexed graph: the writer's own, or on a snapshot a
+        read-only :class:`~repro.graph.dynamic_graph.FrozenGraph` over
+        the rows it pins."""
         return self._graph
 
     @property
@@ -158,23 +159,17 @@ class HighwayCoverIndex(OracleBase):
         """The frozen CSR read view of the current graph.
 
         Every query path runs on this view, never on the mutable
-        adjacency sets.  A writer asks its graph, which re-encodes the
-        rows written since its last view (see
-        :meth:`~repro.graph.dynamic_graph.DynamicGraph.csr`); a snapshot
-        returns the view it was published with, no questions asked.
+        adjacency sets.  A writer's graph writes the rows written since
+        its last view (see
+        :meth:`~repro.graph.dynamic_graph.DynamicGraph.csr`); a
+        snapshot's graph returns the view it was published with.
         """
-        csr = self._csr
-        if csr is None:
-            csr = self._graph.csr()
-            # Warm the cached adjacency lists too: the adaptive query
-            # kernel's Python phase reads them on every bounded search.
-            # The graph expands them once; later re-encodes carry them.
-            csr.adjacency_lists()
+        csr = self._graph.csr()
+        # Warm the cached adjacency lists too: the adaptive query
+        # kernel's Python phase reads them on every bounded search.  The
+        # graph expands them once; its later views reuse them.
+        csr.adjacency_lists()
         return csr
-
-    def _invalidate_csr(self) -> None:
-        """Unpin a snapshot's view once its graph may have changed."""
-        self._csr = None
 
     def distance(self, s: int, t: int) -> float:
         """Exact shortest-path distance; ``float('inf')`` if disconnected."""
@@ -228,23 +223,23 @@ class HighwayCoverIndex(OracleBase):
         """A frozen copy of this index for lock-free concurrent reads.
 
         Returns a new :class:`HighwayCoverIndex` that shares instead of
-        copying: a copy-on-write clone of the graph, read-only views of
-        the labelling's arrays (:meth:`HighwayCoverLabelling.published`)
-        and the graph's current CSR view, pinned.  Later batches on this
-        index never show in it — they write private copies of the rows
-        they change and repair labelling arrays no snapshot holds — so
-        readers may keep querying it while ``batch_update`` repairs the
-        original; this is the epoch-publication hook the online serving
-        layer (:mod:`repro.service`) builds on.  Cost is O(V + R) plus
-        re-encoding the rows written since the last view; queries against
-        the snapshot never block on writers and never check the graph.
+        copying: read-only views of the labelling's arrays
+        (:meth:`HighwayCoverLabelling.published`) and, as its graph, a
+        :class:`~repro.graph.dynamic_graph.FrozenGraph` over the graph's
+        current CSR view, pinned.  Later batches on this index never
+        show in it — they write row buffers and labelling arrays no
+        snapshot holds — so readers may keep querying it while
+        ``batch_update`` repairs the original; this is the
+        epoch-publication hook the online serving layer
+        (:mod:`repro.service`) builds on.  Cost is the freeze of the
+        rows written since the last view plus an O(V) landmark mask; the
+        graph is not copied.  A batch applied to the snapshot itself
+        first copies the frozen graph into a writable one.
         """
-        csr = self.ensure_csr()
-        frozen = HighwayCoverIndex.from_parts(
-            self._graph.copy(), self._labelling.published()
+        frozen = FrozenGraph(self.ensure_csr())
+        return HighwayCoverIndex.from_parts(
+            frozen, self._labelling.published()
         )
-        frozen._csr = csr
-        return frozen
 
     # ------------------------------------------------------------------
     # updates
@@ -273,6 +268,7 @@ class HighwayCoverIndex(OracleBase):
         being silently ignored.
         """
         self._ensure_open()
+        graph = self._own_graph()
         if self._pool is not None and pool is None and parallel in (
             None, "processes"
         ):
@@ -285,23 +281,25 @@ class HighwayCoverIndex(OracleBase):
                     " or set num_shards at construction"
                 )
             parallel, pool = "processes", self._pool
-        try:
-            (new_labelling,), stats = run_batch_update(
-                self._graph,
-                (self._labelling,),
-                updates,
-                variant=variant,
-                parallel=parallel,
-                num_threads=num_threads,
-                num_shards=num_shards,
-                pool=pool,
-            )
-        finally:
-            # Even a failed batch may have grown the vertex set (growth
-            # survives the revert) — a pinned view is stale either way.
-            self._invalidate_csr()
+        (new_labelling,), stats = run_batch_update(
+            graph,
+            (self._labelling,),
+            updates,
+            variant=variant,
+            parallel=parallel,
+            num_threads=num_threads,
+            num_shards=num_shards,
+            pool=pool,
+        )
         self._labelling = new_labelling
         return stats
+
+    def _own_graph(self) -> DynamicGraph:
+        """The graph to write: on a snapshot, its frozen graph is first
+        copied into a :class:`DynamicGraph` of its own."""
+        if isinstance(self._graph, FrozenGraph):
+            self._graph = self._graph.copy()
+        return self._graph
 
     def insert_edge(
         self, u: int, v: int, variant: Variant | str = Variant.BHL_PLUS
@@ -325,9 +323,8 @@ class HighwayCoverIndex(OracleBase):
         )
         # The batch may have been empty (no neighbours): grow explicitly so
         # the new vertex exists either way.
-        self._graph.ensure_vertex(vertex)
+        self._own_graph().ensure_vertex(vertex)
         self._labelling.grow(self._graph.num_vertices)
-        self._invalidate_csr()
         return vertex, stats
 
     def detach_vertex(self, vertex: int) -> UpdateStats:
@@ -373,7 +370,6 @@ class HighwayCoverIndex(OracleBase):
             parallel=None if self._pool is None else "processes",
             pool=self._pool,
         )
-        self._invalidate_csr()
 
     def check_minimality(self) -> list[str]:
         """Compare against a from-scratch build; [] iff identical.

@@ -61,6 +61,16 @@ from repro.obs.trace import get_tracer
 #: owning array referenced.  ``tests/test_labelling.py`` pins the value.
 _UNHELD_REFS = 2
 
+#: A pass that wrote more than ``_COPY_SHARE * V·R + _COPY_CELLS`` cells
+#: leaves no back pair, so the next pass copies: past that, replaying
+#: the cells (and building their indices from the kernels' Python ints)
+#: costs more than copying labels and D.  Measured with R = 20: the two
+#: cost the same at ~5% of V·R on 100k vertices (~9.7 ms) and ~12% on
+#: 10k.  Below a few thousand cells either path takes tens of
+#: microseconds, so small labellings keep the recycled path.
+_COPY_SHARE = 0.05
+_COPY_CELLS = 4096
+
 
 class _BackPair(NamedTuple):
     """The labels and D a labelling was repaired from, and the cells that
@@ -221,8 +231,8 @@ class HighwayCoverLabelling:
         labelling, plus the (R, R) highway, makes the pair equal to it.
         Otherwise it is a :meth:`copy`: when a reader still holds either
         array, after ``grow`` (which drops the pair), and when there is
-        no pair (a built or loaded labelling, or one repaired from
-        views).  The pair is taken off this labelling before anything is
+        no pair (a built or loaded labelling, one repaired from views,
+        or one whose pass wrote too many cells to be worth replaying).  The pair is taken off this labelling before anything is
         written, so a pass that fails part-way through the recycled
         arrays leaves the next pass on the copy path.
 
@@ -267,7 +277,9 @@ class HighwayCoverLabelling:
         become this labelling's back pair, for the next
         :meth:`repair_target`.  Arrays that do not own their memory, or
         are read-only, never become a pair: the reference count of a
-        view does not see the other views of its owner.
+        view does not see the other views of its owner.  Nor does a
+        pass that wrote more cells than a copy is worth (see
+        :data:`_COPY_SHARE`): its next pass copies.
         """
         if any(
             array.base is not None or not array.flags.writeable
@@ -275,6 +287,8 @@ class HighwayCoverLabelling:
         ):
             return
         lengths = [len(vertices) for vertices in written]
+        if sum(lengths) > _COPY_SHARE * self.labels.size + _COPY_CELLS:
+            return
         cells = np.fromiter(
             itertools.chain.from_iterable(written),
             dtype=np.int64,

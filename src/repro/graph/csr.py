@@ -3,12 +3,12 @@
 Every read path in the library — single-pair queries, batched
 ``distances()``, per-landmark construction BFS, batch-search traversal,
 epoch snapshots published by the serving engine, and the worker-process
-shard tasks — runs over an *immutable* view of the graph.  This module is
-that view: a :class:`CSRGraph` holds the standard compressed-sparse-row
-pair ``(indptr, indices)`` (the neighbours of ``v`` are
-``indices[indptr[v]:indptr[v + 1]]``, sorted), plus level-synchronous
-kernels that advance whole frontiers as numpy arrays instead of walking
-Python dict-of-set adjacency one vertex at a time:
+shard tasks — runs over a *frozen* view of the graph.  This module is
+that view: a :class:`CSRGraph` holds one int64 ``indices`` array and, per
+row, its ``starts``/``ends`` (the neighbours of ``v`` are
+``indices[starts[v]:ends[v]]``, sorted), plus level-synchronous kernels
+that advance whole frontiers as numpy arrays instead of walking Python
+dict-of-set adjacency one vertex at a time:
 
 * :func:`bfs_distances` / :func:`bfs_distances_multi` — full sweeps, used
   by construction and by source-grouped batched queries (one sweep
@@ -22,22 +22,25 @@ Python dict-of-set adjacency one vertex at a time:
   the vector phase); on directed graphs pass the backward CSR for the
   reverse side.
 
+A view built from scratch (:meth:`CSRGraph.from_graph`, or the
+``(indptr, indices)`` constructor) is compact: its rows lie back to back.
 Mutable graphs (:class:`~repro.graph.dynamic_graph.DynamicGraph` and
 :class:`~repro.graph.digraph.DynamicDiGraph`) stay the write-side
-substrate, and each owns its CSR view.  A view is never mutated: the
-graph's first freeze encodes every row (:meth:`CSRGraph.from_graph`),
-and every later one re-encodes only the rows written since
-(:meth:`CSRGraph.reencode`), sharing nothing mutable with the view it
-replaces.  Epoch snapshots pin the view they were published with.  The
-worker-process snapshot module (:mod:`repro.parallel.snapshot`) ships
-these same two arrays across process boundaries.
+substrate, and each maintains its own views through
+:mod:`repro.graph.csr_rows`: their rows have slack, spare slots past
+``ends[v]`` that kernels never read, so a later view can rewrite a row
+in place.  A view is never written while anything holds it: a graph
+writes its next view into the arrays of the view before last only once
+no snapshot, reader or slice references them, and otherwise lays out
+fresh arrays.  Epoch snapshots pin the view they were published with.
+The worker-process snapshot module (:mod:`repro.parallel.snapshot`)
+ships the same three arrays across process boundaries.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-from typing import Any, Collection, Iterable, Sequence
+from typing import Any, Collection, Iterable
 
 import numpy as np
 
@@ -48,20 +51,20 @@ from repro.obs.metrics import get_registry
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _record_freeze(seconds: float, rows: int) -> None:
-    """Count one freeze or re-encode and the rows it encoded."""
+def record_freeze(seconds: float, rows: int) -> None:
+    """Count one freeze and the rows it encoded from adjacency sets."""
     registry = get_registry()
     registry.counter(
         "repro_csr_freeze_total",
-        "graph snapshots frozen or re-encoded to CSR",
+        "CSR views frozen, one per graph direction",
     ).inc()
     registry.counter(
         "repro_csr_freeze_seconds_total",
-        "wall time spent freezing and re-encoding graphs to CSR",
+        "wall time spent freezing graphs to CSR",
     ).inc(seconds)
     registry.counter(
         "repro_csr_rows_encoded_total",
-        "adjacency rows encoded by CSR freezes and re-encodes",
+        "adjacency rows CSR freezes sorted from adjacency sets",
     ).inc(rows)
 
 
@@ -73,20 +76,23 @@ class _SlicedRows:
     those rows, not for expanding all V of them.
     """
 
-    __slots__ = ("_indptr", "_indices", "_rows")
+    __slots__ = ("_starts", "_ends", "_indices", "_rows")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        self._indptr = indptr
+    def __init__(
+        self, starts: np.ndarray, ends: np.ndarray, indices: np.ndarray
+    ) -> None:
+        self._starts = starts
+        self._ends = ends
         self._indices = indices
         self._rows: dict[int, list[int]] = {}
 
     def __len__(self) -> int:
-        return len(self._indptr) - 1
+        return len(self._starts)
 
     def __getitem__(self, vertex: int) -> list[int]:
         row = self._rows.get(vertex)
         if row is None:
-            lo, hi = self._indptr[vertex], self._indptr[vertex + 1]
+            lo, hi = self._starts[vertex], self._ends[vertex]
             row = self._rows[vertex] = self._indices[lo:hi].tolist()
         return row
 
@@ -123,26 +129,83 @@ class CSRGraph:
 
     For undirected graphs each edge appears in both rows; for directed
     graphs build one instance per traversal direction
-    (:meth:`from_digraph` returns the forward/backward pair).  Instances
-    are immutable by convention — kernels only read, and a writer's next
-    view is a new instance (:meth:`reencode`).
+    (:meth:`from_digraph` returns the forward/backward pair).  Kernels
+    only read a view.  Row ``v`` is ``indices[starts[v]:ends[v]]``;
+    ``indices`` may hold slack slots that belong to no row, and
+    ``starts``/``ends`` are the two columns of one (V, 2) array (or two
+    overlapping slices of one ``indptr``), so a row's bounds share a
+    cache line.  A graph's views also carry the layout the graph
+    rewrites them by (each row's slot capacity and the first free slot
+    of the tail), and the graph rewrites a view's arrays only once
+    nothing holds them (:mod:`repro.graph.csr_rows`).
     """
 
-    __slots__ = ("indptr", "indices", "_lists", "_rows", "_arange")
+    __slots__ = (
+        "starts", "ends", "indices", "_num_arcs", "_caps", "_tail",
+        "_lists", "_rows", "_arange",
+    )
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """A compact view: row ``v`` is ``indices[indptr[v]:indptr[v+1]]``."""
         if indptr.ndim != 1 or indices.ndim != 1:
             raise GraphError("CSR arrays must be one-dimensional")
         if len(indptr) == 0 or indptr[0] != 0 or int(indptr[-1]) != len(indices):
             raise GraphError("malformed CSR indptr")
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self._lists: list[list[int]] | None = None
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        self._set(
+            indptr[:-1],
+            indptr[1:],
+            np.ascontiguousarray(indices, dtype=np.int64),
+            len(indices),
+        )
+
+    def _set(
+        self,
+        starts: np.ndarray,  # shape: (V,) int64
+        ends: np.ndarray,  # shape: (V,) int64
+        indices: np.ndarray,  # shape: (S,) int64
+        num_arcs: int,
+        caps: np.ndarray | None = None,  # shape: (V,) int64
+        tail: int = 0,
+        lists: list[list[int]] | None = None,
+    ) -> None:
+        self.starts = starts
+        self.ends = ends
+        self.indices = indices
+        self._num_arcs = num_arcs
+        self._caps = caps
+        self._tail = tail
+        self._lists = lists
         self._rows: _SlicedRows | None = None
         self._arange: np.ndarray | None = None
 
+    @classmethod
+    def from_rows(
+        cls,
+        starts: np.ndarray,  # shape: (V,) int64
+        ends: np.ndarray,  # shape: (V,) int64
+        indices: np.ndarray,  # shape: (S,) int64
+        num_arcs: int | None = None,
+        caps: np.ndarray | None = None,  # shape: (V,) int64
+        tail: int = 0,
+        lists: list[list[int]] | None = None,
+    ) -> "CSRGraph":
+        """A view over rows ``indices[starts[v]:ends[v]]``, as given.
+
+        ``num_arcs`` is the number of live arcs (counted when None);
+        ``caps``, ``tail`` and ``lists`` are what a graph's row buffers
+        pass: the layout they rewrite the arrays by, and the adjacency
+        lists of these rows if already expanded.
+        """
+        view = cls.__new__(cls)
+        if num_arcs is None:
+            num_arcs = int((ends - starts).sum())
+        view._set(starts, ends, indices, num_arcs, caps, tail, lists)
+        return view
+
     def _iota(self) -> np.ndarray:
-        """A shared ``arange(num_arcs)`` for the gather kernels (cached)."""
+        """A shared ``arange`` at least ``num_arcs`` long for the gather
+        kernels (cached)."""
         if self._arange is None:
             self._arange = np.arange(len(self.indices), dtype=np.int64)
         return self._arange
@@ -153,7 +216,7 @@ class CSRGraph:
 
     @classmethod
     def from_graph(cls, graph: Any) -> "CSRGraph":
-        """Encode any ``num_vertices``/``neighbors(v)`` provider.
+        """Encode any ``num_vertices``/``neighbors(v)`` provider, compactly.
 
         Works for :class:`DynamicGraph`, a digraph direction view, a
         :class:`WeightedDynamicGraph` (weights dropped) or a test double.
@@ -173,7 +236,7 @@ class CSRGraph:
         indices = np.fromiter(
             (w for row in chunks for w in row), dtype=np.int64, count=total
         )
-        _record_freeze(time.perf_counter() - t0, n)
+        record_freeze(time.perf_counter() - t0, n)
         return cls(indptr, indices)
 
     @classmethod
@@ -183,95 +246,49 @@ class CSRGraph:
             digraph.in_view()
         )
 
-    def reencode(
-        self, adjacency: Sequence[Collection[int]], dirty: Collection[int]
-    ) -> "CSRGraph":
-        """A new view of ``adjacency`` that re-sorts only the ``dirty`` rows.
-
-        Every row outside ``dirty`` must hold what this view encodes (rows
-        past its vertex count: nothing), so ``indptr`` follows from the
-        old degrees with the dirty rows' replaced, and ``indices`` is one
-        concatenation of this view's untouched slices with the re-sorted
-        dirty rows.  When this view's adjacency lists are expanded, the
-        new view gets a shallow copy of them with the dirty rows swapped
-        in.  Costs O(V + E) array work plus Python work in proportion to
-        the dirty rows; even with every row dirty it costs less than
-        :meth:`from_graph` plus :meth:`adjacency_lists`, so a graph never
-        needs to fall back to a full freeze.  The result is identical to
-        :meth:`from_graph` on the same topology.
-        """
-        t0 = time.perf_counter()
-        n_old = self.num_vertices
-        n = len(adjacency)
-        order = sorted(dirty)
-        rows = [sorted(adjacency[v]) for v in order]
-        lengths = [len(row) for row in rows]
-        degree = np.zeros(n, dtype=np.int64)  # shape: (V,) int64
-        degree[:n_old] = np.diff(self.indptr)
-        degree[order] = lengths
-        indptr = np.zeros(n + 1, dtype=np.int64)  # shape: (V+1,) int64
-        np.cumsum(degree, out=indptr[1:])
-        fresh_rows = np.fromiter(
-            itertools.chain.from_iterable(rows),
-            dtype=np.int64,
-            count=sum(lengths),
-        )
-        bounds = self.indptr
-        pieces: list[np.ndarray] = []
-        start = 0  # first old row whose slice is not yet copied
-        at = 0  # where the next dirty row starts in fresh_rows
-        for v, length in zip(order, lengths):
-            pieces.append(
-                self.indices[bounds[min(start, n_old)] : bounds[min(v, n_old)]]
-            )
-            pieces.append(fresh_rows[at : at + length])
-            at += length
-            start = v + 1
-        pieces.append(self.indices[bounds[min(start, n_old)] :])
-        fresh = CSRGraph(indptr, np.concatenate(pieces))
-        if self._lists is not None:
-            lists = self._lists.copy()
-            lists.extend([] for _ in range(n - n_old))
-            for v, row in zip(order, rows):
-                lists[v] = row
-            fresh._lists = lists
-        if self._arange is not None and len(self._arange) >= fresh.num_arcs:
-            fresh._arange = self._arange
-        _record_freeze(time.perf_counter() - t0, len(order))
-        return fresh
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 
     @property
     def num_vertices(self) -> int:
-        return len(self.indptr) - 1
+        return len(self.starts)
 
     @property
     def num_arcs(self) -> int:
         """Stored arcs (twice the edge count on undirected graphs)."""
-        return len(self.indices)
+        return self._num_arcs
 
     def neighbors(self, vertex: int) -> np.ndarray:
         """The neighbour row of ``vertex`` as an int64 array view."""
-        return self.indices[self.indptr[vertex] : self.indptr[vertex + 1]]
+        return self.indices[self.starts[vertex] : self.ends[vertex]]
 
     def degree(self, vertex: int) -> int:
-        return int(self.indptr[vertex + 1] - self.indptr[vertex])
+        return int(self.ends[vertex] - self.starts[vertex])
+
+    def compact(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` with the rows back to back and no slack:
+        the arrays :meth:`from_graph` gives for the same topology."""
+        lengths = self.ends - self.starts
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)  # shape: (V+1,) int64
+        np.cumsum(lengths, out=indptr[1:])
+        return indptr, self.indices[
+            gather_positions(self.starts, lengths, self._iota())
+        ]
 
     def adjacency_lists(self) -> list[list[int]]:
         """Expand into a list-of-lists of Python ints (cached).
 
-        The expansion is built once and shared: the adaptive query
-        kernel, the batch search/repair traversals and :meth:`list_view`
-        all read the same lists, and :meth:`reencode` carries them to the
-        next view with only the written rows replaced.  Treat them as
-        frozen.
+        The expansion is built once, from the live arcs only, and shared:
+        the adaptive query kernel, the batch search/repair traversals and
+        :meth:`list_view` all read the same lists, and a graph's next
+        view reuses them with only the rewritten rows replaced.  Treat
+        them as frozen.
         """
         if self._lists is None:
-            bounds = self.indptr.tolist()
-            flat = self.indices.tolist()
+            indptr, indices = self.compact()
+            bounds = indptr.tolist()
+            flat = indices.tolist()
             self._lists = [
                 flat[bounds[v] : bounds[v + 1]]
                 for v in range(len(bounds) - 1)
@@ -288,7 +305,7 @@ class CSRGraph:
         if self._lists is not None:
             return CSRListView(self._lists)
         if self._rows is None:
-            self._rows = _SlicedRows(self.indptr, self.indices)
+            self._rows = _SlicedRows(self.starts, self.ends, self.indices)
         return CSRListView(self._rows)
 
     def __repr__(self) -> str:
@@ -311,38 +328,53 @@ def as_csr(graph: Any) -> CSRGraph:
 # ----------------------------------------------------------------------
 
 
-def _gather_targets(
-    indptr_lo: np.ndarray, indptr_hi: np.ndarray, indices: np.ndarray,
-    frontier: np.ndarray, iota: np.ndarray | None = None,
+def gather_positions(
+    starts: np.ndarray,  # shape: (k,) int64
+    counts: np.ndarray,  # shape: (k,) int64
+    iota: np.ndarray | None = None,
 ) -> np.ndarray:
-    """All arc targets out of ``frontier``, concatenated.
+    """The slots of ``k`` rows, concatenated: ``starts[j] + 0..counts[j]-1``.
 
     Vectorised ranges-to-indices: position ``k`` within a row offsets from
     that row's start, computed as a global arange minus the row's base in
-    the concatenation.  Zero-degree rows are handled naturally by repeat.
-    ``indptr_lo``/``indptr_hi`` are ``indptr[:-1]``/``indptr[1:]`` views.
+    the concatenation.  Zero-length rows are handled naturally by repeat.
+    ``iota``, when given, is an ``arange`` at least ``counts.sum()`` long.
     """
-    starts = indptr_lo[frontier]
-    counts = indptr_hi[frontier] - starts
     cum = np.cumsum(counts)
     total = int(cum[-1]) if len(cum) else 0
     if total == 0:
         return _EMPTY
     offsets = np.repeat(starts - cum + counts, counts)
     ramp = np.arange(total) if iota is None else iota[:total]
-    return indices[offsets + ramp]
+    return offsets + ramp
+
+
+def _gather_targets(
+    starts: np.ndarray, ends: np.ndarray, indices: np.ndarray,
+    frontier: np.ndarray, iota: np.ndarray | None = None,
+) -> np.ndarray:
+    """All arc targets out of ``frontier``, concatenated.
+
+    ``starts``/``ends`` are a view's per-row bounds (``CSRGraph.starts``
+    and ``CSRGraph.ends``).
+    """
+    lo = starts[frontier]
+    positions = gather_positions(lo, ends[frontier] - lo, iota)
+    return indices[positions] if positions.size else _EMPTY
 
 
 def _gather(
-    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
+    csr: "CSRGraph", frontier: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """All arcs out of ``frontier`` as ``(sources, targets)`` arrays.
 
     ``sources[k]`` is the frontier vertex whose row contributed
     ``targets[k]``.
     """
-    counts = indptr[frontier + 1] - indptr[frontier]
-    targets = _gather_targets(indptr[:-1], indptr[1:], indices, frontier)
+    counts = csr.ends[frontier] - csr.starts[frontier]
+    targets = _gather_targets(
+        csr.starts, csr.ends, csr.indices, frontier, csr._iota()
+    )
     return np.repeat(frontier, counts), targets
 
 
@@ -364,15 +396,12 @@ def bfs_distances_multi(csr: CSRGraph, sources: Iterable[int]) -> np.ndarray:
         return dist
     dist[seeds] = 0
     frontier = seeds
-    indptr_lo, indptr_hi = csr.indptr[:-1], csr.indptr[1:]
-    indices = csr.indices
+    starts, ends, indices = csr.starts, csr.ends, csr.indices
     iota = csr._iota()
     level = 0
     while frontier.size:
         level += 1
-        targets = _gather_targets(
-            indptr_lo, indptr_hi, indices, frontier, iota
-        )
+        targets = _gather_targets(starts, ends, indices, frontier, iota)
         if not targets.size:
             break
         fresh = targets[dist[targets] >= INF]
@@ -401,11 +430,10 @@ def landmark_lengths(
     flag = np.zeros(n, dtype=bool)  # shape: (V,) bool
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)  # shape: (*,) int64
-    indptr, indices = csr.indptr, csr.indices
     level = 0
     while frontier.size:
         level += 1
-        sources, targets = _gather(indptr, indices, frontier)
+        sources, targets = _gather(csr, frontier)
         if not targets.size:
             break
         fresh = targets[dist[targets] >= INF]
@@ -545,8 +573,8 @@ def bidirectional_distance(
     front_bwd = np.fromiter(
         frontier_bwd, dtype=np.int64, count=len(frontier_bwd)
     )
-    lo_fwd, hi_fwd = csr.indptr[:-1], csr.indptr[1:]
-    lo_bwd, hi_bwd = backward.indptr[:-1], backward.indptr[1:]
+    lo_fwd, hi_fwd = csr.starts, csr.ends
+    lo_bwd, hi_bwd = backward.starts, backward.ends
     iota_fwd = csr._iota()
     iota_bwd = backward._iota()
 

@@ -7,17 +7,21 @@ with the same ``num_vertices`` / ``neighbors`` interface as
 :class:`~repro.graph.dynamic_graph.DynamicGraph`.
 
 Like the undirected graph, a digraph owns its frozen CSR views — the
-out-row/in-row pair of :meth:`DynamicDiGraph.csr`, re-encoded only where
-writes touched them — and its :meth:`~DynamicDiGraph.copy` is
-copy-on-write, per out-set and in-set.
+out-row/in-row pair of :meth:`DynamicDiGraph.csr`, one set of recycled
+row buffers per direction (:mod:`repro.graph.csr_rows`), each written
+only where writes touched it — and its :meth:`~DynamicDiGraph.copy` is
+copy-on-write, per out-set and in-set.  A snapshot's digraph is a
+:class:`FrozenDiGraph` over the pinned pair.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from bisect import bisect_left
+from typing import Collection, Iterable, Iterator, Sequence
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.graph.csr_rows import RowBuffers
 from repro.graph.dynamic_graph import private_row
 from repro.obs.trace import span
 
@@ -28,7 +32,10 @@ class _DirectionView:
     __slots__ = ("_graph", "_adj", "_side")
 
     def __init__(
-        self, graph: "DynamicDiGraph", adj: list[set[int]], side: int
+        self,
+        graph: "DynamicDiGraph | FrozenDiGraph",
+        adj: Sequence[Collection[int]],
+        side: int,
     ) -> None:
         self._graph = graph
         self._adj = adj
@@ -38,7 +45,7 @@ class _DirectionView:
     def num_vertices(self) -> int:
         return len(self._adj)
 
-    def neighbors(self, vertex: int) -> set[int]:
+    def neighbors(self, vertex: int) -> Collection[int]:
         return self._adj[vertex]
 
     def degree(self, vertex: int) -> int:
@@ -56,7 +63,7 @@ class DynamicDiGraph:
     """A mutable directed graph storing both out- and in-adjacency."""
 
     __slots__ = (
-        "_out", "_in", "_num_edges", "_csr", "_dirty_out", "_dirty_in",
+        "_out", "_in", "_num_edges", "_rows_out", "_rows_in",
         "_owned_out", "_owned_in",
     )
 
@@ -66,12 +73,11 @@ class DynamicDiGraph:
         self._out: list[set[int]] = [set() for _ in range(num_vertices)]
         self._in: list[set[int]] = [set() for _ in range(num_vertices)]
         self._num_edges = 0
-        # As on DynamicGraph, per direction: the frozen (out, in) views,
-        # the rows written since, and the rows made private since the
-        # last copy() (None = never copied).
-        self._csr: tuple[CSRGraph, CSRGraph] | None = None
-        self._dirty_out: set[int] = set()
-        self._dirty_in: set[int] = set()
+        # As on DynamicGraph, per direction: the frozen view with its
+        # written rows and row buffers, and the rows made private since
+        # the last copy() (None = never copied).
+        self._rows_out = RowBuffers()
+        self._rows_in = RowBuffers()
         self._owned_out: set[int] | None = None
         self._owned_in: set[int] | None = None
 
@@ -91,9 +97,8 @@ class DynamicDiGraph:
         clone._out = self._out.copy()
         clone._in = self._in.copy()
         clone._num_edges = self._num_edges
-        clone._csr = self._csr
-        clone._dirty_out = set(self._dirty_out)
-        clone._dirty_in = set(self._dirty_in)
+        clone._rows_out = self._rows_out.fork()
+        clone._rows_in = self._rows_in.fork()
         clone._owned_out, clone._owned_in = set(), set()
         self._owned_out, self._owned_in = set(), set()
         return clone
@@ -101,32 +106,32 @@ class DynamicDiGraph:
     def csr(self) -> tuple[CSRGraph, CSRGraph]:
         """The frozen (out-row, in-row) CSR pair of the current topology.
 
-        As :meth:`DynamicGraph.csr`: the first call encodes both
-        directions, later ones re-encode only the rows written since,
-        inside one ``freeze_csr`` span.
+        As :meth:`DynamicGraph.csr`, per direction: the first call lays
+        out both, later ones write only the rows written since, inside
+        one ``freeze_csr`` span (``recycled`` when every direction it
+        froze recycled its back pair, ``replayed`` summed).
         """
-        pair = self._csr
+        out_rows, in_rows = self._rows_out, self._rows_in
         n = len(self._out)
-        dirty_out, dirty_in = self._dirty_out, self._dirty_in
-        if (
-            pair is not None
-            and not dirty_out
-            and not dirty_in
-            and pair[0].num_vertices == n
-        ):
-            return pair
-        rows = 2 * n if pair is None else len(dirty_out) + len(dirty_in)
-        with span("freeze_csr", vertices=n, rows=rows):
-            if pair is None:
-                pair = CSRGraph.from_digraph(self)
-            else:
-                pair = (
-                    pair[0].reencode(self._out, dirty_out),
-                    pair[1].reencode(self._in, dirty_in),
-                )
-        self._csr = pair
-        self._dirty_out, self._dirty_in = set(), set()
-        return pair
+        out_view, in_view = out_rows.up_to_date(n), in_rows.up_to_date(n)
+        if out_view is not None and in_view is not None:
+            return out_view, in_view
+        encoded = (
+            2 * n
+            if out_rows.view is None
+            else len(out_rows.dirty) + len(in_rows.dirty)
+        )
+        with span("freeze_csr", vertices=n, rows=encoded) as traced:
+            recycled, replayed = True, 0
+            if out_view is None:
+                out_view, recycled, replayed = out_rows.freeze(self._out)
+            if in_view is None:
+                in_view, in_recycled, in_replayed = in_rows.freeze(self._in)
+                recycled = recycled and in_recycled
+                replayed += in_replayed
+            if traced is not None:
+                traced.set(recycled=recycled, replayed=replayed)
+        return out_view, in_view
 
     @property
     def num_vertices(self) -> int:
@@ -175,14 +180,16 @@ class DynamicDiGraph:
 
     def _out_row(self, vertex: int) -> set[int]:
         """Out-set of ``vertex`` for a write (see DynamicGraph._row)."""
-        if self._csr is not None:
-            self._dirty_out.add(vertex)
+        rows = self._rows_out
+        if rows.view is not None:
+            rows.dirty.add(vertex)
         return private_row(self._out, self._owned_out, vertex)
 
     def _in_row(self, vertex: int) -> set[int]:
         """In-set of ``vertex`` for a write (see DynamicGraph._row)."""
-        if self._csr is not None:
-            self._dirty_in.add(vertex)
+        rows = self._rows_in
+        if rows.view is not None:
+            rows.dirty.add(vertex)
         return private_row(self._in, self._owned_in, vertex)
 
     def remove_edge(self, a: int, b: int) -> bool:
@@ -232,4 +239,75 @@ class DynamicDiGraph:
     def __repr__(self) -> str:
         return (
             f"DynamicDiGraph(|V|={self.num_vertices}, |E|={self.num_edges})"
+        )
+
+
+class FrozenDiGraph:
+    """A read-only digraph over one pinned (out-row, in-row) CSR pair: a
+    directed snapshot's graph, as :class:`~repro.graph.dynamic_graph.FrozenGraph`
+    is an undirected one's.
+
+    It answers like the writer's digraph did when the pair was frozen,
+    including :meth:`out_view`/:meth:`in_view`; :meth:`csr` is the pair
+    itself, and :meth:`copy` returns a :class:`DynamicDiGraph`.
+    """
+
+    __slots__ = ("_out", "_in")
+
+    def __init__(self, pair: tuple[CSRGraph, CSRGraph]) -> None:
+        self._out, self._in = pair
+
+    @property
+    def num_vertices(self) -> int:
+        return self._out.num_vertices
+
+    @property
+    def num_edges(self) -> int:
+        return self._out.num_arcs
+
+    def _check_vertex(self, vertex: int) -> None:
+        if not 0 <= vertex < self._out.num_vertices:
+            raise GraphError(f"vertex {vertex} is not in the graph")
+
+    def degree(self, vertex: int) -> int:
+        """Total degree (out + in), as on :class:`DynamicDiGraph`."""
+        self._check_vertex(vertex)
+        return self._out.degree(vertex) + self._in.degree(vertex)
+
+    def has_edge(self, a: int, b: int) -> bool:
+        self._check_vertex(a)
+        self._check_vertex(b)
+        row = self._out.adjacency_lists()[a]
+        at = bisect_left(row, b)
+        return at < len(row) and row[at] == b
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        for a, targets in enumerate(self._out.adjacency_lists()):
+            for b in targets:
+                yield (a, b)
+
+    def out_view(self) -> _DirectionView:
+        return _DirectionView(self, self._out.adjacency_lists(), 0)
+
+    def in_view(self) -> _DirectionView:
+        return _DirectionView(self, self._in.adjacency_lists(), 1)
+
+    def csr(self) -> tuple[CSRGraph, CSRGraph]:
+        """The pinned pair."""
+        return self._out, self._in
+
+    def copy(self) -> DynamicDiGraph:
+        """A :class:`DynamicDiGraph` with this topology, whose first
+        freeze after a write relays out from the pinned pair."""
+        graph = DynamicDiGraph(0)
+        graph._out = [set(row) for row in self._out.adjacency_lists()]
+        graph._in = [set(row) for row in self._in.adjacency_lists()]
+        graph._num_edges = self.num_edges
+        graph._rows_out = RowBuffers(self._out)
+        graph._rows_in = RowBuffers(self._in)
+        return graph
+
+    def __repr__(self) -> str:
+        return (
+            f"FrozenDiGraph(|V|={self.num_vertices}, |E|={self.num_edges})"
         )

@@ -8,19 +8,25 @@ stays cheap.  The container itself is deliberately dumb: batch *semantics*
 :mod:`repro.graph.batch` so that every index shares one implementation of the
 paper's Section 3 rules.
 
-Two things keep epochs cheap to publish.  The graph owns its frozen CSR
-view (:meth:`DynamicGraph.csr`): every write records the rows it touched,
-and the next call re-encodes only those rows.  And :meth:`DynamicGraph.copy`
-is copy-on-write: the clone shares the adjacency sets and the CSR view,
-and whichever graph first writes a vertex afterwards copies that one set.
+Epochs are cheap to publish because the graph owns its frozen CSR view
+(:meth:`DynamicGraph.csr`): every write records the rows it touched, and
+the next call writes only those rows, plus the ones the call before
+wrote, into the arrays of the view before last once nothing holds them
+(:mod:`repro.graph.csr_rows`).  A published snapshot reads that view
+through a :class:`FrozenGraph`, not through a clone of the sets.
+:meth:`DynamicGraph.copy` is copy-on-write: the clone shares the
+adjacency sets and the CSR view, and whichever graph first writes a
+vertex afterwards copies that one set.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.graph.csr_rows import RowBuffers
 from repro.obs.trace import span
 
 
@@ -44,17 +50,16 @@ def private_row(
 class DynamicGraph:
     """A mutable, undirected, unweighted graph with O(1) edge updates."""
 
-    __slots__ = ("_adj", "_num_edges", "_csr", "_dirty", "_owned")
+    __slots__ = ("_adj", "_num_edges", "_rows", "_owned")
 
     def __init__(self, num_vertices: int = 0) -> None:
         if num_vertices < 0:
             raise GraphError("num_vertices must be non-negative")
         self._adj: list[set[int]] = [set() for _ in range(num_vertices)]
         self._num_edges = 0
-        # The frozen view as of the last csr() call, and the rows written
-        # since (tracked only once a view exists).
-        self._csr: CSRGraph | None = None
-        self._dirty: set[int] = set()
+        # The frozen view as of the last csr() call, the rows written
+        # since, and the back pair the next freeze may recycle.
+        self._rows = RowBuffers()
         # Rows made private since the last copy(); None = never copied.
         self._owned: set[int] | None = None
 
@@ -76,18 +81,17 @@ class DynamicGraph:
     def copy(self) -> "DynamicGraph":
         """An O(V) copy-on-write clone.
 
-        The clone shares every adjacency set and the frozen CSR view;
-        after the call neither graph owns a shared set, so whichever
-        writes a vertex first copies that one set, and no write ever
-        shows on the other side.  Safe on a graph that is only read, such
-        as a published snapshot's, while other graphs it shares sets with
-        keep writing.
+        The clone shares every adjacency set and the frozen CSR view
+        (never the buffers the view's successors recycle); after the
+        call neither graph owns a shared set, so whichever writes a
+        vertex first copies that one set, and no write ever shows on the
+        other side.  Safe on a graph that is only read while other
+        graphs it shares sets with keep writing.
         """
         clone = DynamicGraph(0)
         clone._adj = self._adj.copy()
         clone._num_edges = self._num_edges
-        clone._csr = self._csr
-        clone._dirty = set(self._dirty)
+        clone._rows = self._rows.fork()
         clone._owned = set()
         self._owned = set()
         return clone
@@ -95,30 +99,30 @@ class DynamicGraph:
     def csr(self) -> CSRGraph:
         """The frozen CSR view of the current topology.
 
-        The first call encodes every row; later calls re-encode only the
+        The first call lays out every row; later calls write only the
         rows written since the previous one (nothing at all when no row
-        was), inside one ``freeze_csr`` span.  The view is immutable:
-        holders of an earlier one keep seeing the topology it froze.
+        was), inside one ``freeze_csr`` span with ``recycled`` and the
+        rows ``replayed`` (see :mod:`repro.graph.csr_rows`).  A view is
+        never written while anything holds it: holders of an earlier one
+        keep seeing the topology it froze.
         """
-        csr = self._csr
-        dirty = self._dirty
-        if csr is not None and not dirty and csr.num_vertices == len(self._adj):
-            return csr
-        rows = len(self._adj) if csr is None else len(dirty)
-        with span("freeze_csr", vertices=len(self._adj), rows=rows):
-            if csr is None:
-                csr = CSRGraph.from_graph(self)
-            else:
-                csr = csr.reencode(self._adj, dirty)
-        self._csr = csr
-        self._dirty = set()
-        return csr
+        rows = self._rows
+        n = len(self._adj)
+        view = rows.up_to_date(n)
+        if view is None:
+            encoded = n if rows.view is None else len(rows.dirty)
+            with span("freeze_csr", vertices=n, rows=encoded) as traced:
+                view, recycled, replayed = rows.freeze(self._adj)
+                if traced is not None:
+                    traced.set(recycled=recycled, replayed=replayed)
+        return view
 
     def _row(self, vertex: int) -> set[int]:
         """``vertex``'s adjacency set for a write: marked for the next
-        re-encode, and made private first if a copy may share it."""
-        if self._csr is not None:
-            self._dirty.add(vertex)
+        freeze, and made private first if a copy may share it."""
+        rows = self._rows
+        if rows.view is not None:
+            rows.dirty.add(vertex)
         return private_row(self._adj, self._owned, vertex)
 
     # ------------------------------------------------------------------
@@ -149,7 +153,8 @@ class DynamicGraph:
         """Grow the vertex set so that ``vertex`` exists (no-op if it does).
 
         New rows are empty and this graph's own, so neither the CSR view
-        nor a copy needs to hear about them.
+        (whose next freeze sees the vertex count change) nor a copy needs
+        to hear about them.
         """
         if vertex < 0:
             raise GraphError(f"vertex {vertex} is negative")
@@ -285,3 +290,71 @@ class DynamicGraph:
         return (
             f"DynamicGraph(|V|={self.num_vertices}, |E|={self.num_edges})"
         )
+
+
+class FrozenGraph:
+    """A read-only graph over the rows of one CSR view: a snapshot's graph.
+
+    :meth:`~repro.core.index.HighwayCoverIndex.snapshot` publishes this
+    instead of a clone of its writer's graph, so publishing copies no
+    adjacency.
+    It answers like the writer's graph did when the view was frozen —
+    ``num_vertices``, ``num_edges``, ``neighbors`` (sorted lists of
+    ints), ``degree``, ``has_edge``, ``edges()`` — and :meth:`csr` is the
+    pinned view itself.  :meth:`copy` returns a :class:`DynamicGraph` to
+    write to.
+    """
+
+    __slots__ = ("_csr",)
+
+    def __init__(self, csr: CSRGraph) -> None:
+        self._csr = csr
+
+    @property
+    def num_vertices(self) -> int:
+        return self._csr.num_vertices
+
+    @property
+    def num_edges(self) -> int:
+        return self._csr.num_arcs // 2
+
+    def _check_vertex(self, vertex: int) -> None:
+        if not 0 <= vertex < self._csr.num_vertices:
+            raise GraphError(f"vertex {vertex} is not in the graph")
+
+    def neighbors(self, vertex: int) -> list[int]:
+        """The sorted neighbour list of ``vertex``; treat it as read-only."""
+        self._check_vertex(vertex)
+        return self._csr.adjacency_lists()[vertex]
+
+    def degree(self, vertex: int) -> int:
+        return len(self.neighbors(vertex))
+
+    def has_edge(self, a: int, b: int) -> bool:
+        self._check_vertex(b)
+        row = self.neighbors(a)
+        at = bisect_left(row, b)
+        return at < len(row) and row[at] == b
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Iterate edges once, as ``(a, b)`` with ``a < b``."""
+        for a, neighbours in enumerate(self._csr.adjacency_lists()):
+            for b in neighbours:
+                if a < b:
+                    yield (a, b)
+
+    def csr(self) -> CSRGraph:
+        """The pinned view."""
+        return self._csr
+
+    def copy(self) -> DynamicGraph:
+        """A :class:`DynamicGraph` with this topology, whose first freeze
+        after a write relays out from the pinned view."""
+        graph = DynamicGraph(0)
+        graph._adj = [set(row) for row in self._csr.adjacency_lists()]
+        graph._num_edges = self.num_edges
+        graph._rows = RowBuffers(self._csr)
+        return graph
+
+    def __repr__(self) -> str:
+        return f"FrozenGraph(|V|={self.num_vertices}, |E|={self.num_edges})"

@@ -440,11 +440,11 @@ class LandmarkShardPool:
         labelling = HighwayCoverLabelling.empty(graph.num_vertices, landmarks)
         if not shards:
             return labelling
-        # The graph lends the view it maintains (a first freeze that its
-        # later batches re-encode from), or is frozen here.
+        # The graph lends the view it maintains (a first freeze whose
+        # rows its later batches rewrite), or is frozen here.
         csr = as_csr(graph)
         results = self._run_sharded(
-            _build_task, shards, csr.indptr, csr.indices, landmarks
+            _build_task, shards, csr.starts, csr.ends, csr.indices, landmarks
         )
         for result in results:
             labelling.labels[:, result.shard] = result.columns
@@ -518,12 +518,13 @@ def _update_task(
 
 
 def _build_task(
-    indptr: Any,
+    starts: Any,
+    ends: Any,
     indices: Any,
     landmarks: tuple[int, ...],
     shard: list[int],
 ) -> BuildShardResult:
-    return run_build_shard(indptr, indices, landmarks, shard)
+    return run_build_shard(starts, ends, indices, landmarks, shard)
 
 
 # ----------------------------------------------------------------------

@@ -6,15 +6,17 @@ its landmark-distance matrix D.  The processes backend used to pickle
 both, per shard, per batch — an O(V + E + V·R) payload that erased the
 landmark-parallel speedup.  The replacement lives here:
 
-:class:`SharedShardState` owns five named ``multiprocessing.shared_memory``
-blocks — CSR ``indptr``/``indices`` for G' plus the label, highway and D
-matrices of Γ — sized with capacity headroom so vertex/edge growth within
+:class:`SharedShardState` owns six named ``multiprocessing.shared_memory``
+blocks — the CSR ``starts``/``ends``/``indices`` of G', slack slots
+included, plus the label, highway and D matrices of Γ — sized with
+capacity headroom so vertex/edge growth within
 the headroom reuses the same blocks.  Workers attach by name in O(1) on
 first use and **stay attached across batches**; a monotonically increasing
 *generation* stamped into every block name tells a worker when the writer
 had to reallocate (growth beyond the headroom, or a changed landmark set)
 and its mapped views are stale.  Per batch the writer memcpys the frozen
-CSR into the blocks (topology changes every batch; a memcpy is cheap) and
+CSR arrays into the blocks as they are, slack slots included (topology
+changes every batch; a memcpy is cheap, and no compaction runs) and
 re-syncs the label/highway/D matrices **only when it cannot prove the
 blocks already hold them** — after a merge the pool scatters the returned
 change sets into the shared matrices too, so steady-state flushes publish
@@ -50,7 +52,7 @@ from repro.obs.log import get_logger
 _log = get_logger("repro.parallel.snapshot")
 
 #: Block fields, in a fixed order (names become shared-memory suffixes).
-STATE_FIELDS = ("indptr", "indices", "labels", "highway", "dist")
+STATE_FIELDS = ("starts", "ends", "indices", "labels", "highway", "dist")
 
 #: Headroom multiplier on reallocation: sizes may grow this much again
 #: before the next generation bump.
@@ -73,7 +75,8 @@ class ShardStateMeta:
     prefix: str
     generation: int
     num_vertices: int
-    num_arcs: int
+    #: Length of the CSR ``indices`` array: live arcs plus slack slots.
+    num_slots: int
     landmarks: tuple[int, ...]
 
     def block_name(self, field: str) -> str:
@@ -114,8 +117,8 @@ class SharedShardState:
     ) -> tuple[ShardStateMeta, int]:
         """Expose (G', Γ) to the workers; returns ``(meta, synced_bytes)``.
 
-        The CSR arrays are copied every call (topology changes with every
-        batch).  The label/highway/D matrices are copied only when the
+        The CSR arrays are copied every call, as they are, slack slots
+        included (topology changes with every batch).  The label/highway/D matrices are copied only when the
         sync token does not prove the blocks already hold ``labelling`` —
         after the first batch of a steady flush stream that is never.
         ``synced_bytes`` counts the label/highway/D bytes actually copied,
@@ -129,9 +132,11 @@ class SharedShardState:
             )
         landmarks = labelling.landmarks
         num_landmarks = len(landmarks)
+        num_slots = len(csr.indices)
         needed = {
-            "indptr": (num_vertices + 1) * _ITEM,
-            "indices": len(csr.indices) * _ITEM,
+            "starts": num_vertices * _ITEM,
+            "ends": num_vertices * _ITEM,
+            "indices": num_slots * _ITEM,
             "labels": num_vertices * num_landmarks * _ITEM,
             "highway": num_landmarks * num_landmarks * _ITEM,
             "dist": num_vertices * num_landmarks * _ITEM,
@@ -149,12 +154,13 @@ class SharedShardState:
             prefix=self._prefix,
             generation=self.generation,
             num_vertices=num_vertices,
-            num_arcs=len(csr.indices),
+            num_slots=num_slots,
             landmarks=landmarks,
         )
 
-        self._view("indptr", (num_vertices + 1,))[:] = csr.indptr
-        self._view("indices", (len(csr.indices),))[:] = csr.indices
+        self._view("starts", (num_vertices,))[:] = csr.starts
+        self._view("ends", (num_vertices,))[:] = csr.ends
+        self._view("indices", (num_slots,))[:] = csr.indices
         self.labels = self._view("labels", (num_vertices, num_landmarks))
         self.highway = self._view("highway", (num_landmarks, num_landmarks))
         self.dist = self._view("dist", (num_vertices, num_landmarks))

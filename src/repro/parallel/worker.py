@@ -57,7 +57,7 @@ LandmarkOutcome = tuple[int, float, float, int, list[int]]
 
 #: prefix -> (generation, {field: SharedMemory}); survives across tasks.
 _segments: dict[str, tuple[int, dict[str, shared_memory.SharedMemory]]] = {}
-#: prefix -> (meta key, indptr view, indices view, old-labelling wrapper).
+#: prefix -> (meta key, CSR row-array views, old-labelling wrapper).
 _views: dict[str, tuple[Any, ...]] = {}
 
 
@@ -97,7 +97,9 @@ def _attach_segments(
 
 def _attach_state(
     meta: ShardStateMeta,
-) -> tuple[np.ndarray, np.ndarray, HighwayCoverLabelling, int, int]:
+) -> tuple[
+    tuple[np.ndarray, np.ndarray, np.ndarray], HighwayCoverLabelling, int, int
+]:
     """Array views over the shared state described by ``meta``.
 
     The views (and the ``HighwayCoverLabelling`` wrapper, whose
@@ -107,21 +109,23 @@ def _attach_state(
     All views are read-only: workers copy what they mutate.
     """
     blocks, attached, remapped = _attach_segments(meta)
-    key = (meta.generation, meta.num_vertices, meta.num_arcs, meta.landmarks)
+    key = (meta.generation, meta.num_vertices, meta.num_slots, meta.landmarks)
     cached = _views.get(meta.prefix)
     if cached is not None and cached[0] == key:
-        return cached[1], cached[2], cached[3], attached, remapped
-    n, arcs, r = meta.num_vertices, meta.num_arcs, len(meta.landmarks)
-    indptr = np.ndarray((n + 1,), np.int64, buffer=blocks["indptr"].buf)
-    indices = np.ndarray((arcs,), np.int64, buffer=blocks["indices"].buf)
+        return cached[1], cached[2], attached, remapped
+    n, slots, r = meta.num_vertices, meta.num_slots, len(meta.landmarks)
+    starts = np.ndarray((n,), np.int64, buffer=blocks["starts"].buf)
+    ends = np.ndarray((n,), np.int64, buffer=blocks["ends"].buf)
+    indices = np.ndarray((slots,), np.int64, buffer=blocks["indices"].buf)
     labels = np.ndarray((n, r), np.int64, buffer=blocks["labels"].buf)
     highway = np.ndarray((r, r), np.int64, buffer=blocks["highway"].buf)
     dist = np.ndarray((n, r), np.int64, buffer=blocks["dist"].buf)
-    for view in (indptr, indices, labels, highway, dist):
+    for view in (starts, ends, indices, labels, highway, dist):
         view.flags.writeable = False
     labelling = HighwayCoverLabelling(labels, highway, meta.landmarks, dist)
-    _views[meta.prefix] = (key, indptr, indices, labelling)
-    return indptr, indices, labelling, attached, remapped
+    rows = (starts, ends, indices)
+    _views[meta.prefix] = (key, rows, labelling)
+    return rows, labelling, attached, remapped
 
 
 class _ColumnStore:
@@ -228,14 +232,14 @@ def run_update_shard(
     entries leave the process.
     """
     t0 = time.perf_counter()
-    indptr, indices, labelling_old, attached, remapped = _attach_state(meta)
+    rows, labelling_old, attached, remapped = _attach_state(meta)
     # A fresh CSRGraph per task: the rows the kernels' narrow phase
     # slices from it on first read (CSRGraph.list_view) are memoised on
     # it, and must not outlive this batch — the writer rewrites the block
     # contents in place between batches.  Wrapping is O(1); the arrays
     # are shared, and a task pays for the rows it reads, not for
     # expanding all V of them.
-    csr = CSRGraph(indptr[: meta.num_vertices + 1], indices)
+    csr = CSRGraph.from_rows(*rows)
     scratch = _ShardScratch(labelling_old, shard)
 
     outcomes: list[LandmarkOutcome] = []
@@ -300,7 +304,8 @@ class BuildShardResult:
 
 
 def run_build_shard(
-    indptr: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
     indices: np.ndarray,
     landmarks: tuple[int, ...],
     shard: list[int],
@@ -316,7 +321,7 @@ def run_build_shard(
     once, so there is no delta to ship.
     """
     t0 = time.perf_counter()
-    graph = CSRGraph(indptr, indices)
+    graph = CSRGraph.from_rows(starts, ends, indices)
     n = graph.num_vertices
     is_landmark = np.zeros(n, dtype=bool)
     for r in landmarks:

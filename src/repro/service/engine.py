@@ -106,11 +106,16 @@ class EpochStore:
         return self._current.epoch  # reprolint: disable=LOCK001 -- same atomic reference read as current()
 
     def publish(self, index: DistanceOracle) -> EpochSnapshot:
+        """Flip to ``index`` as the next epoch, then drop the store's
+        reference to the previous one inside a ``release_epoch`` span:
+        unless a reader still holds that snapshot, its views go here, and
+        the writer's next freeze and pass can recycle what they pinned."""
         with self._lock:
-            snapshot = EpochSnapshot(
-                self._current.epoch + 1, index, time.monotonic()
-            )
+            previous = self._current
+            snapshot = EpochSnapshot(previous.epoch + 1, index, time.monotonic())
             self._current = snapshot  # the pointer flip readers see
+        with span("release_epoch", epoch=previous.epoch):
+            del previous
         _log.debug("epoch published", extra={"epoch": snapshot.epoch})
         return snapshot
 
@@ -519,7 +524,9 @@ class DistanceService:
                                 stats.affected_vertices, next_epoch
                             )
                         with span("publish_epoch"):
-                            self._epochs.publish(self._writer.snapshot())
+                            with span("snapshot"):
+                                published = self._writer.snapshot()
+                            self._epochs.publish(published)
                         self.metrics.record_publish(next_epoch)
             except BaseException as exc:
                 # Anywhere this fails — mid-repair (graph mutated before

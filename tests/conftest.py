@@ -91,6 +91,23 @@ def buffer_paths_since(before: dict[str, float]) -> dict[str, float]:
     return {path: now[path] - before[path] for path in now}
 
 
+def csr_paths() -> dict[str, float]:
+    """CSR freezes so far, process-wide, one per traversal direction, by
+    how their row buffers were made: ``{"recycled": n, "relaid": m}``,
+    read from the ``repro_csr_buffers_total`` counter."""
+    snapshot = get_registry().snapshot()
+    return {
+        path: snapshot.get(f'repro_csr_buffers_total{{path="{path}"}}', 0.0)
+        for path in ("recycled", "relaid")
+    }
+
+
+def csr_paths_since(before: dict[str, float]) -> dict[str, float]:
+    """The :func:`csr_paths` counts added since ``before``."""
+    now = csr_paths()
+    return {path: now[path] - before[path] for path in now}
+
+
 def bfs_oracle(graph, s: int, t: int) -> float:
     """Ground-truth distance via plain BFS (externalised)."""
     return externalise(bfs_distance_pair(graph, s, t))

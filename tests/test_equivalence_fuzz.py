@@ -18,13 +18,16 @@ asserting the repo's strongest invariants:
   root, the other landmarks, unreachable and freshly grown vertices —
   read per vertex and as one index array, for every landmark;
 * after every batch, on every row — a failed, rolled-back batch included
-  — the CSR view the graph maintains by re-encoding written rows equals
-  a from-scratch freeze in ``indptr``, ``indices`` and adjacency lists;
+  — the CSR view the graph maintains by writing only the rows written
+  since equals a from-scratch freeze in every row (the compacted
+  ``indptr``/``indices``) and in its adjacency lists;
 * every row but one repairs into recycled labelling buffers at least
-  once (``repro_labelling_buffers_total{path="recycled"}``), so the
-  equalities above cover the recycled path and not only the copy; the
-  one row holds every published snapshot, so every pass copies, and the
-  snapshots' bytes never change.
+  once (``repro_labelling_buffers_total{path="recycled"}``) and freezes
+  into recycled CSR row buffers at least once
+  (``repro_csr_buffers_total{path="recycled"}``), so the equalities above
+  cover the recycled paths and not only the copy and the relayout; the
+  one row holds every published snapshot, so every pass copies, every
+  freeze relays out, and the snapshots' bytes and rows never change.
 
 Every assertion message carries the failing seed; re-run a single seed
 with ``REPRO_FUZZ_SEEDS=<seed> pytest tests/test_equivalence_fuzz.py``
@@ -53,6 +56,8 @@ from tests.conftest import (
     bfs_oracle,
     buffer_paths,
     buffer_paths_since,
+    csr_paths,
+    csr_paths_since,
     random_mixed_updates,
 )
 
@@ -158,11 +163,16 @@ def assert_csr_matches_freeze(graph, context: str) -> None:
     else:
         pairs = zip((graph.csr(),), (CSRGraph.from_graph(graph),))
     for maintained, fresh in pairs:
-        assert np.array_equal(maintained.indptr, fresh.indptr), (
-            f"{context}: maintained CSR indptr differs from a fresh freeze"
+        # The maintained rows have slack, so compare their compacted
+        # arrays: every row's content and order, back to back.
+        (indptr, indices), (fresh_indptr, fresh_indices) = (
+            maintained.compact(), fresh.compact()
         )
-        assert np.array_equal(maintained.indices, fresh.indices), (
-            f"{context}: maintained CSR indices differ from a fresh freeze"
+        assert np.array_equal(indptr, fresh_indptr), (
+            f"{context}: maintained CSR row bounds differ from a fresh freeze"
+        )
+        assert np.array_equal(indices, fresh_indices), (
+            f"{context}: maintained CSR rows differ from a fresh freeze"
         )
         assert maintained.adjacency_lists() == fresh.adjacency_lists(), (
             f"{context}: maintained adjacency lists differ from a fresh"
@@ -178,6 +188,14 @@ def assert_recycled(before: dict[str, float], context: str) -> None:
     )
 
 
+def assert_csr_recycled(before: dict[str, float], context: str) -> None:
+    """Some CSR freeze since ``before`` wrote into recycled row buffers."""
+    assert csr_paths_since(before)["recycled"] >= 1, (
+        f"{context}: no CSR freeze recycled its row buffers, so only the"
+        " relayout was tested"
+    )
+
+
 def assert_queries_exact(index, rng: random.Random, context: str) -> None:
     for s, t in sample_query_pairs(index.graph, 20, seed=rng.randrange(2**30)):
         got, want = index.distance(s, t), bfs_oracle(index.graph, s, t)
@@ -186,14 +204,22 @@ def assert_queries_exact(index, rng: random.Random, context: str) -> None:
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
 def test_every_variant_matches_rebuild(seed):
-    """batch_update == rebuild-from-scratch for all five variants."""
+    """batch_update == rebuild-from-scratch for all five variants.
+
+    Two hostile rounds, then two clean ones that grow no vertex, so the
+    last round's freeze writes into the row buffers of the view before
+    last whatever the hostile rounds grew."""
     paths_before = buffer_paths()
+    csr_before = csr_paths()
     for variant in VARIANTS:
         rng, graph = random_instance(seed)
         batch_rng = random.Random(f"{seed}:{variant}")
         index = HighwayCoverIndex(graph, num_landmarks=rng.randint(3, 6))
-        for round_no in range(2):
-            updates = random_fuzz_batch(index.graph, batch_rng)
+        for round_no in range(4):
+            if round_no < 2:
+                updates = random_fuzz_batch(index.graph, batch_rng)
+            else:
+                updates = random_mixed_updates(index.graph, batch_rng, 3, 3)
             index.batch_update(updates, variant=variant)
             context = (
                 f"seed={seed} variant={variant} round={round_no}"
@@ -206,14 +232,16 @@ def test_every_variant_matches_rebuild(seed):
             assert_csr_matches_freeze(index.graph, context)
             assert_queries_exact(index, batch_rng, context)
     assert_recycled(paths_before, f"seed={seed}")
+    assert_csr_recycled(csr_before, f"seed={seed}")
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
 def test_backends_bitwise_equal(seed, shard_pool):
     """sequential == threads == processes on identical update streams.
 
-    Three hostile rounds, then a clean one that grows no vertex, so every
-    backend's last pass recycles its labelling buffers."""
+    Three hostile rounds, then two clean ones that grow no vertex, so
+    every backend's last pass recycles its labelling buffers and its
+    last freeze the row buffers of the view before last."""
     rng, graph = random_instance(seed + 10_000)
     num_landmarks = rng.randint(4, 7)
     reference = HighwayCoverIndex(graph.copy(), num_landmarks=num_landmarks)
@@ -224,8 +252,9 @@ def test_backends_bitwise_equal(seed, shard_pool):
         for backend in BACKENDS[1:]
     }
     recycled = dict.fromkeys(BACKENDS, 0.0)
+    csr_before = csr_paths()
     batch_rng = random.Random(f"{seed}:backends")
-    for round_no in range(4):
+    for round_no in range(5):
         if round_no < 3:
             updates = random_fuzz_batch(reference.graph, batch_rng)
         else:
@@ -270,6 +299,7 @@ def test_backends_bitwise_equal(seed, shard_pool):
             )
     context = f"seed={seed} final (reproduce: REPRO_FUZZ_SEEDS={seed})"
     assert all(recycled.values()), f"{context}: recycled passes {recycled}"
+    assert_csr_recycled(csr_before, context)
     assert_queries_exact(reference, batch_rng, context)
 
 
@@ -290,6 +320,7 @@ def test_processes_remap_and_worker_death(seed, shard_pool):
         graph.copy(), reference.labelling.copy()
     )
     batch_rng = random.Random(f"{seed}:remap")
+    csr_before = csr_paths()
 
     def apply_both(updates, stage):
         reference.batch_update(updates, parallel=None)
@@ -350,6 +381,7 @@ def test_processes_remap_and_worker_death(seed, shard_pool):
         random_mixed_updates(reference.graph, batch_rng, 3, 3), "recycled"
     )
     assert paths["recycled"] == 1, f"seed={seed}: {paths}"
+    assert_csr_recycled(csr_before, f"seed={seed}")
     assert reference.check_minimality() == [], f"seed={seed}"
 
 
@@ -366,6 +398,7 @@ def test_unit_variants_agree_with_batch_on_processes(seed, shard_pool):
     rng, graph = random_instance(seed + 20_000)
     num_landmarks = rng.randint(3, 5)
     batch = random_mixed_updates(graph, random.Random(f"{seed}:unit"), 4, 4)
+    csr_before = csr_paths()
     results = []
     for variant, backend in (
         ("bhl+", None),
@@ -389,6 +422,9 @@ def test_unit_variants_agree_with_batch_on_processes(seed, shard_pool):
         assert_reader_matches_reference(index.labelling, context)
         assert_csr_matches_freeze(index.graph, context)
         results.append((variant, backend, index))
+    # Each unit sub-batch on the processes backend freezes the graph, so
+    # from the third on they write into recycled row buffers.
+    assert_csr_recycled(csr_before, f"seed={seed}")
     _, _, reference = results[0]
     for variant, backend, index in results[1:]:
         context = (
@@ -405,7 +441,8 @@ def test_unit_variants_agree_with_batch_on_processes(seed, shard_pool):
 def test_directed_variants_match_rebuild_and_threads(seed):
     """The directed index under the same hostile batches: every variant
     == rebuild-from-scratch for both labellings after every batch, and
-    sequential == threads bit-for-bit on both."""
+    sequential == threads bit-for-bit on both.  Two growing rounds, then
+    two clean ones, as in the undirected variant row."""
     rng = random.Random(seed + 40_000)
     undirected = generators.erdos_renyi(
         rng.randint(40, 90), rng.uniform(0.04, 0.10), seed=seed
@@ -415,6 +452,7 @@ def test_directed_variants_match_rebuild_and_threads(seed):
     )
     num_landmarks = rng.randint(3, 6)
     paths_before = buffer_paths()
+    csr_before = csr_paths()
     for variant in VARIANTS:
         batch_rng = random.Random(f"{seed}:directed:{variant}")
         reference, threaded = (
@@ -423,12 +461,20 @@ def test_directed_variants_match_rebuild_and_threads(seed):
             )
             for _ in range(2)
         )
-        for round_no in range(2):
+        for round_no in range(4):
             n = reference.graph.num_vertices
-            updates = random_fuzz_batch(reference.graph, batch_rng)
-            # A new vertex whose only arc leads out of it: it grows the
-            # vertex set and is reachable in the backward labelling only.
-            updates.append(EdgeUpdate.insert(n + 3, batch_rng.randrange(n)))
+            if round_no < 2:
+                updates = random_fuzz_batch(reference.graph, batch_rng)
+                # A new vertex whose only arc leads out of it: it grows
+                # the vertex set and is reachable in the backward
+                # labelling only.
+                updates.append(
+                    EdgeUpdate.insert(n + 3, batch_rng.randrange(n))
+                )
+            else:
+                updates = random_mixed_updates(
+                    reference.graph, batch_rng, 3, 3
+                )
             reference.batch_update(updates, variant=variant, parallel=None)
             threaded.batch_update(
                 updates, variant=variant, parallel="threads"
@@ -452,6 +498,7 @@ def test_directed_variants_match_rebuild_and_threads(seed):
                     f"{context} {side}: " + "; ".join(want.diff(got)[:5])
                 )
     assert_recycled(paths_before, f"seed={seed}")
+    assert_csr_recycled(csr_before, f"seed={seed}")
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
@@ -469,11 +516,21 @@ def test_held_snapshots_force_copies_and_stay_exact(seed):
 
     def label_bytes(snapshot):
         lab = snapshot.labelling
-        return lab.labels.tobytes(), lab.highway.tobytes(), lab.dist.tobytes()
+        rows = snapshot.ensure_csr()
+        indptr, indices = rows.compact()
+        return (
+            lab.labels.tobytes(),
+            lab.highway.tobytes(),
+            lab.dist.tobytes(),
+            indptr.tobytes(),
+            indices.tobytes(),
+            [list(row) for row in rows.adjacency_lists()],
+        )
 
     snapshot = index.snapshot()
     held = [(snapshot, label_bytes(snapshot))]
     before = buffer_paths()
+    csr_before = csr_paths()
     for round_no in range(4):
         variant = ("bhl", "bhl+")[round_no % 2]
         index.batch_update(
@@ -489,11 +546,15 @@ def test_held_snapshots_force_copies_and_stay_exact(seed):
         assert_dist_decodes(index.labelling, context)
         for epoch, (snapshot, content) in enumerate(held):
             assert label_bytes(snapshot) == content, (
-                f"{context}: the labelling of held epoch {epoch} changed"
+                f"{context}: the labelling or rows of held epoch {epoch}"
+                " changed"
             )
         snapshot = index.snapshot()
         held.append((snapshot, label_bytes(snapshot)))
         del snapshot
     assert buffer_paths_since(before) == {"recycled": 0.0, "copied": 4.0}, (
         f"seed={seed}: a pass recycled arrays a held snapshot reads"
+    )
+    assert csr_paths_since(csr_before)["recycled"] == 0, (
+        f"seed={seed}: a freeze recycled rows a held snapshot reads"
     )

@@ -3,8 +3,10 @@
 ``copy()`` shares adjacency sets until one side writes a vertex, so every
 write — single edges, bulk inserts, vertex growth — must stay on the side
 that made it, for clones, originals and copies of copies alike.  The view
-``csr()`` maintains by re-encoding only written rows must always equal a
-from-scratch freeze.
+``csr()`` maintains by writing only the rows written since must always
+equal a from-scratch freeze; it writes them into the row buffers of the
+view before last only while nothing holds those, and relays out
+otherwise (after growth, and when the tail of a buffer is full).
 """
 
 from __future__ import annotations
@@ -17,10 +19,18 @@ import numpy as np
 import pytest
 
 from repro.graph import generators
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, CSRListView
+from repro.graph.csr_rows import (
+    _UNHELD_BOUNDS_REFS,
+    _UNHELD_REFS,
+    _BackRows,
+    _relayout,
+)
 from repro.graph.digraph import DynamicDiGraph
+from repro.graph.dynamic_graph import FrozenGraph
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+from tests.conftest import csr_paths, csr_paths_since
 
 KINDS = ("undirected", "directed")
 
@@ -48,9 +58,13 @@ def maintained_views(graph) -> tuple[CSRGraph, ...]:
 
 
 def assert_view_matches_freeze(graph) -> None:
+    """Every row of the maintained view, in content and order, equals a
+    fresh freeze's: its compacted arrays and its adjacency lists (its raw
+    arrays hold slack slots, a fresh freeze's none)."""
     for maintained, fresh in zip(maintained_views(graph), fresh_views(graph)):
-        assert np.array_equal(maintained.indptr, fresh.indptr)
-        assert np.array_equal(maintained.indices, fresh.indices)
+        for mine, theirs in zip(maintained.compact(), fresh.compact()):
+            assert np.array_equal(mine, theirs)
+        assert maintained.num_arcs == fresh.num_arcs
         assert maintained.adjacency_lists() == fresh.adjacency_lists()
 
 
@@ -231,3 +245,199 @@ def test_published_copies_hold_still_under_a_concurrent_writer(kind):
     for graph, edges in published:
         assert sorted(graph.edges()) == edges
         assert_view_matches_freeze(graph)
+
+
+# ----------------------------------------------------------------------
+# recycled row buffers
+# ----------------------------------------------------------------------
+
+
+def paths(directions: int, recycled: bool) -> dict[str, float]:
+    """The csr_paths delta of one freeze of ``directions`` directions."""
+    hits = float(directions)
+    return {"recycled": hits, "relaid": 0.0} if recycled else {
+        "recycled": 0.0, "relaid": hits
+    }
+
+
+def directions(graph) -> int:
+    return 2 if isinstance(graph, DynamicDiGraph) else 1
+
+
+def freeze_one_write(graph, rng: random.Random) -> dict[str, float]:
+    """Insert one absent edge, freeze; the row-buffer paths it took."""
+    before = csr_paths()
+    graph.add_edge(*absent_pair(graph, rng))
+    graph.csr()
+    return csr_paths_since(before)
+
+
+def test_unheld_back_view_refcount_is_pinned():
+    """_UNHELD_REFS and _UNHELD_BOUNDS_REFS are what getrefcount
+    reports, read as a freeze reads them, for a back view, its arrays,
+    the array its row bounds are columns of, and its list, when only the
+    pair holds them, and one more holder shows; so a later CPython that
+    counts differently fails here instead of silently relaying out on
+    every freeze (or recycling held rows)."""
+    graph = make("undirected")
+    pair = _BackRows(
+        _relayout(None, graph._adj, set(), graph.num_vertices), set()
+    )
+    pair.view.adjacency_lists()
+    # Counted outside the asserts, whose rewriting holds references.
+    unheld = (
+        sys.getrefcount(pair.view),
+        sys.getrefcount(pair.view.starts),
+        sys.getrefcount(pair.view.ends),
+        sys.getrefcount(pair.view.indices),
+        sys.getrefcount(pair.view._lists),
+    )
+    bounds = sys.getrefcount(pair.view.starts.base)
+    row = pair.view.neighbors(0)
+    first = pair.view.ends[:1]
+    held = (
+        sys.getrefcount(pair.view.indices),
+        sys.getrefcount(pair.view.starts.base),
+    )
+    del row, first
+    released = (
+        sys.getrefcount(pair.view.indices),
+        sys.getrefcount(pair.view.starts.base),
+    )
+    assert unheld == (_UNHELD_REFS,) * 5
+    assert bounds == _UNHELD_BOUNDS_REFS
+    assert held == (_UNHELD_REFS + 1, _UNHELD_BOUNDS_REFS + 1)
+    assert released == (_UNHELD_REFS, _UNHELD_BOUNDS_REFS)
+
+
+READERS = {
+    "snapshot_view": lambda graph: FrozenGraph(graph.csr()),
+    "indices_slice": lambda graph: graph.csr().neighbors(1),
+    "starts": lambda graph: graph.csr().starts,
+    "ends_slice": lambda graph: graph.csr().ends[2:9],
+    "adjacency_lists": lambda graph: graph.csr().adjacency_lists(),
+    "list_view": lambda graph: graph.csr().list_view(),
+}
+
+
+def held_rows(held) -> list:
+    """What a held reader shows, as plain Python values."""
+    if isinstance(held, FrozenGraph):
+        return sorted(held.edges())
+    if isinstance(held, np.ndarray):
+        return held.tolist()
+    if isinstance(held, CSRListView):
+        return [list(held.neighbors(v)) for v in range(held.num_vertices)]
+    return [list(row) for row in held]
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_held_reader_forces_a_relayout_until_released(reader):
+    """A reader of a view — a snapshot's graph, a row slice, the
+    ``starts`` array, a slice of ``ends``, the adjacency lists or a list
+    view — keeps its
+    rows from being recycled: the freeze that would write them relays
+    out instead, and what the reader sees never changes; once it is
+    released, its rows are recycled."""
+    graph = make("undirected")
+    graph.csr().adjacency_lists()  # expanded, as an index's reads do
+    rng = random.Random(reader)
+    held = READERS[reader](graph)
+    before = held_rows(held)
+    assert freeze_one_write(graph, rng) == paths(1, False)  # no pair yet
+    assert freeze_one_write(graph, rng) == paths(1, False)  # held's rows
+    assert held_rows(held) == before
+    held = READERS[reader](graph)  # and the old reader goes
+    assert freeze_one_write(graph, rng) == paths(1, True)
+    del held
+    assert freeze_one_write(graph, rng) == paths(1, True)  # held's rows
+    assert_view_matches_freeze(graph)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_growth_relays_out(kind):
+    """A freeze after vertex growth relays out, and so does the next one
+    (its back pair is the view from before the growth); then the graph
+    recycles again, and every view equals a fresh freeze."""
+    graph = make(kind)
+    rng = random.Random(kind)
+    graph.csr()
+    sides = directions(graph)
+    freeze_one_write(graph, rng)
+    assert freeze_one_write(graph, rng) == paths(sides, True)
+    n = graph.num_vertices
+    graph.ensure_vertex(n)
+    graph.add_edge(0, n)
+    before = csr_paths()
+    graph.csr()
+    assert csr_paths_since(before) == paths(sides, False)
+    assert_view_matches_freeze(graph)
+    assert freeze_one_write(graph, rng) == paths(sides, False)
+    assert freeze_one_write(graph, rng) == paths(sides, True)
+    assert_view_matches_freeze(graph)
+
+
+def test_a_row_that_outgrows_its_slots_moves_to_the_tail_until_it_fills():
+    """Inserting edge after edge at one vertex: its row outgrows its
+    slots and moves to the tail of a recycled buffer, and once a
+    buffer's tail is full the freeze relays out; every view equals a
+    fresh freeze throughout."""
+    graph = make("undirected")
+    graph.csr().adjacency_lists()
+    moved = relaid_after_move = False
+    for v in range(1, graph.num_vertices):
+        if graph.has_edge(0, v):
+            continue
+        before = csr_paths()
+        graph.add_edge(0, v)
+        view = graph.csr()
+        path = csr_paths_since(before)
+        # A layout places rows in vertex order, so row 0 starts at slot
+        # 0 until it moves to the tail.
+        if path == paths(1, True) and view.starts[0] > 0:
+            moved = True
+        elif path == paths(1, False) and moved:
+            relaid_after_move = True  # with nothing held: the tail is full
+        assert_view_matches_freeze(graph)
+    assert moved and relaid_after_move
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_copy_never_shares_the_back_pair(kind):
+    """A clone shares the view but not the back pair: its first freeze
+    relays out, and when both graphs then hold the view they shared as
+    their back pair, the freeze that would recycle it relays out."""
+    original = make(kind)
+    rng = random.Random(f"{kind}:copy")
+    original.csr()
+    freeze_one_write(original, rng)
+    clone = original.copy()
+    sides = directions(original)
+    assert freeze_one_write(clone, rng) == paths(sides, False)
+    # Both back pairs now hold the view the two graphs shared.
+    assert freeze_one_write(original, rng) == paths(sides, True)
+    assert freeze_one_write(original, rng) == paths(sides, False)
+    assert freeze_one_write(original, rng) == paths(sides, True)
+    assert_view_matches_freeze(original)
+    assert_view_matches_freeze(clone)
+
+
+def test_replaying_past_the_break_even_share_relays_out(monkeypatch):
+    """A freeze whose rows to replay pass the break-even share of V
+    relays out instead of recycling; below it, it recycles.  A small
+    graph keeps recycling (the share's intercept covers it), so the test
+    drops the intercept, as on a large graph."""
+    from repro.graph import csr_rows
+
+    graph = make("undirected")
+    rng = random.Random(8)
+    graph.csr()
+    freeze_one_write(graph, rng)
+    monkeypatch.setattr(csr_rows, "_REPLAY_ROWS", 0)
+    # One written edge per freeze: at least 2 rows to replay, past a
+    # share of V this small.
+    monkeypatch.setattr(csr_rows, "_REPLAY_SHARE", 1.5 / graph.num_vertices)
+    assert freeze_one_write(graph, rng) == paths(1, False)
+    monkeypatch.undo()
+    assert freeze_one_write(graph, rng) == paths(1, True)
+    assert_view_matches_freeze(graph)

@@ -344,6 +344,35 @@ def test_a_repair_that_raises_part_way_leaves_the_next_pass_copying(
     assert index.check_minimality() == []
 
 
+def test_a_pass_past_the_copy_share_leaves_the_next_pass_copying(
+    monkeypatch,
+):
+    """A pass that writes more cells than the break-even share of V·R
+    records no back pair, since replaying its cells would cost more than
+    a copy: the next pass copies, bit-identical to a rebuild.  A small
+    labelling keeps recycling (the share's intercept covers it), so the
+    test drops the intercept, as on a large labelling."""
+    from repro.core import labelling as labelling_module
+
+    index = HighwayCoverIndex(
+        generators.erdos_renyi(60, 0.08, seed=5), num_landmarks=4
+    )
+    rng = random.Random(6)
+    assert _flush(index, rng) == COPIED
+    monkeypatch.setattr(labelling_module, "_COPY_CELLS", 0)
+    size = index.labelling.labels.size
+    before = buffer_paths()
+    stats = index.batch_update(random_mixed_updates(index.graph, rng, 10, 10))
+    assert buffer_paths_since(before) == RECYCLED
+    assert stats.total_affected > labelling_module._COPY_SHARE * size
+    assert _flush(index, rng) == COPIED
+    assert index.check_minimality() == []
+    monkeypatch.undo()
+    _flush(index, rng)  # this pass records its pair again
+    assert _flush(index, rng) == RECYCLED
+    assert index.check_minimality() == []
+
+
 def test_a_labelling_of_views_never_becomes_a_back_pair():
     """A snapshot's labelling wraps read-only views of its writer's
     arrays; batches applied to the snapshot itself copy every time, and

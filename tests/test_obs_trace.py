@@ -410,3 +410,90 @@ def test_labelling_buffer_span_per_pass_shows_the_recycled_path(name):
             assert cells > 0 if recycled else cells == 0
             assert span_event["ts"] + span_event["dur"] <= phase["ts"]
     assert oracle.check_minimality() == []
+
+
+def _traced_flushes(name: str, flushes: int):
+    """Run ``flushes`` mixed 3+3 flushes through a service on ``name``
+    (the previous epoch is released at each publish), tracing each one;
+    returns one event list per flush."""
+    import random
+
+    from tests.conftest import random_mixed_updates
+
+    graph = generators.barabasi_albert(300, 3, seed=9)
+    if name == "hcl-directed":
+        graph = generators.to_directed(graph, reciprocal_p=0.5, seed=9)
+    service = DistanceService(
+        graph,
+        oracle=name,
+        num_landmarks=6,
+        policy=FlushPolicy(max_batch=1000, max_delay=None),
+    )
+    rng = random.Random(17)
+    tracer = get_tracer()
+    per_flush = []
+    with service:
+        for _ in range(flushes):
+            current = service.current_snapshot().index.graph
+            service.submit_many(random_mixed_updates(current, rng, 3, 3))
+            del current
+            tracer.enable()
+            tracer.clear()
+            try:
+                service.flush()
+                per_flush.append(tracer.events())
+            finally:
+                tracer.disable()
+                tracer.clear()
+    return per_flush
+
+
+@pytest.mark.parametrize("name", ["hcl", "hcl-directed"])
+def test_flushes_after_the_second_freeze_into_recycled_row_buffers(name):
+    """Each flush freezes the graph once, in a freeze_csr span that says
+    how its row buffers were made: the first flush after construction
+    relays out (no back pair yet), and every flush after the second
+    writes into the row buffers of the view before last, which the
+    released epoch no longer pins."""
+    from tests.conftest import csr_paths
+
+    directions = 2 if name == "hcl-directed" else 1
+    before = csr_paths()
+    per_flush = _traced_flushes(name, 6)
+    for flush_no, events in enumerate(per_flush):
+        (freeze,) = [e for e in events if e["name"] == "freeze_csr"]
+        if flush_no == 0:
+            assert freeze["args"]["recycled"] is False
+            assert freeze["args"]["replayed"] == 0
+        elif flush_no >= 2:
+            assert freeze["args"]["recycled"] is True, flush_no
+            assert freeze["args"]["replayed"] >= freeze["args"]["rows"] > 0
+    recycled = csr_paths()["recycled"] - before["recycled"]
+    assert recycled >= directions * (len(per_flush) - 2)
+
+
+@pytest.mark.parametrize("name", ["hcl", "hcl-directed"])
+def test_publish_epoch_spans_the_snapshot_and_the_release(name):
+    """publish_epoch has two children, the snapshot the writer builds and
+    the release of the previous epoch after the pointer flip, and the
+    flush's children cover at least 95% of its wall, over a dozen
+    flushes.  (publish_epoch itself now takes tens of microseconds, of
+    which the flip and the tracer's own bookkeeping for the two child
+    spans, which no span records, take about a third.)"""
+    per_flush = _traced_flushes(name, 12)
+    flush_walls = flush_children = 0
+    for events in per_flush:
+        by_parent: dict = {}
+        for event in events:
+            by_parent.setdefault(event["args"]["parent_id"], []).append(event)
+        (flush,) = [e for e in events if e["name"] == "flush"]
+        (publish,) = [e for e in events if e["name"] == "publish_epoch"]
+        flush_walls += flush["dur"]
+        flush_children += sum(
+            e["dur"] for e in by_parent[flush["args"]["span_id"]]
+        )
+        children = sorted(
+            by_parent[publish["args"]["span_id"]], key=lambda e: e["ts"]
+        )
+        assert [c["name"] for c in children] == ["snapshot", "release_epoch"]
+    assert flush_children >= 0.95 * flush_walls

@@ -17,7 +17,13 @@ import random
 import numpy as np
 import pytest
 
-from tests.conftest import bfs_oracle, buffer_paths, buffer_paths_since
+from tests.conftest import (
+    bfs_oracle,
+    buffer_paths,
+    buffer_paths_since,
+    csr_paths,
+    csr_paths_since,
+)
 from repro.api import (
     Capabilities,
     available_oracles,
@@ -241,14 +247,19 @@ def test_static_rebuild_reports_update_stats(name):
 # ----------------------------------------------------------------------
 
 
-def csr_arrays(oracle) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Copies of the CSR arrays an index reads, or None without a CSR."""
+def csr_arrays(oracle) -> list[tuple] | None:
+    """Copies of the CSR rows an index reads, or None without a CSR: per
+    view, its compacted ``(indptr, indices)`` and its adjacency lists."""
     ensure = getattr(oracle, "ensure_csr", None)
     if ensure is None:
         return None
     views = ensure()
     views = views if isinstance(views, tuple) else (views,)
-    return [(view.indptr.copy(), view.indices.copy()) for view in views]
+    return [
+        tuple(array.copy() for array in view.compact())
+        + ([list(row) for row in view.adjacency_lists()],)
+        for view in views
+    ]
 
 
 @pytest.mark.parametrize("name", ALL_ORACLES)
@@ -283,13 +294,64 @@ def test_snapshot_is_isolated_from_updates(name, shard_pool):
         assert frozen.distance(*pair) == expected, (name, pair)
     assert sorted(frozen.graph.edges()) == edges
     if arrays is not None:
-        for (indptr, indices), (now_ptr, now_idx) in zip(
+        for (indptr, indices, lists), (now_ptr, now_idx, now_lists) in zip(
             arrays, csr_arrays(frozen)
         ):
             assert np.array_equal(indptr, now_ptr), name
             assert np.array_equal(indices, now_idx), name
+            assert lists == now_lists, name
     if hasattr(frozen, "check_minimality"):
         assert frozen.check_minimality() == [], name
+
+
+def graph_answers(graph) -> dict:
+    """Every answer of the read API a snapshot's graph keeps."""
+    n = graph.num_vertices
+    answers = {
+        "num_vertices": n,
+        "num_edges": graph.num_edges,
+        "edges": sorted(graph.edges()),
+        "degree": [graph.degree(v) for v in range(n)],
+        "has_edge": [graph.has_edge(a, b) for a in range(n) for b in range(n)],
+    }
+    if hasattr(graph, "out_view"):
+        for side in ("out_view", "in_view"):
+            view = getattr(graph, side)()
+            answers[side] = [sorted(view.neighbors(v)) for v in range(n)]
+    else:
+        answers["neighbors"] = [sorted(graph.neighbors(v)) for v in range(n)]
+    return answers
+
+
+@pytest.mark.parametrize("name", ["hcl", "hcl-directed"])
+def test_snapshot_graph_answers_like_the_writer_graph_at_publish(name):
+    """A snapshot's graph is a read-only view over the CSR rows it pins,
+    not a clone: it answers exactly as its writer's graph did when it
+    was published, keeps doing so while the writer applies batches that
+    recycle the row buffers no snapshot holds, and its ``copy()`` is a
+    mutable graph with the same answers."""
+    kind = graph_kind(name)
+    oracle = build(name, make_graph(kind))
+    rng = random.Random(41)
+    rows_before = csr_paths()
+    published = []
+    for step in range(8):
+        frozen = oracle.snapshot()
+        answers = graph_answers(oracle.graph)
+        assert graph_answers(frozen.graph) == answers, name
+        if step % 3 == 0:  # hold some; let the others go
+            published.append((frozen, answers))
+        del frozen
+        oracle.batch_update(make_updates(kind, oracle.graph, rng))
+    assert csr_paths_since(rows_before)["recycled"] >= 1, name
+    for frozen, answers in published:
+        assert graph_answers(frozen.graph) == answers, name
+        clone = frozen.graph.copy()
+        assert isinstance(clone, (DynamicGraph, DynamicDiGraph))
+        assert graph_answers(clone) == answers, name
+    assert graph_answers(oracle.snapshot().graph) == graph_answers(
+        oracle.graph
+    )
 
 
 @pytest.mark.parametrize("name", ["hcl", "hcl-directed", "hcl-weighted"])

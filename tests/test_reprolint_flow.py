@@ -99,16 +99,18 @@ def test_exc001_clean_twin():
 def test_mut001_catches_stores_and_aliases():
     result = run_fixture("mut001_bad.py", FrozenArrayWriteRule())
     assert hits(result) == [
-        ("MUT001", 10),  # graph.indptr[v] = 0
-        ("MUT001", 11),  # graph.indices[v] += 1
-        ("MUT001", 14),  # state.labels[v] = d
-        ("MUT001", 16),  # via the `labels` alias
-        ("MUT001", 18),  # via the `hw` alias
-        ("MUT001", 19),  # state.dist[v, 0] = d
+        ("MUT001", 12),  # graph.indptr[v] = 0
+        ("MUT001", 13),  # graph.indices[v] += 1
+        ("MUT001", 14),  # graph.starts[v] = 0
+        ("MUT001", 16),  # via the `ends` alias
+        ("MUT001", 19),  # state.labels[v] = d
+        ("MUT001", 21),  # via the `labels` alias
+        ("MUT001", 23),  # via the `hw` alias
+        ("MUT001", 24),  # state.dist[v, 0] = d
     ]
-    frozen = [f for f in result.active if f.line in (10, 11)]
+    frozen = [f for f in result.active if f.line in (12, 13, 14, 16)]
     assert all("frozen CSR array" in f.message for f in frozen)
-    guarded = [f for f in result.active if f.line in (14, 16, 18, 19)]
+    guarded = [f for f in result.active if f.line in (19, 21, 23, 24)]
     assert all("writer" in f.message for f in guarded)
 
 

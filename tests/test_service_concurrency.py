@@ -23,6 +23,8 @@ from repro.constants import INF
 from tests.conftest import (
     buffer_paths,
     buffer_paths_since,
+    csr_paths,
+    csr_paths_since,
     random_mixed_updates,
 )
 
@@ -245,10 +247,11 @@ def test_pinned_snapshots_answer_for_their_own_epoch_across_flushes():
     epoch and still pass the per-any-epoch checks above.
 
     Two holders keep each snapshot until two more epochs are out, so
-    the flush that would recycle its arrays must copy; a third reader
-    takes a fresh snapshot every few queries, and the flushes that no
-    holder blocks recycle.  The writer waits for every reader to make
-    progress before each flush, so each epoch is read while pinned."""
+    the flush that would recycle its arrays must copy (and relay its CSR
+    rows out); a third reader takes a fresh snapshot every few queries,
+    and the flushes that no holder blocks recycle labelling and row
+    buffers alike.  The writer waits for every reader to make progress
+    before each flush, so each epoch is read while pinned."""
     rng = random.Random(23)
     graph = generators.erdos_renyi(100, 0.05, seed=23)
     sources = rng.sample(range(graph.num_vertices), 6)
@@ -267,6 +270,7 @@ def test_pinned_snapshots_answer_for_their_own_epoch_across_flushes():
         policy=FlushPolicy(max_batch=10_000, max_delay=None),
     )
     paths_before = buffer_paths()
+    rows_before = csr_paths()
 
     done = threading.Event()
     progress = [0, 0, 0]
@@ -350,6 +354,7 @@ def test_pinned_snapshots_answer_for_their_own_epoch_across_flushes():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     paths = buffer_paths_since(paths_before)
+    rows = csr_paths_since(rows_before)
     service.close()
 
     assert not errors, errors
@@ -358,4 +363,5 @@ def test_pinned_snapshots_answer_for_their_own_epoch_across_flushes():
     assert max(longest_hold[:2]) >= 2, longest_hold
     assert paths["recycled"] + paths["copied"] == len(batches), paths
     assert paths["recycled"] >= 1 and paths["copied"] >= 2, paths
+    assert rows["recycled"] >= 1 and rows["relaid"] >= 1, rows
     assert service.current_snapshot().index.check_minimality() == []

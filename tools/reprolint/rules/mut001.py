@@ -1,9 +1,12 @@
 """MUT001 — stores into frozen CSR / guarded label arrays.
 
-The CSR structure arrays (``indptr``/``indices``) are immutable by
-contract: every reader — query kernels, shard workers, epoch snapshots —
-assumes they never change after build, and the shared-memory backend
-literally maps them read-only into workers.  The ``labels``/``highway``
+The CSR structure arrays (``indptr``, ``indices`` and the per-row
+``starts``/``ends``) are frozen by contract: every reader — query
+kernels, shard workers, epoch snapshots — assumes a view never changes
+while it holds it, and the shared-memory backend literally maps them
+read-only into workers.  One module writes them: ``repro.graph.csr_rows``
+replays rows into the buffers of a view nothing holds any more.  The
+``labels``/``highway``
 arrays and the landmark-distance matrix ``dist`` (D) *are* mutated, but
 only by the designated writer modules (``repro.core`` construction and
 repair kernels, ``repro.parallel`` shard state); a store from anywhere
@@ -28,15 +31,16 @@ from reprolint.engine import Finding, ModuleContext, Rule
 class FrozenArrayWriteRule(Rule):
     id = "MUT001"
     summary = (
-        "no stores into frozen CSR arrays (indptr/indices) or guarded"
-        " label/highway/dist arrays outside the writer modules"
+        "no stores into frozen CSR arrays (indptr/indices/starts/ends) or"
+        " guarded label/highway/dist arrays outside the writer modules"
     )
     rationale = (
-        "indptr/indices are immutable after build — kernels and the"
-        " shared-memory layout assume it. labels/highway/dist are mutated"
-        " under lock/epoch discipline that lives in repro.core and"
-        " repro.parallel; a store anywhere else is either a stale-read"
-        " race or silent index corruption."
+        "indptr/indices/starts/ends are frozen while anything holds them —"
+        " kernels and the shared-memory layout assume it, and only"
+        " repro.graph.csr_rows rewrites the rows of a view nothing holds."
+        " labels/highway/dist are mutated under lock/epoch discipline that"
+        " lives in repro.core and repro.parallel; a store anywhere else is"
+        " either a stale-read race or silent index corruption."
     )
     fix_recipe = (
         "Route the mutation through the owning writer API (repair"
@@ -45,9 +49,11 @@ class FrozenArrayWriteRule(Rule):
     )
 
     def __init__(self) -> None:
-        self.frozen_attrs = frozenset({"indptr", "indices"})
+        self.frozen_attrs = frozenset({"indptr", "indices", "starts", "ends"})
         self.guarded_attrs = frozenset({"labels", "highway", "dist"})
-        self.writer_modules: tuple[str, ...] = ("repro.core", "repro.parallel")
+        self.writer_modules: tuple[str, ...] = (
+            "repro.core", "repro.parallel", "repro.graph.csr_rows",
+        )
 
     def configure(self, options: dict[str, object]) -> None:
         frozen = options.get("frozen_attrs")
@@ -120,8 +126,8 @@ class FrozenArrayWriteRule(Rule):
             return
         if attr in self.frozen_attrs:
             message = (
-                f"store into frozen CSR array '{attr}' — indptr/indices"
-                " are immutable after build (kernels and the shm layout"
+                f"store into frozen CSR array '{attr}' — CSR row arrays"
+                " are frozen while held (kernels and the shm layout"
                 " depend on it)"
             )
         else:
