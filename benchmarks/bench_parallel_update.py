@@ -1,18 +1,17 @@
-"""Parallel-backend benchmark: sequential vs threads vs processes.
+"""Parallel-backend benchmark: sequential vs processes.
 
 The paper's Section 6 claim is that landmark-level parallelism divides
 batch maintenance across cores.  This benchmark applies the *same*
-fully-dynamic batch sequence to the same index under every execution
-backend and reports per-batch wall time, the search/repair/merge split,
+fully-dynamic batch sequence to the same index under both execution
+backends and reports per-batch wall time, the search/repair/merge split,
 and the makespan the cost models predict:
 
 * ``sequential`` — the single-core baseline; its makespan is the paper's
   idealised one-core-per-landmark model (the slowest landmark's wall);
-* ``threads``    — GIL-bound thread pool (the honest CPython ceiling);
 * ``processes``  — landmark shards on the persistent worker-process pool.
 
 The default instance is a ≥50k-edge Barabási–Albert graph; the CSV lands
-in ``results/parallel_update.csv`` (CI uploads it as an artifact).  All
+in ``results/parallel_update.csv`` (CI uploads it as an artifact).  Both
 backends are additionally checked to produce bit-identical labellings
 (labels, highway and the landmark-distance matrix D, through
 ``HighwayCoverLabelling.equals``).
@@ -42,7 +41,7 @@ from repro.workloads.updates import fully_dynamic_workload
 
 _log = get_logger("repro.bench.parallel_update")
 
-MODES = ("sequential", "threads", "processes")
+MODES = ("sequential", "processes")
 
 
 def experiment_parallel_update(
@@ -168,7 +167,7 @@ def experiment_parallel_update(
     if diverged:
         raise AssertionError(f"backends diverged from sequential: {diverged}")
     table.add_note(
-        "all backends produced bit-identical labellings; speedup is"
+        "both backends produced bit-identical labellings; speedup is"
         " sequential mean_batch_s / mode mean_batch_s"
     )
     table.add_note(
@@ -177,9 +176,8 @@ def experiment_parallel_update(
     )
     table.add_note(
         "sequential's makespan_s is the idealised one-core-per-landmark"
-        " model; threads' is the max overlapped landmark wall; processes'"
-        " is the max real shard wall (incl. attach and the shard's scratch"
-        " copies of its label and D columns)"
+        " model; processes' is the max real shard wall (incl. attach and"
+        " the shard's scratch copies of its label and D columns)"
     )
     return table
 

@@ -54,7 +54,7 @@ class Capabilities:
     * ``dynamic``      — ``batch_update`` maintains the index incrementally
       (False means updates trigger a full rebuild);
     * ``parallel``     — ``batch_update`` accepts the ``parallel=`` backend
-      options (threads / processes);
+      options (the processes backend, ``num_shards``, ``pool``);
     * ``serializable`` — ``serialize(path)`` round-trips through
       :func:`repro.api.registry.load_oracle`.
     """
@@ -152,17 +152,11 @@ class OracleBase:
     def _require_sequential(
         self,
         parallel: str | None,
-        num_threads: int | None,
         num_shards: int | None,
         pool: object | None,
     ) -> None:
         """Reject parallel execution options on a sequential-only oracle."""
-        if (
-            parallel is not None
-            or num_threads is not None
-            or num_shards is not None
-            or pool is not None
-        ):
+        if parallel is not None or num_shards is not None or pool is not None:
             raise CapabilityError(
                 f"{type(self).__name__} does not support parallel execution"
                 " options (capabilities:"

@@ -46,7 +46,6 @@ class BiBFSIndex(OracleBase):
         updates: Iterable[Any],
         variant: Any = None,
         parallel: str | None = None,
-        num_threads: int | None = None,
         num_shards: int | None = None,
         pool: Any = None,
     ) -> UpdateStats:
@@ -57,7 +56,7 @@ class BiBFSIndex(OracleBase):
         work to parallelise).
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_threads, num_shards, pool)
+        self._require_sequential(parallel, num_shards, pool)
         batch = normalize_batch(updates, self._graph)
         if len(batch):
             highest = max(max(u.u, u.v) for u in batch)

@@ -231,7 +231,6 @@ class FulFDIndex(OracleBase):
         updates: Iterable[Any],
         variant: Any = None,
         parallel: str | None = None,
-        num_threads: int | None = None,
         num_shards: int | None = None,
         pool: Any = None,
     ) -> UpdateStats:
@@ -241,7 +240,7 @@ class FulFDIndex(OracleBase):
         parallel execution options are rejected (sequential-only oracle).
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_threads, num_shards, pool)
+        self._require_sequential(parallel, num_shards, pool)
         batch = normalize_batch(updates, self._graph)
         if len(batch):
             highest = max(max(u.u, u.v) for u in batch)

@@ -57,7 +57,6 @@ class FullPLLIndex(OracleBase):
         updates: Iterable[Any],
         variant: Any = None,
         parallel: str | None = None,
-        num_threads: int | None = None,
         num_shards: int | None = None,
         pool: Any = None,
     ) -> UpdateStats:
@@ -67,7 +66,7 @@ class FullPLLIndex(OracleBase):
         parallel execution options are rejected (sequential-only oracle).
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_threads, num_shards, pool)
+        self._require_sequential(parallel, num_shards, pool)
         graph = self.graph
         batch = normalize_batch(updates, graph)
         if len(batch):

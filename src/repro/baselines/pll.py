@@ -172,7 +172,6 @@ class PrunedLandmarkLabelling(OracleBase):
         updates: Iterable[Any],
         variant: Any = None,
         parallel: str | None = None,
-        num_threads: int | None = None,
         num_shards: int | None = None,
         pool: Any = None,
     ) -> UpdateStats:
@@ -185,7 +184,7 @@ class PrunedLandmarkLabelling(OracleBase):
         for protocol compatibility and ignored.
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_threads, num_shards, pool)
+        self._require_sequential(parallel, num_shards, pool)
         batch = normalize_batch(updates, self._graph)
         stats = UpdateStats(variant="pll-rebuild", n_requested=len(batch))
         started = time.perf_counter()

@@ -118,7 +118,6 @@ class PSLIndex(OracleBase):
         updates: Iterable[Any],
         variant: Any = None,
         parallel: str | None = None,
-        num_threads: int | None = None,
         num_shards: int | None = None,
         pool: Any = None,
     ) -> UpdateStats:
@@ -130,7 +129,7 @@ class PSLIndex(OracleBase):
         is accepted for protocol compatibility and ignored.
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_threads, num_shards, pool)
+        self._require_sequential(parallel, num_shards, pool)
         batch = normalize_batch(updates, self._graph)
         stats = UpdateStats(variant="psl-rebuild", n_requested=len(batch))
         started = time.perf_counter()

@@ -457,7 +457,7 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache", type=int, default=4096)
     parser.add_argument(
         "--parallel",
-        choices=("none", "threads", "processes"),
+        choices=("none", "processes"),
         default="none",
         help="execution backend for flushes; 'processes' runs landmark"
         " shards on a persistent worker-process pool",

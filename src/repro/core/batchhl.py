@@ -28,16 +28,22 @@ in-rows with every update reversed, and each uses the other's rows as
 repair predecessors.  Both share normalisation, growth, the variant plan,
 the freeze rule, rollback, spans and phase metrics.
 
-Every landmark runs the same two kernels,
+Every landmark runs through :func:`run_passes`, the one loop that all
+three highway cover indexes share: repair target, per-landmark search
+and repair, timings, the ``process_landmarks`` span, the phase counters
+and the back pair.  What differs per graph kind is the pass list and the
+:data:`Kernels` pair it is given.  This driver passes
 :func:`~repro.core.batch_kernels.batch_search_adaptive` and
-:func:`~repro.core.batch_kernels.batch_repair_adaptive`, whatever the
-backend or batch size.  Only the graph they read differs: a sub-batch of
-more than one update, or any sub-batch on the processes backend, reads
-the graph's own :class:`~repro.graph.csr.CSRGraph` rows, which every pass
-and landmark shares and which the graph writes only where the last two
-batches wrote (:mod:`repro.graph.csr_rows`); a unit sub-batch on an
-in-process backend skips even that, and the kernels read the live
-graph.
+:func:`~repro.core.batch_kernels.batch_repair_adaptive`
+(:func:`edge_kernels`), whatever the batch size; the weighted index
+passes its Dijkstra kernels and one pass over its live graph
+(:mod:`repro.core.weighted`).  Only the graph the edge kernels read
+differs: a sub-batch of more than one update, or any sub-batch on the
+processes backend, reads the graph's own
+:class:`~repro.graph.csr.CSRGraph` rows, which every pass and landmark
+shares and which the graph writes only where the last two batches wrote
+(:mod:`repro.graph.csr_rows`); a unit sub-batch run in process skips
+even that, and the kernels read the live graph.
 
 Variants (Section 7.1):
 
@@ -48,22 +54,20 @@ Variants (Section 7.1):
 * ``UHL``  / ``UHL+`` — unit-update setting: each update processed as its
   own batch (the single-update baseline the paper compares against).
 
-Parallelism: ``parallel="threads"`` runs landmarks on a thread pool (safe —
-disjoint writes — but GIL-bound in CPython); ``parallel="processes"`` ships
-landmark shards to a persistent worker-process pool
-(:mod:`repro.parallel`), the backend that actually escapes the GIL, on
-undirected graphs only.  Every backend times its shards: the in-process
-ones (sequential and threads) report one timing per landmark and pass, and
-the makespan ``max_r t(r)`` that the paper's one-thread-per-landmark BHLp
-would pay.
+Parallelism: by default the landmarks of a pass run in process, one
+after another, and report one timing per landmark and pass and the
+makespan ``max_r t(r)`` that the paper's one-core-per-landmark BHLp
+would pay.  ``parallel="processes"`` ships landmark shards to a
+persistent worker-process pool (:mod:`repro.parallel`) instead, on
+undirected graphs only, and reports one timing per shard.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -71,18 +75,26 @@ from repro.core.batch_kernels import (
     batch_repair_adaptive,
     batch_search_adaptive,
 )
-from repro.core.batch_search import OrientedUpdate, orient_updates
+from repro.core.batch_search import orient_updates
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.stats import ShardTiming, UpdateStats
 from repro.errors import BatchError
 from repro.graph.batch import Batch, apply_batch, normalize_batch, revert_batch
-from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
-_log = get_logger("repro.core.batchhl")
+PARALLEL_MODES = (None, "processes")
 
-PARALLEL_MODES = (None, "threads", "processes")
+#: One pass over G': ``(search rows, predecessor rows or None, updates)``,
+#: where the updates are whatever the pass's search kernel seeds from.
+Pass = tuple[Any, Any, Any]
+
+#: A search and repair kernel pair, as :func:`process_one_landmark` calls
+#: it: ``search(rows, updates, dist, flag, is_landmark)`` returns the
+#: affected vertices, and ``repair(rows, affected, i, labelling_new,
+#: dist, flag, is_landmark, pred_graph=pred_rows)`` the number of cells
+#: changed.
+Kernels = tuple[Callable[..., list[int]], Callable[..., int]]
 
 
 def _record_phase_metrics(stats: UpdateStats, backend: str) -> None:
@@ -176,7 +188,6 @@ def run_batch_update(
     updates: Iterable[Any],
     variant: "Variant | str" = Variant.BHL_PLUS,
     parallel: str | None = None,
-    num_threads: int | None = None,
     num_shards: int | None = None,
     pool: Any = None,
 ) -> tuple[tuple[HighwayCoverLabelling, ...], UpdateStats]:
@@ -202,14 +213,15 @@ def run_batch_update(
         )
     directed = len(labellings) == 2
     if directed and (
-        parallel == "processes" or num_shards is not None or pool is not None
+        parallel is not None or num_shards is not None or pool is not None
     ):
         raise BatchError(
-            "parallel must be None or 'threads' on directed indexes"
-            " (the processes backend and its num_shards/pool options"
-            f" are undirected-only), got {parallel!r}"
+            "the processes backend and its num_shards/pool options are"
+            f" undirected-only, got parallel={parallel!r}"
         )
-    if parallel == "processes" and pool is None:
+    if parallel is None:
+        pool = None
+    elif pool is None:
         from repro.parallel.pool import get_default_pool
 
         pool = get_default_pool(num_shards)
@@ -236,7 +248,7 @@ def run_batch_update(
     try:
         for sub_batch, improved in variant_plan(batch, variant):
             current, sub_stats = _apply_one_batch(
-                graph, current, sub_batch, improved, parallel, num_threads, pool
+                graph, current, sub_batch, improved, pool
             )
             applied.append(sub_batch)
             stats.merge(sub_stats)
@@ -263,8 +275,8 @@ def run_batch_update(
 
 
 def _pass_plan(
-    graph: Any, batch: Batch, directed: bool, parallel: str | None
-) -> list[tuple[Any, Any, list[OrientedUpdate]]]:
+    graph: Any, batch: Batch, directed: bool, pool: Any
+) -> list[Pass]:
     """One ``(search rows, predecessor rows, oriented updates)`` per pass,
     as the module docstring lays them out; predecessor rows of None mean
     the search rows themselves.
@@ -274,14 +286,14 @@ def _pass_plan(
     their vector phase), and the processes backend ships them directly.
     The graph owns that view and writes only the rows of its last two
     batches into recycled row buffers, so the freeze costs O(batch)
-    work.  Unit sub-batches on in-process backends skip even that —
-    their cost is proportional to the affected region, not the graph —
-    and the kernels read the live adjacency.
+    work.  Unit sub-batches run in process skip even that — their cost
+    is proportional to the affected region, not the graph — and the
+    kernels read the live adjacency.
     """
     rows: tuple[Any, ...] = (
         (graph.out_view(), graph.in_view()) if directed else (graph,)
     )
-    if parallel == "processes" or len(batch) > 1:
+    if pool is not None or len(batch) > 1:
         rows = graph.csr() if directed else (graph.csr(),)
     if not directed:
         return [(rows[0], None, orient_updates(batch))]
@@ -291,17 +303,32 @@ def _pass_plan(
     return [(out_rows, in_rows, forward), (in_rows, out_rows, backward)]
 
 
+def edge_kernels(improved: bool, symmetric_highway: bool = True) -> Kernels:
+    """The adaptive edge-update kernels as a :data:`Kernels` pair.
+
+    ``improved`` picks Algorithm 3 over Algorithm 2 for the search;
+    ``symmetric_highway`` is False on a directed pass, whose repair
+    writes highway row i only.  The pair is made per batch from the
+    kernels this module names at that moment, so a kernel rebound here
+    (a test's fault, a profiler's shim) is the one every landmark runs.
+    """
+    return (
+        functools.partial(batch_search_adaptive, improved=improved),
+        functools.partial(
+            batch_repair_adaptive, symmetric_highway=symmetric_highway
+        ),
+    )
+
+
 def _apply_one_batch(
     graph: Any,
     labellings: tuple[HighwayCoverLabelling, ...],
     batch: Batch,
     improved: bool,
-    parallel: str | None,
-    num_threads: int | None,
     pool: Any = None,
 ) -> tuple[tuple[HighwayCoverLabelling, ...], UpdateStats]:
     """Apply one normalised (sub-)batch: mutate graph, then search +
-    repair one pass per labelling.
+    repair one pass per labelling, on ``pool`` when one is given.
 
     Vertex growth already happened, once for the whole batch, in
     :func:`run_batch_update` — graph and labellings cover every endpoint
@@ -317,58 +344,22 @@ def _apply_one_batch(
     apply_batch(graph, batch)  # graph is now G'
 
     directed = len(labellings) == 2
-    backend = parallel or "sequential"
-    tracer = get_tracer()
-    stats.makespan_seconds = 0.0
-    repaired: list[HighwayCoverLabelling] = []
     try:
         # Everything after apply_batch sits inside the try: a failure in
         # making a repair target (MemoryError copying a large labelling)
         # must revert the edge mutations just like a worker-pool failure
         # mid-repair.
-        passes = _pass_plan(graph, batch, directed, parallel)
-        for labelling, (rows, pred_rows, oriented) in zip(labellings, passes):
-            labelling_new = labelling.repair_target()
-            phases_started = tracer.now_us() if tracer.enabled else 0
-            with tracer.span(
-                "process_landmarks",
-                landmarks=labelling.num_landmarks,
-                backend=backend,
-                batch=len(batch),
-            ) as phases_span:
-                outcomes, makespan, shard_timings, merge_seconds = (
-                    process_landmarks(
-                        rows,
-                        labelling,
-                        labelling_new,
-                        oriented,
-                        improved,
-                        symmetric_highway=not directed,
-                        parallel=parallel,
-                        num_threads=num_threads,
-                        pred_graph=pred_rows,
-                        pool=pool,
-                    )
-                )
-            if phases_span is not None and parallel != "processes":
-                _trace_phase_children(
-                    tracer, phases_span, phases_started, shard_timings, backend
-                )
-            for i, (n_affected, search_s, repair_s, changed, touched) in (
-                enumerate(outcomes)
-            ):
-                stats.affected_per_landmark[i] += n_affected
-                stats.affected_vertices.update(touched)
-                stats.search_seconds += search_s
-                stats.repair_seconds += repair_s
-                stats.labels_changed += changed
-            stats.shard_timings.extend(shard_timings)
-            stats.merge_seconds += merge_seconds
-            stats.makespan_seconds += makespan
-            labelling_new.set_back_pair(
-                labelling, [outcome[4] for outcome in outcomes]
-            )
-            repaired.append(labelling_new)
+        repaired = run_passes(
+            labellings,
+            _pass_plan(graph, batch, directed, pool),
+            edge_kernels(improved, symmetric_highway=not directed),
+            stats,
+            run_shards=(
+                None
+                if pool is None
+                else functools.partial(pool.run_update, improved=improved)
+            ),
+        )
     except BaseException:
         # The graph is already G' but no labelling was replaced —
         # realistic with worker processes (a killed worker raises
@@ -381,8 +372,85 @@ def _apply_one_batch(
     for update in batch:
         stats.affected_vertices.add(update.u)
         stats.affected_vertices.add(update.v)
+    return repaired, stats
+
+
+def run_passes(
+    labellings: tuple[HighwayCoverLabelling, ...],
+    passes: list[Pass],
+    kernels: Kernels,
+    stats: UpdateStats,
+    run_shards: Callable[..., Any] | None = None,
+) -> tuple[HighwayCoverLabelling, ...]:
+    """Search + repair every landmark of every pass, one pass per
+    labelling, and return the repaired labellings in the same order.
+
+    The graph is already G', and ``stats.n_applied`` its applied-update
+    count.  Each pass repairs into its labelling's
+    :meth:`~repro.core.labelling.HighwayCoverLabelling.repair_target`
+    and records the cells it wrote as the back pair; per-landmark
+    outcomes, timings and the makespan accumulate in ``stats``, each pass
+    runs in one ``process_landmarks`` span, and the ``repro_batch_*``
+    counters take the totals once every pass succeeded.  A pass that
+    raises leaves the input labellings' arrays as they were (without a
+    back pair, so the next pass copies); undoing the graph change is the
+    caller's part.
+
+    In process, :func:`process_landmarks` runs the landmarks one after
+    another with ``kernels``.  ``run_shards``, when given, runs each pass
+    on the processes backend instead: ``run_shards(rows, labelling_old,
+    labelling_new, oriented)`` returns what :func:`process_landmarks`
+    does.
+    """
+    backend = "sequential" if run_shards is None else "processes"
+    tracer = get_tracer()
+    stats.makespan_seconds = 0.0
+    repaired: list[HighwayCoverLabelling] = []
+    for labelling, (rows, pred_rows, oriented) in zip(labellings, passes):
+        labelling_new = labelling.repair_target()
+        phases_started = tracer.now_us() if tracer.enabled else 0
+        with tracer.span(
+            "process_landmarks",
+            landmarks=labelling.num_landmarks,
+            backend=backend,
+            batch=stats.n_applied,
+        ) as phases_span:
+            if run_shards is None:
+                outcomes, makespan, shard_timings, merge_seconds = (
+                    process_landmarks(
+                        rows,
+                        pred_rows,
+                        labelling,
+                        labelling_new,
+                        oriented,
+                        kernels,
+                    )
+                )
+            else:
+                outcomes, makespan, shard_timings, merge_seconds = (
+                    run_shards(rows, labelling, labelling_new, oriented)
+                )
+        if phases_span is not None and run_shards is None:
+            _trace_phase_children(
+                tracer, phases_span, phases_started, shard_timings, backend
+            )
+        for i, (n_affected, search_s, repair_s, changed, touched) in (
+            enumerate(outcomes)
+        ):
+            stats.affected_per_landmark[i] += n_affected
+            stats.affected_vertices.update(touched)
+            stats.search_seconds += search_s
+            stats.repair_seconds += repair_s
+            stats.labels_changed += changed
+        stats.shard_timings.extend(shard_timings)
+        stats.merge_seconds += merge_seconds
+        stats.makespan_seconds += makespan
+        labelling_new.set_back_pair(
+            labelling, [outcome[4] for outcome in outcomes]
+        )
+        repaired.append(labelling_new)
     _record_phase_metrics(stats, backend)
-    return tuple(repaired), stats
+    return tuple(repaired)
 
 
 def _trace_phase_children(
@@ -449,125 +517,86 @@ def changed_entries(
 
 
 def process_one_landmark(
-    graph: Any,
+    rows: Any,
+    pred_rows: Any,
     labelling_old: HighwayCoverLabelling,
     labelling_new: Any,
     oriented: Any,
-    improved: bool,
     i: int,
-    symmetric_highway: bool = True,
-    pred_graph: Any = None,
+    kernels: Kernels,
 ) -> tuple[int, float, float, int, list[int], float]:
     """Read old distances + search + repair for one landmark — the unit of
     landmark parallelism.
 
-    Shared by the in-process backends below and the worker-process shard
+    Shared by the in-process loop below and the worker-process shard
     tasks (:mod:`repro.parallel.worker`), so the kernel call contract
     lives in exactly one place: the kernels read ``(old_dist, old_flag)``
     in place from the old labelling
     (:meth:`~repro.core.labelling.HighwayCoverLabelling.landmark_lengths`:
     a read-only view of D's column i and flags evaluated where read), and
     repair writes labels, highway and D column i of ``labelling_new``.
-    ``graph`` is G', frozen or live (see :mod:`repro.core.batch_kernels`);
-    ``pred_graph`` carries the reverse direction for directed repair.
+    ``rows`` is G', frozen or live (see :mod:`repro.core.batch_kernels`);
+    ``pred_rows`` carries the reverse direction for directed repair.
     Returns ``(n_affected, search_seconds, repair_seconds, cells_changed,
     affected_vertices, wall_seconds)``; opening the O(1) reader is in the
     wall time only.
     """
+    search, repair = kernels
     t0 = time.perf_counter()
     dist, flag = labelling_old.landmark_lengths(i)
     is_landmark = labelling_old.is_landmark
     t1 = time.perf_counter()
-    affected = batch_search_adaptive(
-        graph, oriented, dist, flag, is_landmark, improved
-    )
+    affected = search(rows, oriented, dist, flag, is_landmark)
     t2 = time.perf_counter()
-    changed = batch_repair_adaptive(
-        graph,
+    changed = repair(
+        rows,
         affected,
         i,
         labelling_new,
         dist,
         flag,
         is_landmark,
-        symmetric_highway=symmetric_highway,
-        pred_graph=pred_graph,
+        pred_graph=pred_rows,
     )
     t3 = time.perf_counter()
     return len(affected), t2 - t1, t3 - t2, changed, affected, t3 - t0
 
 
 def process_landmarks(
-    graph: Any,
+    rows: Any,
+    pred_rows: Any,
     labelling_old: HighwayCoverLabelling,
     labelling_new: HighwayCoverLabelling,
     oriented: Any,
-    improved: bool,
-    symmetric_highway: bool,
-    parallel: str | None,
-    num_threads: int | None,
-    pred_graph: Any = None,
-    pool: Any = None,
+    kernels: Kernels,
 ) -> tuple[
     list[tuple[int, float, float, int, list[int]]],
     float,
     list[ShardTiming],
     float,
 ]:
-    """Run one pass: search + repair for every landmark over G'.
+    """Run one pass in process: search + repair for every landmark over
+    G', one landmark after another.
 
-    ``graph`` holds the pass's search rows of G', either frozen
-    :class:`~repro.graph.csr.CSRGraph` rows or the live graph; the
-    processes backend needs the CSR, whose arrays it ships to the worker
-    shards verbatim.  ``pred_graph`` provides predecessor
-    neighbourhoods for repair's boundary bounds (the other half of a
-    directed pair; None means same as ``graph``).  Returns per-landmark
-    ``(n_affected, search_seconds, repair_seconds, cells_changed,
-    affected_vertices)``, the makespan (max per-shard wall time), the
-    per-shard timing breakdown, and the writer-side merge time (non-zero
-    only for the processes backend, which scatters worker results back).
+    ``rows`` holds the pass's search rows of G', frozen
+    :class:`~repro.graph.csr.CSRGraph` rows or the live graph;
+    ``pred_rows`` provides predecessor neighbourhoods for repair's
+    boundary bounds (the other half of a directed pair; None means same
+    as ``rows``).  Returns per-landmark ``(n_affected, search_seconds,
+    repair_seconds, cells_changed, affected_vertices)``, the makespan,
+    one :class:`ShardTiming` per landmark, and a merge time of 0 (repair
+    writes ``labelling_new`` directly).
     """
-    if parallel == "processes":
-        if pred_graph is not None:
-            raise BatchError(
-                "parallel='processes' is not supported on directed indexes"
-            )
-        if pool is None:
-            # run_batch_update resolves the default pool (with its shard
-            # count) before getting here; direct callers must do the same.
-            raise BatchError(
-                "parallel='processes' needs a LandmarkShardPool; pass"
-                " pool=... or go through run_batch_update"
-            )
-        return pool.run_update(
-            graph, labelling_old, labelling_new, oriented, improved
+    raw = [
+        process_one_landmark(
+            rows, pred_rows, labelling_old, labelling_new, oriented, i, kernels
         )
-
-    def process(i: int) -> tuple[int, float, float, int, list[int], float]:
-        return process_one_landmark(
-            graph,
-            labelling_old,
-            labelling_new,
-            oriented,
-            improved,
-            i,
-            symmetric_highway=symmetric_highway,
-            pred_graph=pred_graph,
-        )
-
-    indices = range(labelling_old.num_landmarks)
-    if parallel == "threads":
-        workers = num_threads or min(20, labelling_old.num_landmarks)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(process, indices))
-    else:
-        raw = [process(i) for i in indices]
-
+        for i in range(labelling_old.num_landmarks)
+    ]
     outcomes = [(n, s, r, c, a) for (n, s, r, c, a, _) in raw]
+    # One timing entry per landmark; their max is the paper's
+    # one-core-per-landmark cost model.
     makespan = max((t for (*_, t) in raw), default=0.0)
-    # One timing entry per landmark: run sequentially, their max is the
-    # paper's one-core-per-landmark cost model; under "threads" the walls
-    # overlap.
     shard_timings = [
         ShardTiming(
             shard=i,

@@ -43,7 +43,7 @@ from repro.graph.digraph import DynamicDiGraph, FrozenDiGraph
 class DirectedHighwayCoverIndex(OracleBase):
     """Exact distance queries on a batch-dynamic directed graph."""
 
-    capabilities = Capabilities(directed=True, dynamic=True, parallel=True)
+    capabilities = Capabilities(directed=True, dynamic=True)
 
     def __init__(
         self,
@@ -145,17 +145,18 @@ class DirectedHighwayCoverIndex(OracleBase):
         updates: Iterable[Any],
         variant: Variant | str = Variant.BHL_PLUS,
         parallel: str | None = None,
-        num_threads: int | None = None,
         num_shards: int | None = None,
         pool: Any = None,
     ) -> UpdateStats:
         """Apply directed edge updates to the graph and both labellings.
 
-        ``parallel`` is None or ``"threads"``: the processes backend and
-        its ``num_shards``/``pool`` options are undirected-only.  A failed
-        batch leaves the arcs and both labellings as they were.
+        Sequential only: the parallel execution options raise
+        :class:`~repro.errors.CapabilityError`, since the processes
+        backend is undirected-only.  A failed batch leaves the arcs and
+        both labellings as they were.
         """
         self._ensure_open()
+        self._require_sequential(parallel, num_shards, pool)
         if isinstance(self._graph, FrozenDiGraph):
             self._graph = self._graph.copy()  # a snapshot's own digraph
         (self._forward, self._backward), stats = run_batch_update(
@@ -163,10 +164,6 @@ class DirectedHighwayCoverIndex(OracleBase):
             (self._forward, self._backward),
             updates,
             variant=variant,
-            parallel=parallel,
-            num_threads=num_threads,
-            num_shards=num_shards,
-            pool=pool,
         )
         return stats
 

@@ -250,22 +250,21 @@ class HighwayCoverIndex(OracleBase):
         updates: Iterable[EdgeUpdate],
         variant: Variant | str = Variant.BHL_PLUS,
         parallel: str | None = None,
-        num_threads: int | None = None,
         num_shards: int | None = None,
         pool: Any = None,
     ) -> UpdateStats:
         """Apply a batch of :class:`EdgeUpdate` to graph + labelling.
 
-        ``parallel`` selects the execution backend: None (sequential),
-        ``"threads"``, or ``"processes"`` (landmark shards on a
-        worker-process pool — see :mod:`repro.parallel`).
-        ``num_shards``/``pool`` configure the processes backend only.
+        ``parallel`` selects the execution backend: None (in process) or
+        ``"processes"`` (landmark shards on a worker-process pool — see
+        :mod:`repro.parallel`); any other value raises
+        :class:`BatchError`.  ``num_shards``/``pool`` configure the
+        processes backend only.
 
         An index built on a pool runs the batch there unless the call
-        picks ``"threads"`` or passes its own ``pool``.  The shard count
-        is then fixed by that pool: a matching ``num_shards`` is
-        accepted, a different one raises :class:`BatchError` rather than
-        being silently ignored.
+        passes its own ``pool``.  The shard count is then fixed by that
+        pool: a matching ``num_shards`` is accepted, a different one
+        raises :class:`BatchError` rather than being silently ignored.
         """
         self._ensure_open()
         graph = self._own_graph()
@@ -287,7 +286,6 @@ class HighwayCoverIndex(OracleBase):
             updates,
             variant=variant,
             parallel=parallel,
-            num_threads=num_threads,
             num_shards=num_shards,
             pool=pool,
         )

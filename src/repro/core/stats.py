@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 class ShardTiming:
     """Wall-clock breakdown of one execution shard of a (sub-)batch.
 
-    Populated by every backend so their cost models line up: a
+    Populated by both backends so their cost models line up: a
     sequential run emits one timing per landmark (the paper's idealised
-    one-core-per-landmark machine), ``parallel="threads"`` one per
-    landmark as actually interleaved by the thread pool, and
+    one-core-per-landmark machine), on every highway cover index, and
     ``parallel="processes"`` one per worker shard.  ``wall_seconds`` is
     the shard's elapsed time and may exceed ``search + repair`` (the
     read of old distances and serialisation overhead live there); the
-    batch makespan is the max
-    of the shard walls.
+    batch makespan is the max of the shard walls.
     """
 
     shard: int
@@ -54,8 +52,8 @@ class UpdateStats:
     search_seconds: float = 0.0
     repair_seconds: float = 0.0
     #: writer-side time spent scattering shard results back into the
-    #: labelling (processes backend only; 0 for in-process backends where
-    #: repairs write the shared matrix directly).
+    #: labelling (processes backend only; 0 in process, where repairs
+    #: write the shared matrix directly).
     merge_seconds: float = 0.0
     total_seconds: float = 0.0
     #: per-shard timing breakdown of the highway cover indexes: one

@@ -10,15 +10,18 @@ is set exactly for increases.  Removing an edge is an increase to infinity;
 adding one is a decrease from infinity, so the unweighted algorithms are the
 special case where every weight is 1.
 
-A batch follows the unweighted driver's per-landmark contract: search
-and repair read the old landmark lengths in place
-(:meth:`~repro.core.labelling.HighwayCoverLabelling.landmark_lengths`,
-no O(V) copy or ``tolist()`` per landmark), repair writes into one
+A batch runs through the same landmark loop as the unweighted indexes,
+:func:`repro.core.batchhl.run_passes`, with one pass over the live
+weighted graph and the Dijkstra kernels below: search and repair read
+the old landmark lengths in place
+(:meth:`~repro.core.labelling.HighwayCoverLabelling.landmark_lengths`),
+repair writes into one
 :meth:`~repro.core.labelling.HighwayCoverLabelling.repair_target` (the
-recycled back pair, else a copy), and the batch emits one
-``process_landmarks`` span with the same children and the same
-``repro_batch_*`` counters (``backend="sequential"``) as
-:func:`repro.core.batchhl.run_batch_update`.
+recycled back pair, else a copy), and the batch gets the same timings,
+``process_landmarks`` span and ``repro_batch_*`` counters
+(``backend="sequential"``).  What stays here is what has no unweighted
+counterpart: normalising weight updates, applying them as weight changes
+and restoring the old weights when the pass fails.
 
 Queries run the labelling bound plus a distance-bounded Dijkstra over the
 landmark-sparsified graph.
@@ -36,14 +39,13 @@ import numpy as np
 from repro.api.protocol import Capabilities, OracleBase
 from repro.api.registry import register_oracle
 from repro.constants import INF, externalise
-from repro.core.batchhl import _record_phase_metrics, _trace_phase_children
+from repro.core.batchhl import run_passes
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.landmarks import select_landmarks
 from repro.core.lengths import FALSE_KEY, TRUE_KEY
-from repro.core.stats import ShardTiming, UpdateStats
+from repro.core.stats import UpdateStats
 from repro.errors import BatchError
 from repro.graph.weighted_graph import WeightedDynamicGraph, WeightUpdate
-from repro.obs.trace import get_tracer
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +331,6 @@ class WeightedHighwayCoverIndex(OracleBase):
         updates: Iterable[Any],
         variant: Any = None,
         parallel: str | None = None,
-        num_threads: int | None = None,
         num_shards: int | None = None,
         pool: Any = None,
     ) -> UpdateStats:
@@ -340,7 +341,7 @@ class WeightedHighwayCoverIndex(OracleBase):
         execution options are rejected (sequential-only oracle).
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_threads, num_shards, pool)
+        self._require_sequential(parallel, num_shards, pool)
         updates = list(updates)
         for update in updates:
             if not isinstance(update, WeightUpdate):
@@ -376,59 +377,18 @@ class WeightedHighwayCoverIndex(OracleBase):
             for u, v, _, _ in changes:
                 stats.affected_vertices.add(u)
                 stats.affected_vertices.add(v)
-
-            labelling_old = self._labelling
-            labelling_new = labelling_old.repair_target()
-            written: list[list[int]] = []
-            is_landmark = labelling_old.is_landmark
-            tracer = get_tracer()
-            phases_started = tracer.now_us() if tracer.enabled else 0
-            with tracer.span(
-                "process_landmarks",
-                landmarks=labelling_old.num_landmarks,
-                backend="sequential",
-                batch=len(changes),
-            ) as phases_span:
-                for i in range(labelling_old.num_landmarks):
-                    # As on the unweighted indexes, the kernels read D's
-                    # column and the flags in place; opening the reader
-                    # counts towards the landmark's wall time only.
-                    t0 = time.perf_counter()
-                    old_dist, old_flag = labelling_old.landmark_lengths(i)
-                    t1 = time.perf_counter()
-                    affected = weighted_batch_search(graph, changes, old_dist)
-                    t2 = time.perf_counter()
-                    stats.labels_changed += weighted_batch_repair(
-                        graph, affected, i, labelling_new, old_dist,
-                        old_flag, is_landmark,
-                    )
-                    t3 = time.perf_counter()
-                    written.append(affected)
-                    stats.affected_per_landmark[i] += len(affected)
-                    stats.affected_vertices.update(affected)
-                    stats.search_seconds += t2 - t1
-                    stats.repair_seconds += t3 - t2
-                    stats.shard_timings.append(
-                        ShardTiming(
-                            shard=i,
-                            num_landmarks=1,
-                            search_seconds=t2 - t1,
-                            repair_seconds=t3 - t2,
-                            wall_seconds=t3 - t0,
-                        )
-                    )
-            if phases_span is not None:
-                _trace_phase_children(
-                    tracer,
-                    phases_span,
-                    phases_started,
-                    stats.shard_timings,
-                    "sequential",
-                )
-            stats.makespan_seconds = max(
-                (t.wall_seconds for t in stats.shard_timings), default=0.0
+            # The Dijkstra kernels as a kernel pair: the search reads no
+            # flags, and the pass has no predecessor rows (the graph is
+            # undirected).  Both look their kernel up when they run.
+            kernels = (
+                lambda rows, applied, dist, flag, is_landmark: (
+                    weighted_batch_search(rows, applied, dist)
+                ),
+                lambda *args, pred_graph: weighted_batch_repair(*args),
             )
-            labelling_new.set_back_pair(labelling_old, written)
+            (self._labelling,) = run_passes(
+                (self._labelling,), [(graph, None, changes)], kernels, stats
+            )
         except BaseException:
             # The labelling was never replaced: restore every weight set
             # so far (an invalid weight can fail mid-loop), in reverse,
@@ -436,8 +396,6 @@ class WeightedHighwayCoverIndex(OracleBase):
             for u, v, old_w, _ in reversed(changes):
                 graph.set_weight(u, v, None if old_w >= INF else old_w)
             raise
-        self._labelling = labelling_new
-        _record_phase_metrics(stats, "sequential")
         stats.total_seconds = time.perf_counter() - started
         return stats
 

@@ -45,7 +45,11 @@ import numpy as np
 
 from repro.constants import INF
 from repro.core.batch_search import OrientedUpdate
-from repro.core.batchhl import changed_entries, process_one_landmark
+from repro.core.batchhl import (
+    changed_entries,
+    edge_kernels,
+    process_one_landmark,
+)
 from repro.core.construction import landmark_column
 from repro.core.labelling import HighwayCoverLabelling
 from repro.graph.csr import CSRGraph
@@ -241,13 +245,14 @@ def run_update_shard(
     # expanding all V of them.
     csr = CSRGraph.from_rows(*rows)
     scratch = _ShardScratch(labelling_old, shard)
+    kernels = edge_kernels(improved)
 
     outcomes: list[LandmarkOutcome] = []
     pieces: dict[str, list[ChangeSet]] = {"labels": [], "dist": []}
     for i in shard:
         n_affected, search_s, repair_s, changed, affected, _ = (
             process_one_landmark(
-                csr, labelling_old, scratch, oriented, improved, i
+                csr, None, labelling_old, scratch, oriented, i, kernels
             )
         )
         outcomes.append((n_affected, search_s, repair_s, changed, affected))

@@ -142,13 +142,15 @@ class DistanceService:
     service as a context manager or call :meth:`close` to drain the last
     partial batch.
 
-    ``parallel``/``num_threads``/``num_shards`` select the execution
-    backend every flush uses (see :meth:`HighwayCoverIndex.batch_update`);
-    with ``parallel="processes"`` flushes fan landmark shards out to a
+    ``parallel``/``num_shards`` select the execution backend every flush
+    uses (see :meth:`HighwayCoverIndex.batch_update`): with
+    ``parallel="processes"`` flushes fan landmark shards out to a
     persistent worker pool (:mod:`repro.parallel`) while readers keep
     answering in-process from the published epoch.  A writer built on
-    its own pool (``oracle="hcl-sharded"``) flushes on that pool unless
-    ``parallel="threads"``.
+    its own pool (``oracle="hcl-sharded"``) flushes on that pool.  Either
+    option on a writer whose capabilities lack ``parallel`` (the
+    directed and weighted indexes, the baselines) raises
+    :class:`~repro.errors.CapabilityError` at construction.
 
     The query cache clears on every epoch that applied an update, so
     every hit is exact; ``cache_mode`` accepts only ``"epoch"``, that
@@ -178,7 +180,6 @@ class DistanceService:
         cache_capacity: int = 4096,
         cache_mode: str = "epoch",
         parallel: str | None = None,
-        num_threads: int | None = None,
         num_shards: int | None = None,
         background: bool = False,
         max_vertex_growth: int | None = 1024,
@@ -233,26 +234,13 @@ class DistanceService:
                 f" own pool (effective num_shards={writer_shards})"
             )
         if (
-            parallel is not None
-            or num_threads is not None
-            or num_shards is not None
+            parallel is not None or num_shards is not None
         ) and not writer_caps.parallel:
             raise CapabilityError(
                 "parallel execution options requested"
-                f" (parallel={parallel!r}, num_threads={num_threads!r},"
-                f" num_shards={num_shards!r}) but the writer oracle"
-                f" ({type(writer).__name__}) declares"
+                f" (parallel={parallel!r}, num_shards={num_shards!r}) but"
+                f" the writer oracle ({type(writer).__name__}) declares"
                 f" capabilities: {writer_caps.describe()}"
-            )
-        if self._directed and (
-            parallel == "processes" or num_shards is not None
-        ):
-            # The directed index parallelises with threads only; fail at
-            # construction rather than poisoning the first flush.
-            raise CapabilityError(
-                "directed oracles do not support the processes backend"
-                f" (got parallel={parallel!r}, num_shards={num_shards!r});"
-                " use parallel='threads' or sequential flushes"
             )
         if max_vertex_growth is not None and max_vertex_growth < 0:
             raise BatchError(
@@ -262,7 +250,6 @@ class DistanceService:
         self._max_vertex_growth = max_vertex_growth
         self._accepts_growth = bool(writer_caps.dynamic)
         self._parallel = parallel
-        self._num_threads = num_threads
         self._num_shards = num_shards
         # Own one persistent shard pool for the service's lifetime: its
         # worker processes AND its shared-memory state survive across
@@ -498,7 +485,6 @@ class DistanceService:
                         kwargs = dict(
                             variant=self._variant,
                             parallel=self._parallel,
-                            num_threads=self._num_threads,
                             num_shards=self._num_shards,
                         )
                         if self._pool is not None:

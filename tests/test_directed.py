@@ -88,16 +88,6 @@ def test_queries_after_repeated_updates():
             assert index.distance(s, t) == directed_oracle(digraph, s, t)
 
 
-def test_threaded_directed_update():
-    rng = random.Random(10)
-    digraph = random_digraph(40, 0.1, seed=6)
-    index = DirectedHighwayCoverIndex(digraph, num_landmarks=4)
-    index.batch_update(
-        random_directed_updates(digraph, rng, 4, 4), parallel="threads"
-    )
-    assert index.check_minimality() == []
-
-
 def test_vertex_growth_directed():
     digraph = DynamicDiGraph.from_edges([(0, 1), (1, 2)])
     index = DirectedHighwayCoverIndex(digraph, num_landmarks=2)

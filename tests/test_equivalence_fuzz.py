@@ -5,10 +5,12 @@ asserting the repo's strongest invariants:
 
 * maintained labelling == rebuild-from-scratch labelling (Theorem 5.21)
   for every variant (BHL, BHL+, BHL-s, UHL, UHL+);
-* sequential == threads == processes, bit-for-bit on the label matrices;
+* sequential == processes, bit-for-bit on the label matrices;
 * served distances == BFS ground truth on sampled pairs;
 * the same for the directed index: every variant == rebuild for both
-  labellings, and sequential == threads bit-for-bit on both;
+  labellings;
+* the same for the weighted index: weight increases, decreases,
+  removals, insertions and growth == rebuild after every batch;
 * after every batch, on every row, the maintained landmark-distance
   matrix D equals the Eq. 2 decode of labels + highway (the rebuild and
   bit-for-bit comparisons above cover D as well);
@@ -47,9 +49,11 @@ import pytest
 from repro import EdgeUpdate, HighwayCoverIndex
 from repro.core.directed import DirectedHighwayCoverIndex
 from repro.core.labelling import decode_distances
+from repro.core.weighted import WeightedHighwayCoverIndex
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DynamicDiGraph
+from repro.graph.weighted_graph import WeightUpdate
 from repro.workloads.queries import sample_query_pairs
 from tests.conftest import (
     assert_reader_matches_reference,
@@ -63,7 +67,7 @@ from tests.conftest import (
 
 DEFAULT_SEEDS = (3, 17, 88, 204, 977)
 VARIANTS = ("bhl", "bhl+", "bhl-s", "uhl", "uhl+")
-BACKENDS = (None, "threads", "processes")
+BACKENDS = (None, "processes")
 
 
 def fuzz_seeds() -> tuple[int, ...]:
@@ -237,7 +241,7 @@ def test_every_variant_matches_rebuild(seed):
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
 def test_backends_bitwise_equal(seed, shard_pool):
-    """sequential == threads == processes on identical update streams.
+    """sequential == processes on identical update streams.
 
     Three hostile rounds, then two clean ones that grow no vertex, so
     every backend's last pass recycles its labelling buffers and its
@@ -440,9 +444,10 @@ def test_unit_variants_agree_with_batch_on_processes(seed, shard_pool):
 @pytest.mark.parametrize("seed", fuzz_seeds())
 def test_directed_variants_match_rebuild_and_threads(seed):
     """The directed index under the same hostile batches: every variant
-    == rebuild-from-scratch for both labellings after every batch, and
-    sequential == threads bit-for-bit on both.  Two growing rounds, then
-    two clean ones, as in the undirected variant row."""
+    == rebuild-from-scratch for both labellings after every batch.  Two
+    growing rounds, then two clean ones, as in the undirected variant
+    row.  (The id is older than the removal of the threads backend,
+    whose bit-for-bit twin this row also ran.)"""
     rng = random.Random(seed + 40_000)
     undirected = generators.erdos_renyi(
         rng.randint(40, 90), rng.uniform(0.04, 0.10), seed=seed
@@ -455,16 +460,13 @@ def test_directed_variants_match_rebuild_and_threads(seed):
     csr_before = csr_paths()
     for variant in VARIANTS:
         batch_rng = random.Random(f"{seed}:directed:{variant}")
-        reference, threaded = (
-            DirectedHighwayCoverIndex(
-                digraph.copy(), num_landmarks=num_landmarks
-            )
-            for _ in range(2)
+        index = DirectedHighwayCoverIndex(
+            digraph.copy(), num_landmarks=num_landmarks
         )
         for round_no in range(4):
-            n = reference.graph.num_vertices
+            n = index.graph.num_vertices
             if round_no < 2:
-                updates = random_fuzz_batch(reference.graph, batch_rng)
+                updates = random_fuzz_batch(index.graph, batch_rng)
                 # A new vertex whose only arc leads out of it: it grows
                 # the vertex set and is reachable in the backward
                 # labelling only.
@@ -472,33 +474,80 @@ def test_directed_variants_match_rebuild_and_threads(seed):
                     EdgeUpdate.insert(n + 3, batch_rng.randrange(n))
                 )
             else:
-                updates = random_mixed_updates(
-                    reference.graph, batch_rng, 3, 3
-                )
-            reference.batch_update(updates, variant=variant, parallel=None)
-            threaded.batch_update(
-                updates, variant=variant, parallel="threads"
-            )
+                updates = random_mixed_updates(index.graph, batch_rng, 3, 3)
+            index.batch_update(updates, variant=variant)
             context = (
                 f"seed={seed} variant={variant} round={round_no}"
                 f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
             )
-            problems = reference.check_minimality()
+            problems = index.check_minimality()
             assert problems == [], f"{context}: {problems[:5]}"
-            assert_csr_matches_freeze(reference.graph, context)
-            assert_csr_matches_freeze(threaded.graph, f"{context} threads")
+            assert_csr_matches_freeze(index.graph, context)
             for side in ("forward", "backward"):
-                want = getattr(reference, side)
-                got = getattr(threaded, side)
-                assert_dist_decodes(want, f"{context} {side}")
-                assert_reader_matches_reference(want, f"{context} {side}")
-                assert_dist_decodes(got, f"{context} {side} threads")
-                assert_reader_matches_reference(got, f"{context} {side} threads")
-                assert want.equals(got), (
-                    f"{context} {side}: " + "; ".join(want.diff(got)[:5])
-                )
+                labelling = getattr(index, side)
+                assert_dist_decodes(labelling, f"{context} {side}")
+                assert_reader_matches_reference(labelling, f"{context} {side}")
     assert_recycled(paths_before, f"seed={seed}")
     assert_csr_recycled(csr_before, f"seed={seed}")
+
+
+def random_weight_batch(
+    wgraph, rng: random.Random, grow: bool
+) -> list[WeightUpdate]:
+    """Weight increases, decreases and removals of live edges, insertions
+    of absent ones, and with ``grow`` a chain of two brand-new vertices."""
+    n = wgraph.num_vertices
+    edges = sorted(wgraph.edges())
+    rng.shuffle(edges)
+    k = rng.randint(1, 3)
+    updates = [WeightUpdate(a, b, w + rng.randint(1, 5)) for a, b, w in edges[:k]]
+    updates += [
+        WeightUpdate(a, b, max(1, w - rng.randint(1, 5)))
+        for a, b, w in edges[k : 2 * k]
+    ]
+    updates += [WeightUpdate(a, b, None) for a, b, _ in edges[2 * k : 3 * k]]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b and not wgraph.has_edge(a, b):
+            updates.append(WeightUpdate(a, b, rng.randint(1, 8)))
+    if grow:
+        updates.append(WeightUpdate(rng.randrange(n), n, rng.randint(1, 8)))
+        updates.append(WeightUpdate(n, n + 1, rng.randint(1, 8)))
+    rng.shuffle(updates)
+    return updates
+
+
+@pytest.mark.parametrize("seed", fuzz_seeds())
+def test_weighted_batches_match_rebuild(seed):
+    """The weighted index on a random weighted ER graph: after every
+    batch of weight changes, removals and insertions, the labelling ==
+    rebuild-from-scratch, D decodes, and the in-place reader matches the
+    reference.  Two growing rounds, then two that grow no vertex, so
+    their passes repair into recycled buffers."""
+    rng = random.Random(seed + 60_000)
+    wgraph = generators.with_random_weights(
+        generators.erdos_renyi(
+            rng.randint(40, 90), rng.uniform(0.05, 0.10), seed=seed
+        ),
+        1,
+        8,
+        seed=seed,
+    )
+    index = WeightedHighwayCoverIndex(wgraph, num_landmarks=rng.randint(3, 6))
+    paths_before = buffer_paths()
+    for round_no in range(4):
+        index.batch_update(
+            random_weight_batch(index.graph, rng, grow=round_no < 2)
+        )
+        context = (
+            f"seed={seed} weighted round={round_no}"
+            f" (reproduce: REPRO_FUZZ_SEEDS={seed})"
+        )
+        problems = index.check_minimality()
+        assert problems == [], f"{context}: {problems[:5]}"
+        assert_dist_decodes(index.labelling, context)
+        assert_reader_matches_reference(index.labelling, context)
+    assert_recycled(paths_before, f"seed={seed} weighted")
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())

@@ -1,4 +1,4 @@
-"""Landmark-level parallelism: threads, worker processes, per-landmark makespan."""
+"""Landmark-level parallelism: worker processes, per-landmark makespan."""
 
 import random
 import time
@@ -20,29 +20,6 @@ def build_pair(seed):
     return graph
 
 
-def test_threaded_update_matches_sequential():
-    rng = random.Random(5)
-    graph = build_pair(1)
-    sequential = HighwayCoverIndex(graph.copy(), num_landmarks=6)
-    threaded = HighwayCoverIndex(graph.copy(), num_landmarks=6)
-    for _ in range(3):
-        updates = random_mixed_updates(sequential.graph, rng, 4, 4)
-        sequential.batch_update(updates, parallel=None)
-        threaded.batch_update(updates, parallel="threads")
-        assert sequential.labelling.equals(threaded.labelling)
-    assert threaded.check_minimality() == []
-
-
-def test_threaded_update_all_variants():
-    rng = random.Random(6)
-    for variant in ("bhl", "bhl+", "bhl-s"):
-        graph = build_pair(2)
-        index = HighwayCoverIndex(graph, num_landmarks=5)
-        updates = random_mixed_updates(graph, rng, 4, 4)
-        index.batch_update(updates, variant=variant, parallel="threads")
-        assert index.check_minimality() == [], variant
-
-
 def test_sequential_run_reports_makespan():
     rng = random.Random(7)
     graph = build_pair(3)
@@ -54,15 +31,6 @@ def test_sequential_run_reports_makespan():
     # Makespan is at least the largest per-landmark share: with 6
     # landmarks it cannot be below total/6 minus scheduling noise.
     assert stats.makespan_seconds >= (stats.search_seconds + stats.repair_seconds) / 6
-    assert index.check_minimality() == []
-
-
-def test_num_threads_parameter():
-    rng = random.Random(8)
-    graph = build_pair(4)
-    index = HighwayCoverIndex(graph, num_landmarks=4)
-    updates = random_mixed_updates(graph, rng, 3, 3)
-    index.batch_update(updates, parallel="threads", num_threads=2)
     assert index.check_minimality() == []
 
 
@@ -333,11 +301,16 @@ def test_service_over_sharded_writer_flushes_on_its_pool(shard_pool):
         )
 
 
-def test_invalid_parallel_mode_rejected():
+def test_invalid_parallel_mode_rejected(shard_pool):
+    """An unknown backend raises, also on an index built on a pool, which
+    reroutes only None and "processes" onto that pool."""
     graph = build_pair(9)
-    index = HighwayCoverIndex(graph, num_landmarks=3)
-    with pytest.raises(BatchError):
-        index.batch_update([], parallel="gpu")
+    plain = HighwayCoverIndex(graph.copy(), num_landmarks=3)
+    sharded = open_oracle("hcl-sharded", graph, num_landmarks=3, pool=shard_pool)
+    for index in (plain, sharded):
+        for mode in ("gpu", "threads"):
+            with pytest.raises(BatchError):
+                index.batch_update([], parallel=mode)
 
 
 # ----------------------------------------------------------------------

@@ -274,6 +274,14 @@ def test_typoed_variant_fails_at_construction():
         make_service(variant="bhl-typo")
 
 
+def test_unknown_backend_fails_at_construction():
+    from repro import BatchError
+
+    for mode in ("gpu", "threads"):
+        with pytest.raises(BatchError):
+            make_service(parallel=mode)
+
+
 def test_background_flush_failure_surfaces_on_submit_and_close():
     """If a background flush ever fails, the service must turn loud:
     later submits and close() raise instead of buffering forever."""
