@@ -53,8 +53,9 @@ class Capabilities:
     * ``weighted``     — indexes a :class:`~repro.graph.weighted_graph.WeightedDynamicGraph`;
     * ``dynamic``      — ``batch_update`` maintains the index incrementally
       (False means updates trigger a full rebuild);
-    * ``parallel``     — ``batch_update`` accepts the ``parallel=`` backend
-      options (the processes backend, ``num_shards``, ``pool``);
+    * ``parallel``     — can be built on a
+      :class:`~repro.parallel.pool.LandmarkShardPool`, whose worker
+      processes then run its construction and batch updates;
     * ``serializable`` — ``serialize(path)`` round-trips through
       :func:`repro.api.registry.load_oracle`.
     """
@@ -147,20 +148,6 @@ class OracleBase:
         if not (0 <= s < n and 0 <= t < n):
             raise IndexStateError(
                 f"query ({s}, {t}) outside vertex range 0..{n - 1}"
-            )
-
-    def _require_sequential(
-        self,
-        parallel: str | None,
-        num_shards: int | None,
-        pool: object | None,
-    ) -> None:
-        """Reject parallel execution options on a sequential-only oracle."""
-        if parallel is not None or num_shards is not None or pool is not None:
-            raise CapabilityError(
-                f"{type(self).__name__} does not support parallel execution"
-                " options (capabilities:"
-                f" {self.capabilities.describe()})"
             )
 
     @staticmethod

@@ -45,18 +45,12 @@ class BiBFSIndex(OracleBase):
         self,
         updates: Iterable[Any],
         variant: Any = None,
-        parallel: str | None = None,
-        num_shards: int | None = None,
-        pool: Any = None,
     ) -> UpdateStats:
         """Apply updates to the graph; nothing else to maintain.
 
-        ``variant`` is accepted for protocol compatibility and ignored;
-        parallel execution options are rejected (there is no maintenance
-        work to parallelise).
+        ``variant`` is accepted for protocol compatibility and ignored.
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_shards, pool)
         batch = normalize_batch(updates, self._graph)
         if len(batch):
             highest = max(max(u.u, u.v) for u in batch)

@@ -230,17 +230,12 @@ class FulFDIndex(OracleBase):
         self,
         updates: Iterable[Any],
         variant: Any = None,
-        parallel: str | None = None,
-        num_shards: int | None = None,
-        pool: Any = None,
     ) -> UpdateStats:
         """Unit-update loop: FulFD cannot exploit batches (by design).
 
-        ``variant`` is accepted for protocol compatibility and ignored;
-        parallel execution options are rejected (sequential-only oracle).
+        ``variant`` is accepted for protocol compatibility and ignored.
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_shards, pool)
         batch = normalize_batch(updates, self._graph)
         if len(batch):
             highest = max(max(u.u, u.v) for u in batch)

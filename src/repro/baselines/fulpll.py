@@ -56,17 +56,12 @@ class FullPLLIndex(OracleBase):
         self,
         updates: Iterable[Any],
         variant: Any = None,
-        parallel: str | None = None,
-        num_shards: int | None = None,
-        pool: Any = None,
     ) -> UpdateStats:
         """Unit-update loop: FulPLL cannot exploit batches (by design).
 
-        ``variant`` is accepted for protocol compatibility and ignored;
-        parallel execution options are rejected (sequential-only oracle).
+        ``variant`` is accepted for protocol compatibility and ignored.
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_shards, pool)
         graph = self.graph
         batch = normalize_batch(updates, graph)
         if len(batch):

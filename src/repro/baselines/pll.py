@@ -171,9 +171,6 @@ class PrunedLandmarkLabelling(OracleBase):
         self,
         updates: Iterable[Any],
         variant: Any = None,
-        parallel: str | None = None,
-        num_shards: int | None = None,
-        pool: Any = None,
     ) -> UpdateStats:
         """Apply the batch to the graph and rebuild the labels from scratch.
 
@@ -184,7 +181,6 @@ class PrunedLandmarkLabelling(OracleBase):
         for protocol compatibility and ignored.
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_shards, pool)
         batch = normalize_batch(updates, self._graph)
         stats = UpdateStats(variant="pll-rebuild", n_requested=len(batch))
         started = time.perf_counter()

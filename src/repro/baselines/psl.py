@@ -117,9 +117,6 @@ class PSLIndex(OracleBase):
         self,
         updates: Iterable[Any],
         variant: Any = None,
-        parallel: str | None = None,
-        num_shards: int | None = None,
-        pool: Any = None,
     ) -> UpdateStats:
         """Apply the batch to the graph and re-propagate from scratch.
 
@@ -129,7 +126,6 @@ class PSLIndex(OracleBase):
         is accepted for protocol compatibility and ignored.
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_shards, pool)
         batch = normalize_batch(updates, self._graph)
         stats = UpdateStats(variant="psl-rebuild", n_requested=len(batch))
         started = time.perf_counter()

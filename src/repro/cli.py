@@ -232,12 +232,13 @@ def _make_service(
     return DistanceService(
         _adapt_graph_for_oracle(graph, args.oracle),
         oracle=args.oracle,
+        oracle_config=(
+            None if args.shards is None else {"num_shards": args.shards}
+        ),
         num_landmarks=args.landmarks,
         variant=args.variant,
         policy=policy,
         cache_capacity=args.cache,
-        parallel=None if args.parallel == "none" else args.parallel,
-        num_shards=args.shards,
         background=background,
         max_vertex_growth=None if args.max_growth < 0 else args.max_growth,
     )
@@ -456,16 +457,9 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--cache", type=int, default=4096)
     parser.add_argument(
-        "--parallel",
-        choices=("none", "processes"),
-        default="none",
-        help="execution backend for flushes; 'processes' runs landmark"
-        " shards on a persistent worker-process pool",
-    )
-    parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="landmark shard count for --parallel processes"
-        " (default: one per core)",
+        help="landmark shard count of --oracle hcl-sharded, whose flushes"
+        " run on a persistent worker-process pool (default: one per core)",
     )
     parser.add_argument(
         "--max-growth", type=int, default=1024, metavar="N",

@@ -57,9 +57,11 @@ Variants (Section 7.1):
 Parallelism: by default the landmarks of a pass run in process, one
 after another, and report one timing per landmark and pass and the
 makespan ``max_r t(r)`` that the paper's one-core-per-landmark BHLp
-would pay.  ``parallel="processes"`` ships landmark shards to a
-persistent worker-process pool (:mod:`repro.parallel`) instead, on
-undirected graphs only, and reports one timing per shard.
+would pay.  Given a ``pool``, a
+:class:`~repro.parallel.pool.LandmarkShardPool`, the driver ships
+landmark shards to its persistent worker processes instead, on
+undirected graphs only, and reports one timing per shard; an index
+built on a pool passes its own.
 """
 
 from __future__ import annotations
@@ -82,8 +84,6 @@ from repro.errors import BatchError
 from repro.graph.batch import Batch, apply_batch, normalize_batch, revert_batch
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-
-PARALLEL_MODES = (None, "processes")
 
 #: One pass over G': ``(search rows, predecessor rows or None, updates)``,
 #: where the updates are whatever the pass's search kernel seeds from.
@@ -187,8 +187,6 @@ def run_batch_update(
     labellings: tuple[HighwayCoverLabelling, ...],
     updates: Iterable[Any],
     variant: "Variant | str" = Variant.BHL_PLUS,
-    parallel: str | None = None,
-    num_shards: int | None = None,
     pool: Any = None,
 ) -> tuple[tuple[HighwayCoverLabelling, ...], UpdateStats]:
     """Normalise, apply, and reflect ``updates`` into new labellings.
@@ -200,31 +198,14 @@ def run_batch_update(
     the update statistics.  The input labellings are grown to cover new
     vertices but never repaired.
 
-    ``num_shards`` and ``pool`` only apply to ``parallel="processes"``,
-    which is undirected-only: ``pool`` is a
-    :class:`~repro.parallel.pool.LandmarkShardPool` to reuse (its workers
-    persist across batches); with ``pool=None`` the module's shared
-    default pool is used, sharded ``num_shards`` ways.
+    With ``pool``, a :class:`~repro.parallel.pool.LandmarkShardPool`
+    whose workers persist across batches, every pass runs on the
+    processes backend; that backend is undirected-only.
     """
     variant = resolve_variant(variant)
-    if parallel not in PARALLEL_MODES:
-        raise BatchError(
-            f"parallel must be one of {PARALLEL_MODES}, got {parallel!r}"
-        )
     directed = len(labellings) == 2
-    if directed and (
-        parallel is not None or num_shards is not None or pool is not None
-    ):
-        raise BatchError(
-            "the processes backend and its num_shards/pool options are"
-            f" undirected-only, got parallel={parallel!r}"
-        )
-    if parallel is None:
-        pool = None
-    elif pool is None:
-        from repro.parallel.pool import get_default_pool
-
-        pool = get_default_pool(num_shards)
+    if directed and pool is not None:
+        raise BatchError("the processes backend is undirected-only")
     updates = list(updates)
     stats = UpdateStats(variant=variant.value, n_requested=len(updates))
     stats.affected_per_landmark = [0] * labellings[0].num_landmarks

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.constants import INF, NO_LABEL
 from repro.core.labelling import HighwayCoverLabelling
-from repro.errors import ReproError
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.csr import landmark_lengths as csr_landmark_lengths
 
@@ -78,29 +77,17 @@ def landmark_column(
 def build_labelling(
     graph: Any,
     landmarks: tuple[int, ...],
-    parallel: str | None = None,
-    num_shards: int | None = None,
     pool: Any = None,
 ) -> HighwayCoverLabelling:
     """Build the minimal highway cover labelling of ``graph`` over ``landmarks``.
 
-    ``parallel="processes"`` distributes the per-landmark BFS trees over a
-    :class:`~repro.parallel.pool.LandmarkShardPool` (``pool`` to reuse a
-    persistent one, else the shared default pool sharded ``num_shards``
-    ways).  Construction is embarrassingly parallel: each landmark's
-    column and highway row depend only on the graph and the landmark set.
+    With ``pool``, a :class:`~repro.parallel.pool.LandmarkShardPool`, the
+    per-landmark BFS trees run on its worker processes.  Construction is
+    embarrassingly parallel: each landmark's column and highway row
+    depend only on the graph and the landmark set.
     """
-    if parallel == "processes":
-        if pool is None:
-            from repro.parallel.pool import get_default_pool
-
-            pool = get_default_pool(num_shards)
+    if pool is not None:
         return pool.build(graph, tuple(landmarks))
-    if parallel is not None:
-        raise ReproError(
-            f"build_labelling supports parallel=None or 'processes',"
-            f" got {parallel!r}"
-        )
     n = graph.num_vertices
     labelling = HighwayCoverLabelling.empty(n, landmarks)
     is_landmark = labelling.is_landmark

@@ -144,19 +144,13 @@ class DirectedHighwayCoverIndex(OracleBase):
         self,
         updates: Iterable[Any],
         variant: Variant | str = Variant.BHL_PLUS,
-        parallel: str | None = None,
-        num_shards: int | None = None,
-        pool: Any = None,
     ) -> UpdateStats:
         """Apply directed edge updates to the graph and both labellings.
 
-        Sequential only: the parallel execution options raise
-        :class:`~repro.errors.CapabilityError`, since the processes
-        backend is undirected-only.  A failed batch leaves the arcs and
-        both labellings as they were.
+        Sequential only: the processes backend is undirected-only.  A
+        failed batch leaves the arcs and both labellings as they were.
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_shards, pool)
         if isinstance(self._graph, FrozenDiGraph):
             self._graph = self._graph.copy()  # a snapshot's own digraph
         (self._forward, self._backward), stats = run_batch_update(

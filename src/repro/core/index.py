@@ -18,8 +18,9 @@ the labelling so the two always describe the same topology.
 
 An index built on a :class:`~repro.parallel.pool.LandmarkShardPool`
 (``pool=``, or the ``hcl-sharded`` registry entry) runs construction,
-``rebuild()`` and its batch updates on the pool's worker processes;
-queries never touch the pool::
+``rebuild()`` and its batch updates on the pool's worker processes; that
+is the only way onto the processes backend.  Queries never touch the
+pool::
 
     with open_oracle("hcl-sharded", graph, num_landmarks=20, num_shards=4) as index:
         index.batch_update(updates)          # runs on the worker pool
@@ -39,7 +40,6 @@ from repro.core.labelling import HighwayCoverLabelling
 from repro.core.landmarks import select_landmarks
 from repro.core.queries import query_distance
 from repro.core.stats import UpdateStats
-from repro.errors import BatchError
 from repro.graph.batch import EdgeUpdate
 from repro.graph.csr import CSRGraph, bfs_distances as csr_bfs_distances
 from repro.graph.dynamic_graph import DynamicGraph, FrozenGraph
@@ -77,12 +77,7 @@ class HighwayCoverIndex(OracleBase):
             landmarks = select_landmarks(
                 graph, min(num_landmarks, graph.num_vertices), selection, seed
             )
-        self._labelling = build_labelling(
-            graph,
-            tuple(landmarks),
-            parallel=None if pool is None else "processes",
-            pool=pool,
-        )
+        self._labelling = build_labelling(graph, tuple(landmarks), pool=pool)
         self._landmark_set = frozenset(self._labelling.landmarks)
 
     @classmethod
@@ -126,23 +121,6 @@ class HighwayCoverIndex(OracleBase):
     def pool(self) -> "LandmarkShardPool | None":
         """The shard pool this index maintains itself on, if any."""
         return self._pool
-
-    @property
-    def effective_num_shards(self) -> int | None:
-        """The shard count batches run with on this index's pool.
-
-        None without a pool.  An auto-sharded pool (``num_shards=None``)
-        resolves to one shard per core, capped by the landmark count —
-        the same resolution
-        :func:`~repro.parallel.pool.partition_landmarks` applies.
-        """
-        if self._pool is None:
-            return None
-        from repro.parallel.pool import default_num_shards
-
-        num_landmarks = self._labelling.num_landmarks
-        requested = self._pool.num_shards or default_num_shards(num_landmarks)
-        return max(1, min(requested, num_landmarks))
 
     def label_size(self) -> int:
         """Number of label entries (the paper's labelling-size metric)."""
@@ -249,45 +227,16 @@ class HighwayCoverIndex(OracleBase):
         self,
         updates: Iterable[EdgeUpdate],
         variant: Variant | str = Variant.BHL_PLUS,
-        parallel: str | None = None,
-        num_shards: int | None = None,
-        pool: Any = None,
     ) -> UpdateStats:
-        """Apply a batch of :class:`EdgeUpdate` to graph + labelling.
-
-        ``parallel`` selects the execution backend: None (in process) or
-        ``"processes"`` (landmark shards on a worker-process pool — see
-        :mod:`repro.parallel`); any other value raises
-        :class:`BatchError`.  ``num_shards``/``pool`` configure the
-        processes backend only.
-
-        An index built on a pool runs the batch there unless the call
-        passes its own ``pool``.  The shard count is then fixed by that
-        pool: a matching ``num_shards`` is accepted, a different one
-        raises :class:`BatchError` rather than being silently ignored.
-        """
+        """Apply a batch of :class:`EdgeUpdate` to graph + labelling, on
+        this index's pool when it has one (see :mod:`repro.parallel`)."""
         self._ensure_open()
-        graph = self._own_graph()
-        if self._pool is not None and pool is None and parallel in (
-            None, "processes"
-        ):
-            shards = self.effective_num_shards
-            if num_shards is not None and num_shards != shards:
-                raise BatchError(
-                    "this index runs on its own pool"
-                    f" (effective num_shards={shards}), cannot honour"
-                    f" num_shards={num_shards}; pass pool=... to override,"
-                    " or set num_shards at construction"
-                )
-            parallel, pool = "processes", self._pool
         (new_labelling,), stats = run_batch_update(
-            graph,
+            self._own_graph(),
             (self._labelling,),
             updates,
             variant=variant,
-            parallel=parallel,
-            num_shards=num_shards,
-            pool=pool,
+            pool=self._pool,
         )
         self._labelling = new_labelling
         return stats
@@ -363,10 +312,7 @@ class HighwayCoverIndex(OracleBase):
         """Recompute the labelling from scratch (keeps the landmark set),
         on this index's pool when it has one."""
         self._labelling = build_labelling(
-            self._graph,
-            self._labelling.landmarks,
-            parallel=None if self._pool is None else "processes",
-            pool=self._pool,
+            self._graph, self._labelling.landmarks, pool=self._pool
         )
 
     def check_minimality(self) -> list[str]:

@@ -17,7 +17,7 @@ class ShardTiming:
     Populated by both backends so their cost models line up: a
     sequential run emits one timing per landmark (the paper's idealised
     one-core-per-landmark machine), on every highway cover index, and
-    ``parallel="processes"`` one per worker shard.  ``wall_seconds`` is
+    the processes backend one per worker shard.  ``wall_seconds`` is
     the shard's elapsed time and may exceed ``search + repair`` (the
     read of old distances and serialisation overhead live there); the
     batch makespan is the max of the shard walls.

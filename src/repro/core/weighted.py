@@ -330,18 +330,13 @@ class WeightedHighwayCoverIndex(OracleBase):
         self,
         updates: Iterable[Any],
         variant: Any = None,
-        parallel: str | None = None,
-        num_shards: int | None = None,
-        pool: Any = None,
     ) -> UpdateStats:
         """Apply a batch of :class:`WeightUpdate` (last write per edge wins).
 
         ``variant`` is accepted for protocol compatibility and ignored —
-        the weighted repair is the unified BHL+ algorithm; the parallel
-        execution options are rejected (sequential-only oracle).
+        the weighted repair is the unified BHL+ algorithm.
         """
         self._ensure_open()
-        self._require_sequential(parallel, num_shards, pool)
         updates = list(updates)
         for update in updates:
             if not isinstance(update, WeightUpdate):

@@ -11,26 +11,21 @@ and repair kernels are pure Python and GIL-bound):
 * :mod:`~repro.parallel.worker` — the picklable shard task bodies
   (batch search + repair, and BFS construction, per landmark shard);
 * :mod:`~repro.parallel.pool` — :class:`LandmarkShardPool`, a persistent
-  worker-process pool reused across batches, plus the process-wide
-  default pool behind ``parallel="processes"``.
+  worker-process pool reused across batches.
 
 A :class:`~repro.core.index.HighwayCoverIndex` built with ``pool=`` (the
 ``hcl-sharded`` registry entry) runs its construction and updates on
-that pool.
+that pool; that is the only way onto the processes backend.
 """
 
 from repro.parallel.pool import (
     LandmarkShardPool,
-    close_default_pool,
     default_num_shards,
-    get_default_pool,
     partition_landmarks,
 )
 
 __all__ = [
     "LandmarkShardPool",
-    "close_default_pool",
     "default_num_shards",
-    "get_default_pool",
     "partition_landmarks",
 ]

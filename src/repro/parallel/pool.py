@@ -20,15 +20,13 @@ count.  More shards than cores only adds dispatch overhead; fewer leaves
 cores idle.  With the paper's default of 20 landmarks, 4–20 shards cover
 every sensible machine.
 
-Module-level :func:`get_default_pool` keeps one process pool per Python
-process for callers that use the functional API
-(``run_batch_update(parallel="processes")``) without managing a pool
-object themselves; it is closed automatically at interpreter exit.
+An index built on a pool (``HighwayCoverIndex(pool=...)``, or the
+``hcl-sharded`` registry entry) runs on it; ``run_batch_update`` and
+``build_labelling`` take the same ``pool``.
 """
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 import sys
@@ -148,17 +146,10 @@ class LandmarkShardPool:
     stay alive until :meth:`close` (the pool is also a context manager).
     """
 
-    def __init__(
-        self,
-        num_shards: int | None = None,
-        max_workers: int | None = None,
-        mp_context: BaseContext | None = None,
-    ) -> None:
+    def __init__(self, num_shards: int | None = None) -> None:
         if num_shards is not None and num_shards <= 0:
             raise BatchError(f"num_shards must be positive, got {num_shards}")
         self.num_shards = num_shards
-        self._max_workers = max_workers
-        self._mp_context = mp_context
         self._executor: ProcessPoolExecutor | None = None  # guarded-by: _lock
         self._lock = threading.Lock()
         # Shared-memory (G', Γ) mirror, created on the first run_update.
@@ -179,14 +170,9 @@ class LandmarkShardPool:
                 # Size to the pool's fixed shard count, or to the machine
                 # when sharding is auto — never to the first call's shard
                 # count, which may be small and would cap every later run.
-                workers = (
-                    self._max_workers
-                    or self.num_shards
-                    or (os.cpu_count() or 1)
-                )
+                workers = self.num_shards or os.cpu_count() or 1
                 self._executor = ProcessPoolExecutor(
-                    max_workers=max(1, workers),
-                    mp_context=self._mp_context or _default_mp_context(),
+                    max_workers=workers, mp_context=_default_mp_context()
                 )
             return self._executor
 
@@ -526,34 +512,3 @@ def _build_task(
 ) -> BuildShardResult:
     return run_build_shard(starts, ends, indices, landmarks, shard)
 
-
-# ----------------------------------------------------------------------
-# default pool (functional API)
-# ----------------------------------------------------------------------
-
-_default_pools: dict[int | None, LandmarkShardPool] = {}
-_default_lock = threading.Lock()
-
-
-def get_default_pool(num_shards: int | None = None) -> LandmarkShardPool:
-    """The process-wide pool used when callers pass ``parallel="processes"``
-    without an explicit pool.  One pool is kept per requested shard count
-    (None = auto), so callers that disagree on ``num_shards`` each reuse
-    their own persistent workers instead of restarting a shared pool on
-    every batch."""
-    with _default_lock:
-        pool = _default_pools.get(num_shards)
-        if pool is None:
-            pool = LandmarkShardPool(num_shards)
-            _default_pools[num_shards] = pool
-        return pool
-
-
-def close_default_pool() -> None:
-    with _default_lock:
-        for pool in _default_pools.values():
-            pool.close()
-        _default_pools.clear()
-
-
-atexit.register(close_default_pool)

@@ -39,7 +39,7 @@ from typing import Iterable
 
 from repro.api.protocol import Capabilities, DistanceOracle
 from repro.api.registry import open_oracle, oracle_spec
-from repro.core.batchhl import PARALLEL_MODES, Variant, resolve_variant
+from repro.core.batchhl import Variant, resolve_variant
 from repro.core.stats import UpdateStats
 from repro.errors import (
     BatchError,
@@ -54,7 +54,6 @@ from repro.graph.weighted_graph import WeightedDynamicGraph, WeightUpdate
 from repro.obs.log import get_logger
 from repro.obs.profile import profile_section
 from repro.obs.trace import span
-from repro.parallel.pool import LandmarkShardPool
 from repro.service.cache import QueryCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import (
@@ -126,14 +125,16 @@ class DistanceService:
     ``source`` may be a :class:`DynamicGraph` — the writer oracle is then
     built through :func:`repro.open_oracle` from the registry name in
     ``oracle`` (default ``"hcl"``) with ``oracle_config`` constructor
-    options — or a prebuilt :class:`~repro.api.protocol.DistanceOracle`
-    (taken over as the writer's live oracle — do not mutate it externally
-    afterwards).  Epoch snapshots are oracle-agnostic: directed writers
-    coalesce per *arc* (``(u, v)`` and ``(v, u)`` stay distinct, and the
-    query cache keeps ordered keys), weighted writers receive each flushed
-    :class:`EdgeUpdate` as a unit-weight :class:`WeightUpdate` (insert =
-    set weight 1, delete = remove), and a static oracle (``dynamic=False``,
-    e.g. ``"pll"``) pays a full rebuild per flush.
+    options, and :meth:`close` closes it — or a prebuilt
+    :class:`~repro.api.protocol.DistanceOracle` (taken over as the
+    writer's live oracle — do not mutate it externally afterwards; it
+    stays the caller's to close).  Epoch snapshots are oracle-agnostic:
+    directed writers coalesce per *arc* (``(u, v)`` and ``(v, u)`` stay
+    distinct, and the query cache keeps ordered keys), weighted writers
+    receive each flushed :class:`EdgeUpdate` as a unit-weight
+    :class:`WeightUpdate` (insert = set weight 1, delete = remove), and a
+    static oracle (``dynamic=False``, e.g. ``"pll"``) pays a full rebuild
+    per flush.
 
     With ``background=True`` a daemon writer thread flushes whenever the
     policy's size or age trigger fires; otherwise flushes run inline on
@@ -142,15 +143,10 @@ class DistanceService:
     service as a context manager or call :meth:`close` to drain the last
     partial batch.
 
-    ``parallel``/``num_shards`` select the execution backend every flush
-    uses (see :meth:`HighwayCoverIndex.batch_update`): with
-    ``parallel="processes"`` flushes fan landmark shards out to a
-    persistent worker pool (:mod:`repro.parallel`) while readers keep
-    answering in-process from the published epoch.  A writer built on
-    its own pool (``oracle="hcl-sharded"``) flushes on that pool.  Either
-    option on a writer whose capabilities lack ``parallel`` (the
-    directed and weighted indexes, the baselines) raises
-    :class:`~repro.errors.CapabilityError` at construction.
+    A writer built on a worker-process pool (``oracle="hcl-sharded"``,
+    with ``oracle_config={"num_shards": k}``) fans every flush out to
+    that pool's landmark shards (:mod:`repro.parallel`) while readers
+    keep answering in-process from the published epoch.
 
     The query cache clears on every epoch that applied an update, so
     every hit is exact; ``cache_mode`` accepts only ``"epoch"``, that
@@ -179,18 +175,28 @@ class DistanceService:
         policy: FlushPolicy | None = None,
         cache_capacity: int = 4096,
         cache_mode: str = "epoch",
-        parallel: str | None = None,
-        num_shards: int | None = None,
         background: bool = False,
         max_vertex_growth: int | None = 1024,
     ) -> None:
+        # Check every plain argument before a writer exists: a typo'd one
+        # must fail at construction, not poison the first flush, and must
+        # not leave a built writer's worker processes running.
         if cache_mode != "epoch":
             raise WorkloadError(
                 f"cache_mode must be 'epoch', got {cache_mode!r}"
             )
-        if isinstance(
+        self._variant = resolve_variant(variant)
+        if max_vertex_growth is not None and max_vertex_growth < 0:
+            raise BatchError(
+                f"max_vertex_growth must be >= 0 or None,"
+                f" got {max_vertex_growth}"
+            )
+        self._max_vertex_growth = max_vertex_growth
+        # The service closes the writer it builds, never a prebuilt one.
+        self._owns_writer = isinstance(
             source, (DynamicGraph, DynamicDiGraph, WeightedDynamicGraph)
-        ):
+        )
+        if self._owns_writer:
             spec = oracle_spec(oracle)
             config = dict(oracle_config or {})
             # The landmark knobs stay as first-class service options but
@@ -211,55 +217,7 @@ class DistanceService:
         self._writer = writer
         self._directed = bool(writer_caps.directed)
         self._weighted = bool(writer_caps.weighted)
-        # Resolve eagerly: a typo'd variant or backend must fail at
-        # construction, not poison the first flush.
-        self._variant = resolve_variant(variant)
-        if parallel not in PARALLEL_MODES:
-            raise BatchError(
-                f"parallel must be one of {PARALLEL_MODES}, got {parallel!r}"
-            )
-        # A pool-owning writer (an hcl-sharded index — detected through
-        # its advertised shard count, not a concrete import; the service
-        # layer speaks DistanceOracle only, per API001) flushes on its
-        # own pool by default, and would reject a conflicting shard count
-        # at every flush: fail here instead.
-        writer_shards = getattr(writer, "effective_num_shards", None)
-        if (
-            writer_shards is not None
-            and num_shards is not None
-            and num_shards != writer_shards
-        ):
-            raise BatchError(
-                f"num_shards={num_shards} conflicts with the writer's"
-                f" own pool (effective num_shards={writer_shards})"
-            )
-        if (
-            parallel is not None or num_shards is not None
-        ) and not writer_caps.parallel:
-            raise CapabilityError(
-                "parallel execution options requested"
-                f" (parallel={parallel!r}, num_shards={num_shards!r}) but"
-                f" the writer oracle ({type(writer).__name__}) declares"
-                f" capabilities: {writer_caps.describe()}"
-            )
-        if max_vertex_growth is not None and max_vertex_growth < 0:
-            raise BatchError(
-                f"max_vertex_growth must be >= 0 or None,"
-                f" got {max_vertex_growth}"
-            )
-        self._max_vertex_growth = max_vertex_growth
         self._accepts_growth = bool(writer_caps.dynamic)
-        self._parallel = parallel
-        self._num_shards = num_shards
-        # Own one persistent shard pool for the service's lifetime: its
-        # worker processes AND its shared-memory state survive across
-        # flushes, so steady-state flushes ship only deltas instead of
-        # re-publishing (V, R) matrices.  A pool-owning writer already
-        # has one; the default-pool fallback inside run_batch_update
-        # would also work but would outlive the service.
-        self._pool: LandmarkShardPool | None = None
-        if parallel == "processes" and writer_shards is None:
-            self._pool = LandmarkShardPool(num_shards)
         # The accept boundary validates against this count, not against a
         # live read of the writer's graph: it is republished under
         # self._wakeup at the end of every flush, so a submit racing a
@@ -267,9 +225,18 @@ class DistanceService:
         # conservative — growth is monotone) or the new one, never a
         # half-grown intermediate.
         self._vertex_count = writer.graph.num_vertices  # guarded-by: _wakeup
-        self._epochs = EpochStore(self._writer.snapshot())
-        self.scheduler = CoalescingScheduler(policy, directed=self._directed)
-        self.cache = QueryCache(cache_capacity, symmetric=not self._directed)
+        try:
+            self._epochs = EpochStore(self._writer.snapshot())
+            self.scheduler = CoalescingScheduler(
+                policy, directed=self._directed
+            )
+            self.cache = QueryCache(
+                cache_capacity, symmetric=not self._directed
+            )
+        except BaseException:
+            if self._owns_writer:
+                writer.close()
+            raise
         self.metrics = ServiceMetrics()
         # The cache and scheduler export their own tallies through the
         # service registry (callback-backed: zero hot-path cost), so one
@@ -281,7 +248,6 @@ class DistanceService:
             extra={
                 "writer": type(writer).__name__,
                 "vertices": self._vertex_count,
-                "parallel": parallel or "sequential",
                 "background": background,
             },
         )
@@ -482,15 +448,8 @@ class DistanceService:
                             ]
                         else:
                             batch_out = batch
-                        kwargs = dict(
-                            variant=self._variant,
-                            parallel=self._parallel,
-                            num_shards=self._num_shards,
-                        )
-                        if self._pool is not None:
-                            kwargs["pool"] = self._pool
                         stats = self._writer.batch_update(
-                            batch_out, **kwargs
+                            batch_out, variant=self._variant
                         )
                     with self._wakeup:
                         # Republish the accept boundary's vertex count now
@@ -608,11 +567,11 @@ class DistanceService:
             if flush_pending:
                 self.flush(FlushTrigger.CLOSE)
         finally:
-            # After the final drain: the owned pool's workers and shared-
-            # memory blocks are no longer needed (unlink happens here, not
-            # at interpreter exit).
-            if self._pool is not None:
-                self._pool.close()
+            # After the final drain, close a writer this service built:
+            # an hcl-sharded writer's workers and shared-memory blocks go
+            # here, not at interpreter exit.
+            if self._owns_writer:
+                self._writer.close()
 
     def __enter__(self) -> "DistanceService":
         return self

@@ -162,13 +162,6 @@ def test_resolve_variant():
         resolve_variant("turbo")
 
 
-def test_invalid_parallel_mode_rejected():
-    graph = generators.cycle(5)
-    index = HighwayCoverIndex(graph, num_landmarks=2)
-    with pytest.raises(BatchError):
-        index.batch_update([EdgeUpdate.insert(0, 2)], parallel="gpu")
-
-
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_vertex_growth_stays_minimal_across_variants(variant):
     """Regression guard: growing batches — chained new vertices, id gaps,

@@ -250,10 +250,9 @@ def test_backends_bitwise_equal(seed, shard_pool):
     num_landmarks = rng.randint(4, 7)
     reference = HighwayCoverIndex(graph.copy(), num_landmarks=num_landmarks)
     others = {
-        backend: HighwayCoverIndex.from_parts(
-            graph.copy(), reference.labelling.copy()
+        "processes": HighwayCoverIndex(
+            graph.copy(), landmarks=reference.landmarks, pool=shard_pool
         )
-        for backend in BACKENDS[1:]
     }
     recycled = dict.fromkeys(BACKENDS, 0.0)
     csr_before = csr_paths()
@@ -264,7 +263,7 @@ def test_backends_bitwise_equal(seed, shard_pool):
         else:
             updates = random_mixed_updates(reference.graph, batch_rng, 3, 3)
         before = buffer_paths()
-        reference.batch_update(updates, parallel=None)
+        reference.batch_update(updates)
         recycled[None] += buffer_paths_since(before)["recycled"]
         problems = reference.check_minimality()
         assert problems == [], (
@@ -284,11 +283,7 @@ def test_backends_bitwise_equal(seed, shard_pool):
         )
         for backend, index in others.items():
             before = buffer_paths()
-            index.batch_update(
-                updates,
-                parallel=backend,
-                pool=shard_pool if backend == "processes" else None,
-            )
+            index.batch_update(updates)
             recycled[backend] += buffer_paths_since(before)["recycled"]
             context = (
                 f"seed={seed} backend={backend} round={round_no}"
@@ -320,16 +315,16 @@ def test_processes_remap_and_worker_death(seed, shard_pool):
     rng, graph = random_instance(seed + 30_000)
     num_landmarks = rng.randint(3, 5)
     reference = HighwayCoverIndex(graph.copy(), num_landmarks=num_landmarks)
-    subject = HighwayCoverIndex.from_parts(
-        graph.copy(), reference.labelling.copy()
+    subject = HighwayCoverIndex(
+        graph.copy(), landmarks=reference.landmarks, pool=shard_pool
     )
     batch_rng = random.Random(f"{seed}:remap")
     csr_before = csr_paths()
 
     def apply_both(updates, stage):
-        reference.batch_update(updates, parallel=None)
+        reference.batch_update(updates)
         before = buffer_paths()
-        subject.batch_update(updates, parallel="processes", pool=shard_pool)
+        subject.batch_update(updates)
         paths = buffer_paths_since(before)
         context = (
             f"seed={seed} stage={stage}"
@@ -370,7 +365,7 @@ def test_processes_remap_and_worker_death(seed, shard_pool):
     updates = random_fuzz_batch(reference.graph, batch_rng)
     edges_before = sorted(subject.graph.edges())
     with pytest.raises(BrokenProcessPool):
-        subject.batch_update(updates, parallel="processes", pool=shard_pool)
+        subject.batch_update(updates)
     # The failed batch rolled its edge mutations back, and the view the
     # graph maintains follows the rollback; the retry runs on a fresh
     # executor whose workers attach to the surviving blocks.
@@ -409,14 +404,13 @@ def test_unit_variants_agree_with_batch_on_processes(seed, shard_pool):
         ("uhl", None),
         ("uhl+", "processes"),
     ):
-        index = HighwayCoverIndex(graph.copy(), num_landmarks=num_landmarks)
-        before = buffer_paths()
-        index.batch_update(
-            batch,
-            variant=variant,
-            parallel=backend,
+        index = HighwayCoverIndex(
+            graph.copy(),
+            num_landmarks=num_landmarks,
             pool=shard_pool if backend == "processes" else None,
         )
+        before = buffer_paths()
+        index.batch_update(batch, variant=variant)
         context = f"seed={seed} variant={variant} backend={backend}"
         if variant != "bhl+":
             # From the third unit sub-batch on, each pass recycles the

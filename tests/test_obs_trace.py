@@ -146,8 +146,8 @@ def test_processes_flush_nests_per_shard_spans(tmp_path):
             graph,
             num_landmarks=4,
             policy=FlushPolicy(max_batch=100, max_delay=None),
-            parallel="processes",
-            num_shards=2,
+            oracle="hcl-sharded",
+            oracle_config={"num_shards": 2},
         )
         with service:
             service.insert_edge(0, 29)

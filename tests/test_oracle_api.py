@@ -494,20 +494,6 @@ def test_unsupported_config_key_raises():
         open_oracle("bibfs", make_graph("undirected", n=10), num_landmarks=4)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["pll", "psl", "fulpll", "fulfd", "bibfs", "hcl-directed", "hcl-weighted"],
-)
-def test_sequential_oracles_reject_parallel_options(name):
-    kind = graph_kind(name)
-    oracle = build(name, make_graph(kind, n=10))
-    updates = growth_updates(kind, oracle.graph.num_vertices)
-    with pytest.raises(CapabilityError):
-        oracle.batch_update(updates, parallel="processes")
-    with pytest.raises(CapabilityError):
-        oracle.batch_update(updates, num_shards=2)
-
-
 def test_register_oracle_rejects_duplicates_and_allows_replace():
     spec = oracle_spec("bibfs")
     try:
@@ -594,18 +580,15 @@ def test_service_rejects_unknown_oracle_and_capability_gaps():
 
     with pytest.raises(UnknownOracleError):
         DistanceService(path_graph(4), oracle="nosuch")
-    with pytest.raises(CapabilityError):
-        DistanceService(path_graph(4), oracle="bibfs", parallel="processes")
-    # Every parallel knob must fail at construction, not poison the first
-    # flush (num_shards is reachable from the CLI via --shards).
-    with pytest.raises(CapabilityError):
-        DistanceService(path_graph(4), oracle="bibfs", num_shards=4)
-    with pytest.raises(CapabilityError):
+    # Only hcl-sharded takes a shard count (the CLI's --shards), and it
+    # indexes undirected graphs only: both misuses fail at construction,
+    # not at the first flush.
+    with pytest.raises(OracleConfigError):
         DistanceService(
-            make_graph("directed", n=10),
-            oracle="hcl-directed",
-            parallel="processes",
+            path_graph(4), oracle="hcl", oracle_config={"num_shards": 2}
         )
+    with pytest.raises(CapabilityError):
+        DistanceService(make_graph("directed", n=10), oracle="hcl-sharded")
 
 
 def test_hcl_labelling_wrap_rejects_other_config():

@@ -7,7 +7,9 @@ import pytest
 
 from repro import EdgeUpdate
 from repro.api import open_oracle
+from repro.core.batchhl import run_batch_update
 from repro.core.construction import build_labelling
+from repro.core.directed import DirectedHighwayCoverIndex
 from repro.core.index import HighwayCoverIndex
 from repro.errors import BatchError
 from repro.graph import generators
@@ -25,7 +27,7 @@ def test_sequential_run_reports_makespan():
     graph = build_pair(3)
     index = HighwayCoverIndex(graph, num_landmarks=6)
     updates = random_mixed_updates(graph, rng, 5, 5)
-    stats = index.batch_update(updates, parallel=None)
+    stats = index.batch_update(updates)
     assert stats.makespan_seconds is not None
     assert 0 < stats.makespan_seconds <= stats.total_seconds
     # Makespan is at least the largest per-landmark share: with 6
@@ -51,11 +53,11 @@ def test_process_update_matches_sequential(shard_pool):
     rng = random.Random(9)
     graph = build_pair(5)
     sequential = HighwayCoverIndex(graph.copy(), num_landmarks=6)
-    sharded = HighwayCoverIndex(graph.copy(), num_landmarks=6)
+    sharded = HighwayCoverIndex(graph.copy(), num_landmarks=6, pool=shard_pool)
     for _ in range(3):
         updates = random_mixed_updates(sequential.graph, rng, 4, 4)
-        sequential.batch_update(updates, parallel=None)
-        sharded.batch_update(updates, parallel="processes", pool=shard_pool)
+        sequential.batch_update(updates)
+        sharded.batch_update(updates)
         assert sequential.labelling.equals(sharded.labelling)
     assert sharded.check_minimality() == []
     # The pool's workers were reused across all three batches.
@@ -65,10 +67,40 @@ def test_process_update_matches_sequential(shard_pool):
 def test_parallel_construction_matches_sequential(shard_pool):
     graph = build_pair(6)
     reference = build_labelling(graph, (0, 3, 7, 11))
-    parallel = build_labelling(
-        graph, (0, 3, 7, 11), parallel="processes", pool=shard_pool
-    )
+    parallel = build_labelling(graph, (0, 3, 7, 11), pool=shard_pool)
     assert reference.equals(parallel)
+
+
+def test_run_batch_update_runs_on_the_given_pool(shard_pool):
+    """A pool handed to the driver runs the pass on its workers, one
+    ShardTiming per shard, and repairs what the sequential pass does."""
+    rng = random.Random(18)
+    graph = build_pair(18)
+    sequential = HighwayCoverIndex(graph.copy(), num_landmarks=4)
+    labelling = build_labelling(graph, sequential.landmarks)
+    updates = random_mixed_updates(graph, rng, 3, 3)
+    batches_before = shard_pool.batches_run
+    (repaired,), stats = run_batch_update(
+        graph, (labelling,), updates, pool=shard_pool
+    )
+    sequential.batch_update(updates)
+    assert shard_pool.batches_run == batches_before + 1
+    assert len(stats.shard_timings) == len(
+        partition_landmarks(4, shard_pool.num_shards)
+    )
+    assert repaired.equals(sequential.labelling)
+
+
+def test_run_batch_update_rejects_a_pool_on_a_digraph(shard_pool):
+    digraph = generators.to_directed(build_pair(19), reciprocal_p=0.5, seed=19)
+    index = DirectedHighwayCoverIndex(digraph, num_landmarks=3)
+    with pytest.raises(BatchError):
+        run_batch_update(
+            index.graph,
+            (index.forward, index.backward),
+            [EdgeUpdate.insert(0, 1)],
+            pool=shard_pool,
+        )
 
 
 def test_sharded_index_is_drop_in(shard_pool):
@@ -108,16 +140,19 @@ def test_failed_process_update_rolls_back_the_graph():
     class ExplodingPool:
         num_shards = 2
 
+        def build(self, graph, landmarks):
+            return build_labelling(graph, landmarks)
+
         def run_update(self, *args, **kwargs):
             raise RuntimeError("worker died")
 
     rng = random.Random(14)
     graph = build_pair(13)
-    index = HighwayCoverIndex(graph, num_landmarks=4)
+    index = HighwayCoverIndex(graph, num_landmarks=4, pool=ExplodingPool())
     before_edges = set(index.graph.edges())
     updates = random_mixed_updates(graph, rng, 3, 3)
     with pytest.raises(RuntimeError):
-        index.batch_update(updates, parallel="processes", pool=ExplodingPool())
+        index.batch_update(updates)
     assert set(index.graph.edges()) == before_edges
     assert index.check_minimality() == []
 
@@ -133,6 +168,9 @@ def test_failed_unit_update_rolls_back_all_subbatches(shard_pool):
         def __init__(self):
             self.calls = 0
 
+        def build(self, graph, landmarks):
+            return build_labelling(graph, landmarks)
+
         def run_update(self, *args, **kwargs):
             self.calls += 1
             if self.calls >= 3:
@@ -140,7 +178,8 @@ def test_failed_unit_update_rolls_back_all_subbatches(shard_pool):
             return shard_pool.run_update(*args, **kwargs)
 
     graph = build_pair(15)
-    index = HighwayCoverIndex(graph, num_landmarks=4)
+    flaky = FlakyPool()
+    index = HighwayCoverIndex(graph, num_landmarks=4, pool=flaky)
     before_edges = set(index.graph.edges())
     n = graph.num_vertices
     edges = sorted(index.graph.edges())
@@ -152,11 +191,8 @@ def test_failed_unit_update_rolls_back_all_subbatches(shard_pool):
         EdgeUpdate.delete(*edges[1]),
         EdgeUpdate.insert(0, n),
     ]
-    flaky = FlakyPool()
     with pytest.raises(RuntimeError):
-        index.batch_update(
-            updates, variant="uhl", parallel="processes", pool=flaky
-        )
+        index.batch_update(updates, variant="uhl")
     assert flaky.calls == 3  # two sub-batches succeeded before the failure
     assert set(index.graph.edges()) == before_edges
     assert index.labelling.num_vertices == index.graph.num_vertices
@@ -177,7 +213,7 @@ def test_bytes_shipped_stays_delta_sized(shard_pool):
     from repro.obs.metrics import get_registry
 
     graph = generators.barabasi_albert(2000, 3, seed=7)
-    index = HighwayCoverIndex(graph, num_landmarks=6, seed=1)
+    index = HighwayCoverIndex(graph, num_landmarks=6, seed=1, pool=shard_pool)
     full_state = (
         index.labelling.labels.nbytes + index.labelling.highway.nbytes
     )
@@ -191,7 +227,7 @@ def test_bytes_shipped_stays_delta_sized(shard_pool):
         make = EdgeUpdate.delete if round_no % 2 == 0 else EdgeUpdate.insert
         batch = [make(a, b) for a, b in targets]
         shipped_before, synced_before = shipped.value, synced.value
-        index.batch_update(batch, parallel="processes", pool=shard_pool)
+        index.batch_update(batch)
         deltas.append(shipped.value - shipped_before)
         sync_deltas.append(synced.value - synced_before)
     assert max(deltas) < full_state / 4, (
@@ -214,15 +250,11 @@ def test_shared_dist_block_mirrors_the_repaired_labelling(shard_pool):
     from repro.obs.metrics import get_registry
 
     rng = random.Random(12)
-    index = HighwayCoverIndex(build_pair(12), num_landmarks=6)
+    index = HighwayCoverIndex(build_pair(12), num_landmarks=6, pool=shard_pool)
     synced = get_registry().counter("repro_pool_state_sync_bytes_total", "")
     for round_no in range(2):
         before = synced.value
-        index.batch_update(
-            random_mixed_updates(index.graph, rng, 4, 4),
-            parallel="processes",
-            pool=shard_pool,
-        )
+        index.batch_update(random_mixed_updates(index.graph, rng, 4, 4))
         state = shard_pool._state
         assert state.is_synced_to(index.labelling)
         assert np.array_equal(state.dist, index.labelling.dist)
@@ -230,21 +262,6 @@ def test_shared_dist_block_mirrors_the_repaired_labelling(shard_pool):
         if round_no:
             assert synced.value == before, "the next flush re-synced"
     assert index.check_minimality() == []
-
-
-def test_sharded_index_rejects_per_batch_shard_override(shard_pool):
-    graph = build_pair(14)
-    index = open_oracle("hcl-sharded", graph, num_landmarks=3, pool=shard_pool)
-    with pytest.raises(BatchError):
-        index.batch_update([], num_shards=shard_pool.num_shards + 5)
-    # A redundant matching shard count is fine.
-    index.batch_update([], num_shards=shard_pool.num_shards)
-    # Auto-sharded pools compare against the *effective* count, not the
-    # literal None they were constructed with.
-    with open_oracle("hcl-sharded", build_pair(14), num_landmarks=3) as auto:
-        auto.batch_update([], num_shards=auto.effective_num_shards)
-        with pytest.raises(BatchError):
-            auto.batch_update([], num_shards=auto.effective_num_shards + 1)
 
 
 def test_closing_a_snapshot_keeps_the_writers_pool():
@@ -268,19 +285,15 @@ def test_closing_a_snapshot_keeps_the_writers_pool():
 
 def test_service_over_sharded_writer_flushes_on_its_pool(shard_pool):
     from repro.service import DistanceService, FlushPolicy
-    from repro.errors import BatchError as ServiceBatchError
 
     rng = random.Random(16)
     graph = build_pair(16)
     writer = open_oracle(
         "hcl-sharded", graph.copy(), num_landmarks=4, pool=shard_pool
     )
-    # No explicit parallel: the writer flushes on its own pool rather
-    # than sequentially.
+    # The writer flushes on its own pool rather than sequentially.
     service = DistanceService(
-        writer,
-        policy=FlushPolicy(max_batch=10_000, max_delay=None),
-        num_shards=shard_pool.num_shards,  # matching count is accepted
+        writer, policy=FlushPolicy(max_batch=10_000, max_delay=None)
     )
     batches_before = shard_pool.batches_run
     with service:
@@ -289,28 +302,6 @@ def test_service_over_sharded_writer_flushes_on_its_pool(shard_pool):
     assert stats is not None and stats.n_applied > 0
     assert shard_pool.batches_run > batches_before
     assert service.current_snapshot().index.check_minimality() == []
-    # A conflicting shard count fails at construction, not at flush time.
-    with pytest.raises(ServiceBatchError):
-        DistanceService(
-            open_oracle(
-                "hcl-sharded", build_pair(16), num_landmarks=4,
-                pool=shard_pool,
-            ),
-            parallel="processes",
-            num_shards=shard_pool.num_shards + 1,
-        )
-
-
-def test_invalid_parallel_mode_rejected(shard_pool):
-    """An unknown backend raises, also on an index built on a pool, which
-    reroutes only None and "processes" onto that pool."""
-    graph = build_pair(9)
-    plain = HighwayCoverIndex(graph.copy(), num_landmarks=3)
-    sharded = open_oracle("hcl-sharded", graph, num_landmarks=3, pool=shard_pool)
-    for index in (plain, sharded):
-        for mode in ("gpu", "threads"):
-            with pytest.raises(BatchError):
-                index.batch_update([], parallel=mode)
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +319,7 @@ def test_sequential_shard_timings_decompose_totals():
     graph = build_pair(10)
     index = HighwayCoverIndex(graph, num_landmarks=6)
     updates = random_mixed_updates(graph, rng, 5, 5)
-    stats = index.batch_update(updates, parallel=None)
+    stats = index.batch_update(updates)
     assert len(stats.shard_timings) == 6
     assert all(t.num_landmarks == 1 for t in stats.shard_timings)
     assert sum(t.search_seconds for t in stats.shard_timings) == pytest.approx(
@@ -405,11 +396,9 @@ def test_weighted_search_seconds_exclude_the_label_decode(monkeypatch):
 def test_process_shard_timings_decompose_totals(shard_pool):
     rng = random.Random(12)
     graph = build_pair(11)
-    index = HighwayCoverIndex(graph, num_landmarks=6)
+    index = HighwayCoverIndex(graph, num_landmarks=6, pool=shard_pool)
     updates = random_mixed_updates(graph, rng, 5, 5)
-    stats = index.batch_update(
-        updates, parallel="processes", pool=shard_pool
-    )
+    stats = index.batch_update(updates)
     assert len(stats.shard_timings) == 3
     assert sum(t.num_landmarks for t in stats.shard_timings) == 6
     assert sum(t.search_seconds for t in stats.shard_timings) == pytest.approx(

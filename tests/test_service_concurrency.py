@@ -105,7 +105,7 @@ def test_readers_see_only_pre_or_post_batch_answers():
 
 def test_process_backend_flushes_stay_exact_under_concurrent_readers():
     """Same torn-read hunt, but the writer repairs on the worker-process
-    pool (parallel="processes"): readers hammer the service over several
+    pool (an hcl-sharded writer): readers hammer the service over several
     flush rounds while shard results are merged, and every answer must
     still be exact for one of the published epochs."""
     rng = random.Random(13)
@@ -114,8 +114,8 @@ def test_process_backend_flushes_stay_exact_under_concurrent_readers():
         graph.copy(),
         num_landmarks=6,
         policy=FlushPolicy(max_batch=10_000, max_delay=None),
-        parallel="processes",
-        num_shards=2,
+        oracle="hcl-sharded",
+        oracle_config={"num_shards": 2},
     )
     sources = rng.sample(range(graph.num_vertices), 5)
     oracles = [oracle_table(service.current_snapshot().index.graph, sources)]

@@ -1,5 +1,6 @@
 """DistanceService + EpochStore: visibility, epochs, flush semantics."""
 
+import multiprocessing
 import time
 
 import pytest
@@ -125,6 +126,48 @@ def test_service_over_prebuilt_index():
     index = HighwayCoverIndex(graph, num_landmarks=2)
     service = make_service(index)
     assert service.distance(0, 4) == 4
+
+
+def test_close_shuts_down_a_sharded_writer_it_built():
+    """The service closes the writer it built from a graph, so an
+    hcl-sharded writer's worker processes do not outlive close()."""
+    before = set(multiprocessing.active_children())
+    service = make_service(
+        oracle="hcl-sharded", oracle_config={"num_shards": 2}
+    )
+    pool = service._writer.pool
+    service.insert_edge(0, 5)
+    service.close()
+    assert pool.batches_run == 1  # the closing flush ran on the workers
+    assert service.distance(0, 5) == 1
+    assert set(multiprocessing.active_children()) <= before
+
+
+@pytest.mark.parametrize(
+    "rejected",
+    [
+        {"variant": "bhl-typo"},
+        {"max_vertex_growth": -1},
+        {"cache_capacity": -1},
+    ],
+    ids=["variant", "max_vertex_growth", "cache_capacity"],
+)
+def test_rejected_argument_leaves_no_sharded_writer_running(rejected):
+    from repro import ReproError
+
+    before = set(multiprocessing.active_children())
+    with pytest.raises(ReproError):
+        make_service(
+            oracle="hcl-sharded", oracle_config={"num_shards": 2}, **rejected
+        )
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_prebuilt_writer_stays_open_after_close():
+    index = HighwayCoverIndex(path_graph(5), num_landmarks=2)
+    make_service(index).close()
+    index.batch_update([EdgeUpdate.insert(0, 4)])  # still the caller's
+    assert index.distance(0, 4) == 1
 
 
 def test_service_rejects_other_sources():
@@ -274,14 +317,6 @@ def test_typoed_variant_fails_at_construction():
         make_service(variant="bhl-typo")
 
 
-def test_unknown_backend_fails_at_construction():
-    from repro import BatchError
-
-    for mode in ("gpu", "threads"):
-        with pytest.raises(BatchError):
-            make_service(parallel=mode)
-
-
 def test_background_flush_failure_surfaces_on_submit_and_close():
     """If a background flush ever fails, the service must turn loud:
     later submits and close() raise instead of buffering forever."""
@@ -387,12 +422,14 @@ def test_growth_through_service_processes_backend():
     """Growth flushes correctly when repairs fan out to worker shards:
     the snapshot ships the grown arrays and the merged columns cover the
     new vertex."""
-    service = make_service(parallel="processes", num_shards=2)
-    service.submit(EdgeUpdate.insert(5, 6))
-    service.submit(EdgeUpdate.insert(6, 7))
-    service.flush()
-    assert service.distance(0, 7) == 7
-    assert service.distance(6, 7) == 1
+    with make_service(
+        oracle="hcl-sharded", oracle_config={"num_shards": 2}
+    ) as service:
+        service.submit(EdgeUpdate.insert(5, 6))
+        service.submit(EdgeUpdate.insert(6, 7))
+        service.flush()
+        assert service.distance(0, 7) == 7
+        assert service.distance(6, 7) == 1
 
 
 def test_submit_many_is_all_or_nothing():
