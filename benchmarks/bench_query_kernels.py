@@ -2,9 +2,16 @@
 
 The query hot path used to walk dict-of-set adjacency in pure Python for
 every bounded bidirectional search; :mod:`repro.graph.csr` replaces that
-with a frozen CSR view and numpy frontier kernels.  This benchmark pits
-the two implementations against each other on one graph, through the
-*real* query algorithm (labelling bound + bounded search):
+with a frozen CSR view and a level-synchronous kernel.  Narrow frontiers
+advance as set algebra over the view's adjacency lists (one set of the
+frontier's rows per level, minus the seen set and the excluded
+landmarks, and one ``isdisjoint`` against the other side's frontier); the
+search stops at the first meet, which is the exact distance, and the
+last level the bound allows only tests the frontier's rows against the
+other frontier.  Wide frontiers switch to numpy sweeps over bool masks
+under the same rule.  This benchmark pits the reference traversal
+against that kernel through the *real* query algorithm (labelling bound
++ bounded search):
 
 * ``single-pair`` — ``query_distance`` per pair: Python traversal vs the
   adaptive CSR kernel (p50 is the paper's query-latency metric);
@@ -18,8 +25,11 @@ workload where distance oracles earn their keep and Python traversal is
 slowest.  Every timed comparison also asserts the two implementations
 agree, and an extra randomized agreement sweep (``--agree``) checks the
 raw bidirectional kernels on uniformly random pairs, landmark exclusion
-included.  The CSV lands in ``results/query_kernels.csv`` (CI uploads it
-as an artifact from a smoke-size run).
+included, on the grid and on a Barabási–Albert graph of as many
+vertices: most grid searches go wide and run in numpy, while BA searches
+under a tight bound stay in the set-algebra phase, so the sweep covers
+both.  The CSV lands in ``results/query_kernels.csv`` (CI uploads it as
+an artifact from a smoke-size run).
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_query_kernels.py
 Smoke mode:      PYTHONPATH=src python benchmarks/bench_query_kernels.py --smoke
@@ -37,9 +47,11 @@ from repro.api.registry import open_oracle
 from repro.bench.reporting import ResultTable
 from repro.constants import INF
 from repro.core.construction import bfs_landmark_lengths
+from repro.core.landmarks import select_landmarks
 from repro.core.queries import query_distance
 from repro.graph import generators
 from repro.graph.csr import (
+    CSRGraph,
     bfs_distances as csr_bfs_distances,
     bidirectional_distance,
     landmark_lengths as csr_landmark_lengths,
@@ -66,25 +78,34 @@ def _timed(fn, items):
 def kernel_agreement(graph, csr, landmark_set, num_pairs: int, seed: int) -> int:
     """Assert python and CSR bidirectional kernels agree on random pairs.
 
-    Exercises both bounded and unbounded searches, with and without
-    landmark exclusion.  Returns the number of pairs checked; raises
-    AssertionError on the first disagreement.
+    Each pair is checked unbounded, under a random bound, and under its
+    exact distance and one past it: a query's labelling bound is usually
+    one of those two, and the search then ends in the last-level row
+    test, which misses or hits.  With and without landmark exclusion.
+    Returns the number of pairs checked; raises AssertionError on the
+    first disagreement.
     """
     rng = random.Random(seed)
     n = graph.num_vertices
     checked = 0
     for _ in range(num_pairs):
         s, t = rng.randrange(n), rng.randrange(n)
-        bound = rng.choice([INF, rng.randint(0, 24)])
         excluded = landmark_set if rng.random() < 0.7 else frozenset()
-        want = bidirectional_bfs(graph, s, t, excluded=excluded, bound=bound)
-        got = bidirectional_distance(
-            csr, s, t, excluded=excluded, bound=bound
-        )
-        assert got == want, (
-            f"kernel mismatch: d({s},{t}) bound={bound} "
-            f"excluded={bool(excluded)}: python={want} csr={got}"
-        )
+        exact = bidirectional_bfs(graph, s, t, excluded=excluded)
+        bounds = [INF, rng.randint(0, 24)]
+        if exact < INF:
+            bounds += [exact, exact + 1]
+        for bound in bounds:
+            want = bidirectional_bfs(
+                graph, s, t, excluded=excluded, bound=bound
+            )
+            got = bidirectional_distance(
+                csr, s, t, excluded=excluded, bound=bound
+            )
+            assert got == want, (
+                f"kernel mismatch: d({s},{t}) bound={bound} "
+                f"excluded={bool(excluded)}: python={want} csr={got}"
+            )
         checked += 1
     return checked
 
@@ -104,7 +125,6 @@ def experiment_query_kernels(
     labelling = index.labelling
     landmark_set = frozenset(index.landmarks)
     csr = index.ensure_csr()
-    csr.adjacency_lists()  # warm the frozen list view once, like a reader
     rng = random.Random(seed)
     n = graph.num_vertices
 
@@ -124,8 +144,17 @@ def experiment_query_kernels(
     )
 
     checked = kernel_agreement(graph, csr, landmark_set, agree_pairs, seed)
+    ba = generators.barabasi_albert(n, 4, seed=seed)
+    ba_checked = kernel_agreement(
+        ba,
+        CSRGraph.from_graph(ba),
+        frozenset(select_landmarks(ba, num_landmarks)),
+        agree_pairs,
+        seed,
+    )
     table.add_note(
-        f"agreement: python == CSR on {checked} randomized pairs"
+        f"agreement: python == CSR on {checked} randomized grid pairs and"
+        f" {ba_checked} on a {n}-vertex BA graph (m=4)"
         " (bounded/unbounded, with/without landmark exclusion)"
     )
     if check_only:

@@ -102,10 +102,7 @@ class DirectedHighwayCoverIndex(OracleBase):
         """Frozen (forward, backward) CSR views of the current digraph:
         the digraph's own pair on a writer, the pinned one on a snapshot
         (see ensure_csr on the undirected index)."""
-        pair = self._graph.csr()
-        pair[0].adjacency_lists()  # warm for the adaptive kernel's
-        pair[1].adjacency_lists()  # Python phase
-        return pair
+        return self._graph.csr()
 
     def distance(self, s: int, t: int) -> float:
         """Exact directed distance ``s -> t``; inf if unreachable."""

@@ -29,6 +29,7 @@ pool::
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.api.protocol import Capabilities, OracleBase
@@ -129,6 +130,14 @@ class HighwayCoverIndex(OracleBase):
     def size_bytes(self) -> int:
         return self._labelling.size_bytes()
 
+    def stats(self) -> dict[str, Any]:
+        """:meth:`OracleBase.stats`, with ``parallel`` only on a pool, as
+        the ``hcl`` and ``hcl-sharded`` entries declare."""
+        info = super().stats()
+        if self._pool is None:
+            info["capabilities"] = _SEQUENTIAL_CAPABILITIES.describe()
+        return info
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -140,14 +149,12 @@ class HighwayCoverIndex(OracleBase):
         adjacency sets.  A writer's graph writes the rows written since
         its last view (see
         :meth:`~repro.graph.dynamic_graph.DynamicGraph.csr`); a
-        snapshot's graph returns the view it was published with.
+        snapshot's graph returns the view it was published with.  The
+        view carries the adjacency lists the bounded search reads: the
+        graph's first freeze keeps the sorted rows it lays out, and its
+        later views reuse them.
         """
-        csr = self._graph.csr()
-        # Warm the cached adjacency lists too: the adaptive query
-        # kernel's Python phase reads them on every bounded search.  The
-        # graph expands them once; its later views reuse them.
-        csr.adjacency_lists()
-        return csr
+        return self._graph.csr()
 
     def distance(self, s: int, t: int) -> float:
         """Exact shortest-path distance; ``float('inf')`` if disconnected."""
@@ -387,10 +394,15 @@ def _open_sharded(
     return index
 
 
+#: What an index without a pool supports: hcl-sharded is the entry that
+#: builds one on a pool.
+_SEQUENTIAL_CAPABILITIES = replace(HighwayCoverIndex.capabilities, parallel=False)
+
+
 register_oracle(
     "hcl",
     _open_highway_cover,
-    capabilities=HighwayCoverIndex.capabilities,
+    capabilities=_SEQUENTIAL_CAPABILITIES,
     description="highway cover index, batch-dynamic (BHL/BHL+; the paper's"
     " method)",
     config_keys=(

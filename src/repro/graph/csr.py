@@ -17,9 +17,9 @@ dict-of-set adjacency one vertex at a time:
   construction (Lemma 5.14), bit-identical to the Python reference in
   :func:`repro.core.construction.bfs_landmark_lengths`;
 * :func:`bidirectional_distance` — the distance-bounded bidirectional BFS
-  of the query algorithm (Section 4), with landmark exclusion via an
-  excluded-node set (marked into the distance arrays as a node mask in
-  the vector phase); on directed graphs pass the backward CSR for the
+  of the query algorithm (Section 4) over ``G[V \\ excluded]``: frontier
+  sets while narrow, numpy sweeps over bool masks once wide, stopping at
+  the first meet; on directed graphs pass the backward CSR for the
   reverse side.
 
 A view built from scratch (:meth:`CSRGraph.from_graph`, or the
@@ -40,6 +40,7 @@ ships the same three arrays across process boundaries.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import Any, Collection, Iterable
 
 import numpy as np
@@ -277,12 +278,13 @@ class CSRGraph:
         ]
 
     def adjacency_lists(self) -> list[list[int]]:
-        """Expand into a list-of-lists of Python ints (cached).
+        """The rows as a list-of-lists of Python ints (cached).
 
-        The expansion is built once, from the live arcs only, and shared:
-        the adaptive query kernel, the batch search/repair traversals and
-        :meth:`list_view` all read the same lists, and a graph's next
-        view reuses them with only the rewritten rows replaced.  Treat
+        A graph's first freeze keeps the sorted rows it lays out as these
+        lists, and its next views reuse them with only the rewritten rows
+        replaced; any other view expands them once, from the live arcs
+        only.  The query kernel's set algebra, the batch search/repair
+        traversals and :meth:`list_view` all read the same lists.  Treat
         them as frozen.
         """
         if self._lists is None:
@@ -458,15 +460,15 @@ def landmark_lengths(
 
 
 #: Frontier width at which the adaptive bidirectional kernel switches
-#: from Python dict expansion to vectorised numpy frontiers.  Below this
+#: from Python set algebra to vectorised numpy frontiers.  Below this
 #: the per-call dispatch overhead of numpy outweighs the per-element cost
-#: of the Python loop; above it whole-frontier array ops win.
+#: of the set operations; above it whole-frontier array ops win.
 SWITCH_WIDTH = 64
 
-#: Minimum remaining level budget (``bound - level_fwd - level_bwd - 1``)
-#: for the vector phase to be worth its state-conversion cost.  A search
-#: about to be cut off by a tight labelling bound finishes in Python even
-#: when a frontier is momentarily wide.
+#: Minimum remaining level budget (``bound - depth - 1``) for the vector
+#: phase to be worth its state-conversion cost.  A search about to be cut
+#: off by a tight labelling bound finishes in Python even when a
+#: frontier is momentarily wide.
 _MIN_VECTOR_LEVELS = 3
 
 
@@ -483,19 +485,21 @@ def bidirectional_distance(
 
     The CSR twin of :func:`repro.graph.traversal.bidirectional_bfs`:
     expands the smaller frontier (ties go forward), never explores paths
-    of length >= ``bound``, and returns the best length found or
-    ``bound`` itself.  ``excluded`` is a set-like collection of node ids
-    (landmark exclusion); ``backward`` is the reverse-direction CSR for
-    digraphs.
+    of length >= ``bound``, and returns the distance or ``bound`` itself.
+    ``excluded`` is any collection of node ids (landmark exclusion);
+    ``backward`` is the reverse-direction CSR for digraphs.
 
-    The kernel is *adaptive*: narrow frontiers — the common case when the
-    labelling bound is tight, and throughout high-diameter low-width
-    graphs — are expanded with a Python loop over the cached adjacency
-    lists, where per-vertex cost beats numpy dispatch overhead; once a
-    frontier exceeds ``switch_width`` the whole search state converts to
-    int64 distance arrays and every later level advances as vectorised
-    frontier sweeps (the regime of grid/road-shaped graphs where Python
-    traversal is slowest).
+    Levels are synchronous, so the first meet is the answer: while the
+    two sides' ``seen`` sets are disjoint the distance exceeds the levels
+    expanded so far (``depth``), so a new level can only meet the other
+    frontier, at distance exactly ``depth + 1``.  A narrow level is set
+    algebra over the adjacency lists: the frontier's rows in one set,
+    minus ``seen`` and ``excluded``, then one ``isdisjoint`` against the
+    other frontier.  The last level the bound allows builds no set; it
+    tests rows against the other frontier and stops at the first hit.
+    Once a frontier exceeds ``switch_width`` with level budget left (as
+    on grid/road-shaped graphs), the sets become bool masks and later
+    levels run as vectorised sweeps under the same rule.
     """
     if source == target:
         return 0
@@ -503,113 +507,82 @@ def bidirectional_distance(
         return bound
     if backward is None:
         backward = csr
-
-    best = bound
-    dist_fwd: dict[int, int] = {source: 0}
-    dist_bwd: dict[int, int] = {target: 0}
-    frontier_fwd: list[int] = [source]
-    frontier_bwd: list[int] = [target]
-    level_fwd = 0
-    level_bwd = 0
     adj_fwd = csr.adjacency_lists()
     adj_bwd = adj_fwd if backward is csr else backward.adjacency_lists()
+    seen_fwd, front_fwd = {source}, {source}
+    seen_bwd, front_bwd = {target}, {target}
+    depth = 0  # levels expanded, both sides together
 
-    # -- Python phase: narrow frontiers -------------------------------
-    while frontier_fwd and frontier_bwd:
-        if level_fwd + level_bwd + 1 >= best:
-            return best
-        if (
-            len(frontier_fwd) > switch_width
-            or len(frontier_bwd) > switch_width
-        ) and best - level_fwd - level_bwd - 1 >= _MIN_VECTOR_LEVELS:
+    # -- Python phase: narrow frontiers as sets -----------------------
+    wide = switch_width < 1  # whether the newest frontier is wide
+    while depth + 1 < bound:
+        if wide and bound - depth - 1 >= _MIN_VECTOR_LEVELS:
             break  # wide regime with budget left: go vectorised
-        if len(frontier_fwd) <= len(frontier_bwd):
-            expand, dist_here, dist_other = frontier_fwd, dist_fwd, dist_bwd
-            adjacency = adj_fwd
-            level_fwd += 1
-            next_level = level_fwd
-            forward_side = True
+        forward = len(front_fwd) <= len(front_bwd)
+        if forward:
+            frontier, other, seen, adj = front_fwd, front_bwd, seen_fwd, adj_fwd
         else:
-            expand, dist_here, dist_other = frontier_bwd, dist_bwd, dist_fwd
-            adjacency = adj_bwd
-            level_bwd += 1
-            next_level = level_bwd
-            forward_side = False
-        next_frontier: list[int] = []
-        for v in expand:
-            for w in adjacency[v]:
-                if w in dist_here or w in excluded:
-                    continue
-                dist_here[w] = next_level
-                other = dist_other.get(w)
-                if other is not None and next_level + other < best:
-                    best = next_level + other
-                next_frontier.append(w)
-        if forward_side:
-            frontier_fwd = next_frontier
+            frontier, other, seen, adj = front_bwd, front_fwd, seen_bwd, adj_bwd
+        if depth + 2 >= bound:  # the last level: test rows, build no set
+            for v in frontier:
+                if not other.isdisjoint(adj[v]):
+                    return depth + 1
+            return bound
+        if len(frontier) == 1:  # no chain: first levels, path-like graphs
+            (v,) = frontier
+            level = set(adj[v])
         else:
-            frontier_bwd = next_frontier
-    if not (frontier_fwd and frontier_bwd):
-        return best
+            level = set(chain.from_iterable(map(adj.__getitem__, frontier)))
+        level -= seen
+        level.difference_update(excluded)
+        if not level.isdisjoint(other):
+            return depth + 1
+        if not level:
+            return bound
+        seen |= level
+        wide = len(level) > switch_width
+        if forward:
+            front_fwd = level
+        else:
+            front_bwd = level
+        depth += 1
+    if depth + 1 >= bound:
+        return bound
 
-    # -- vector phase: convert state, then numpy frontier sweeps ------
+    # -- vector phase: bool masks, numpy frontier sweeps --------------
     n = csr.num_vertices
-    arr_fwd = np.full(n, -1, dtype=np.int64)  # shape: (V,) int64
-    arr_bwd = np.full(n, -1, dtype=np.int64)  # shape: (V,) int64
-    if excluded:
-        barred = np.fromiter(excluded, dtype=np.int64, count=len(excluded))
-        barred = barred[barred < n]
-        arr_fwd[barred] = -2  # visited-like: never re-entered, never a meet
-        arr_bwd[barred] = -2
-    for mapping, arr in ((dist_fwd, arr_fwd), (dist_bwd, arr_bwd)):
-        keys = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
-        values = np.fromiter(
-            mapping.values(), dtype=np.int64, count=len(mapping)
+    barred = _int_array(excluded)
+    barred = barred[barred < n]
+    mask_fwd = np.zeros(n, dtype=bool)  # shape: (V,) bool
+    mask_bwd = np.zeros(n, dtype=bool)  # shape: (V,) bool
+    mask_fwd[barred] = mask_bwd[barred] = True  # never entered or met
+    mask_fwd[_int_array(seen_fwd)] = True
+    mask_bwd[_int_array(seen_bwd)] = True
+    wave_fwd, wave_bwd = _int_array(front_fwd), _int_array(front_bwd)
+    while depth + 1 < bound:
+        forward = wave_fwd.size <= wave_bwd.size
+        if forward:
+            view, wave, marked, met = csr, wave_fwd, mask_fwd, mask_bwd
+        else:
+            view, wave, marked, met = backward, wave_bwd, mask_bwd, mask_fwd
+        targets = _gather_targets(
+            view.starts, view.ends, view.indices, wave, view._iota()
         )
-        arr[keys] = values
-    front_fwd = np.fromiter(
-        frontier_fwd, dtype=np.int64, count=len(frontier_fwd)
-    )
-    front_bwd = np.fromiter(
-        frontier_bwd, dtype=np.int64, count=len(frontier_bwd)
-    )
-    lo_fwd, hi_fwd = csr.starts, csr.ends
-    lo_bwd, hi_bwd = backward.starts, backward.ends
-    iota_fwd = csr._iota()
-    iota_bwd = backward._iota()
+        fresh = targets[~marked[targets]]
+        if met[fresh].any():
+            return depth + 1
+        if not fresh.size or depth + 2 >= bound:
+            return bound
+        wave = np.unique(fresh)
+        marked[wave] = True
+        if forward:
+            wave_fwd = wave
+        else:
+            wave_bwd = wave
+        depth += 1
+    return bound
 
-    while front_fwd.size and front_bwd.size:
-        if level_fwd + level_bwd + 1 >= best:
-            break
-        if front_fwd.size <= front_bwd.size:
-            lo, hi, indices, iota = lo_fwd, hi_fwd, csr.indices, iota_fwd
-            dist_here, dist_other = arr_fwd, arr_bwd
-            frontier = front_fwd
-            level_fwd += 1
-            next_level = level_fwd
-            forward_side = True
-        else:
-            lo, hi, indices, iota = lo_bwd, hi_bwd, backward.indices, iota_bwd
-            dist_here, dist_other = arr_bwd, arr_fwd
-            frontier = front_bwd
-            level_bwd += 1
-            next_level = level_bwd
-            forward_side = False
-        targets = _gather_targets(lo, hi, indices, frontier, iota)
-        if targets.size:
-            next_frontier = np.unique(targets[dist_here[targets] == -1])
-        else:
-            next_frontier = _EMPTY
-        if next_frontier.size:
-            dist_here[next_frontier] = next_level
-            met = dist_other[next_frontier]
-            met = met[met >= 0]
-            if met.size:
-                candidate = next_level + int(met.min())
-                if candidate < best:
-                    best = candidate
-        if forward_side:
-            front_fwd = next_frontier
-        else:
-            front_bwd = next_frontier
-    return best
+
+def _int_array(items: Collection[int]) -> np.ndarray:
+    """``items`` as an int64 array (any order)."""
+    return np.fromiter(items, dtype=np.int64, count=len(items))

@@ -22,6 +22,10 @@ the current view.  Freezing the next view then
   the back view or any of its arrays, when the tail is full, when the
   rows to replay pass their break-even share of V (:data:`_REPLAY_SHARE`),
   and on a copy's first freeze (a copy shares the view, never the pair).
+  The first freeze sorts every row from the adjacency sets anyway, and
+  keeps those lists, which share the sets' int objects, as the view's
+  adjacency lists; later relayouts copy the list and replace the
+  written rows.
 
 Either way the view being replaced becomes the next back pair, so a
 graph alternates between two sets of row buffers.  Each freeze counts
@@ -174,28 +178,19 @@ def _recycle(
         return None
     if sys.getrefcount(back.view) != _UNHELD_REFS:
         return None  # a snapshot or reader holds the view itself
-    back.view._rows = None  # the view's own memo of sliced rows
     if (
         sys.getrefcount(back.view.starts) != _UNHELD_REFS
         or sys.getrefcount(back.view.ends) != _UNHELD_REFS
         or sys.getrefcount(back.view.starts.base) != _UNHELD_BOUNDS_REFS
         or sys.getrefcount(back.view.indices) != _UNHELD_REFS
-        or (
-            back.view._lists is not None
-            and sys.getrefcount(back.view._lists) != _UNHELD_REFS
-        )
+        or sys.getrefcount(back.view._lists) != _UNHELD_REFS
     ):
         return None
     old = back.view
     starts, ends, indices, caps = old.starts, old.ends, old.indices, old._caps
     order = sorted(written)
-    front_lists = front._lists
-    rows = [
-        sorted(adjacency[v])
-        if front_lists is None or v in dirty
-        else front_lists[v]
-        for v in order
-    ]
+    kept = front.adjacency_lists()
+    rows = [sorted(adjacency[v]) if v in dirty else kept[v] for v in order]
     at = np.fromiter(order, dtype=np.int64, count=len(order))
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     tail = old._tail
@@ -214,10 +209,9 @@ def _recycle(
     indices[gather_positions(starts[at], lengths)] = np.fromiter(
         itertools.chain.from_iterable(rows), dtype=np.int64, count=arcs
     )
-    lists = old._lists
-    if lists is not None:
-        for v, row in zip(order, rows):
-            lists[v] = row
+    lists = old.adjacency_lists()
+    for v, row in zip(order, rows):
+        lists[v] = row
     num_arcs = front.num_arcs + arcs - int((front.ends[at] - front.starts[at]).sum())
     view = CSRGraph.from_rows(starts, ends, indices, num_arcs, caps, tail, lists)
     _carry_iota(front, view)
@@ -231,8 +225,9 @@ def _relayout(
     n: int,
 ) -> CSRGraph:
     """The next view in fresh arrays: ``front``'s rows copied over in one
-    vectorised pass, the ``dirty`` rows (every row on a first freeze)
-    re-sorted from ``adjacency``, and fresh slack."""
+    vectorised pass, the ``dirty`` rows (every row on a first freeze,
+    whose sorted rows become the view's adjacency lists) re-sorted from
+    ``adjacency``, and fresh slack."""
     order = range(n) if front is None else sorted(dirty)
     rows = [sorted(adjacency[v]) for v in order]
     at = np.fromiter(order, dtype=np.int64, count=len(rows))
@@ -265,9 +260,10 @@ def _relayout(
         dtype=np.int64,
         count=int(lengths.sum()),
     )
-    lists = None
-    if front is not None and front._lists is not None:
-        lists = front._lists.copy()
+    if front is None:
+        lists = rows  # every row, sorted, in order
+    else:
+        lists = front.adjacency_lists().copy()
         lists.extend([] for _ in range(n - n_old))
         for v, row in zip(order, rows):
             lists[v] = row

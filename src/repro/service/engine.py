@@ -45,6 +45,7 @@ from repro.errors import (
     BatchError,
     CapabilityError,
     IndexStateError,
+    OracleConfigError,
     WorkloadError,
 )
 from repro.graph.batch import EdgeUpdate
@@ -125,10 +126,14 @@ class DistanceService:
     ``source`` may be a :class:`DynamicGraph` — the writer oracle is then
     built through :func:`repro.open_oracle` from the registry name in
     ``oracle`` (default ``"hcl"``) with ``oracle_config`` constructor
-    options, and :meth:`close` closes it — or a prebuilt
-    :class:`~repro.api.protocol.DistanceOracle` (taken over as the
-    writer's live oracle — do not mutate it externally afterwards; it
-    stays the caller's to close).  Epoch snapshots are oracle-agnostic:
+    options plus ``num_landmarks`` and ``landmarks`` where its
+    constructor takes them (unset, the oracle's own defaults apply: 20
+    landmarks on every highway cover index), and :meth:`close` closes it
+    — or a prebuilt :class:`~repro.api.protocol.DistanceOracle` (taken
+    over as the writer's live oracle — do not mutate it externally
+    afterwards; it stays the caller's to close).  A prebuilt oracle is
+    already configured, so passing any of those four options with one
+    raises :class:`~repro.errors.OracleConfigError`.  Epoch snapshots are oracle-agnostic:
     directed writers coalesce per *arc* (``(u, v)`` and ``(v, u)`` stay
     distinct, and the query cache keeps ordered keys), weighted writers
     receive each flushed :class:`EdgeUpdate` as a unit-weight
@@ -167,9 +172,9 @@ class DistanceService:
         self,
         source: "DynamicGraph | DistanceOracle",
         *,
-        oracle: str = "hcl",
+        oracle: str | None = None,
         oracle_config: dict | None = None,
-        num_landmarks: int = 20,
+        num_landmarks: int | None = None,
         landmarks: tuple[int, ...] | None = None,
         variant: Variant | str = Variant.BHL_PLUS,
         policy: FlushPolicy | None = None,
@@ -197,16 +202,28 @@ class DistanceService:
             source, (DynamicGraph, DynamicDiGraph, WeightedDynamicGraph)
         )
         if self._owns_writer:
+            oracle = oracle or "hcl"
             spec = oracle_spec(oracle)
             config = dict(oracle_config or {})
             # The landmark knobs stay as first-class service options but
             # only apply to oracles whose constructor takes them.
-            if "num_landmarks" in spec.config_keys:
+            if num_landmarks is not None and "num_landmarks" in spec.config_keys:
                 config.setdefault("num_landmarks", num_landmarks)
             if landmarks is not None and "landmarks" in spec.config_keys:
                 config.setdefault("landmarks", landmarks)
             writer = open_oracle(oracle, source, **config)
         elif isinstance(source, DistanceOracle):
+            options = {
+                "oracle": oracle, "oracle_config": oracle_config,
+                "num_landmarks": num_landmarks, "landmarks": landmarks,
+            }
+            given = [name for name, value in options.items() if value is not None]
+            if given:
+                raise OracleConfigError(
+                    f"{', '.join(given)} configure the oracle the service"
+                    f" builds from a graph; the prebuilt"
+                    f" {type(source).__name__} passed as source takes none"
+                )
             writer = source
         else:
             raise IndexStateError(

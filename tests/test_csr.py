@@ -168,6 +168,81 @@ def test_directed_kernels_match_python():
             assert got == want, (trial, s, t, bound)
 
 
+def _kernel_cases(rng: random.Random, trial: int):
+    """(forward CSR, backward CSR or None, reference kwargs) on an
+    undirected random graph or a digraph read through both CSRs."""
+    if trial % 2:
+        base = generators.erdos_renyi(rng.randint(5, 60), 0.1, seed=trial)
+        digraph = to_directed(base, reciprocal_p=0.4, seed=trial)
+        forward, backward = CSRGraph.from_digraph(digraph)
+        return digraph.out_view(), forward, backward, {
+            "backward_graph": digraph.in_view()
+        }
+    graph = random_graph(rng, trial)
+    return graph, CSRGraph.from_graph(graph), None, {}
+
+
+@pytest.mark.parametrize("switch_width", [0, 2, 64, 10**9])
+def test_bidirectional_bounds_around_the_distance(switch_width):
+    """Bounds 0, 1, d-1, d, d+1 and INF around the distance d that avoids
+    the excluded set: d+1 makes the last level's row test hit, d makes it
+    miss, and smaller bounds stop the search before any meet."""
+    rng = random.Random(2000 + switch_width % 997)
+    for trial in range(30):
+        graph, forward, backward, extra = _kernel_cases(rng, trial)
+        n = graph.num_vertices
+        excluded = frozenset(rng.randrange(n) for _ in range(rng.randint(0, 3)))
+        for _ in range(8):
+            s, t = rng.randrange(n), rng.randrange(n)
+            d = traversal.bidirectional_bfs(graph, s, t, excluded=excluded, **extra)
+            bounds = {0, 1, INF} | ({d - 1, d, d + 1} - {INF - 1, INF + 1})
+            for bound in sorted(b for b in bounds if b >= 0):
+                want = traversal.bidirectional_bfs(
+                    graph, s, t, excluded=excluded, bound=bound, **extra
+                )
+                got = bidirectional_distance(
+                    forward, s, t, excluded=excluded, bound=bound,
+                    backward=backward, switch_width=switch_width,
+                )
+                assert got == want, (trial, s, t, bound, sorted(excluded))
+
+
+@pytest.mark.parametrize("kind", [tuple, list, set, frozenset])
+def test_bidirectional_accepts_any_excluded_collection(kind):
+    """``excluded`` may be any collection (the default is a tuple), and a
+    barred endpoint answers with the bound."""
+    rng = random.Random(31)
+    graph = generators.barabasi_albert(200, 2, seed=3)
+    csr = CSRGraph.from_graph(graph)
+    for trial in range(40):
+        s, t = rng.randrange(200), rng.randrange(200)
+        barred = [rng.randrange(200) for _ in range(3)]
+        if trial % 4 == 0:
+            barred.append(rng.choice((s, t)))
+        for switch_width in (0, 64):
+            for bound in (3, INF):
+                want = traversal.bidirectional_bfs(
+                    graph, s, t, excluded=frozenset(barred), bound=bound
+                )
+                got = bidirectional_distance(
+                    csr, s, t, excluded=kind(barred), bound=bound,
+                    switch_width=switch_width,
+                )
+                assert got == want, (kind, s, t, barred, bound)
+
+
+def test_bidirectional_deep_search_on_a_path():
+    """Frontiers one vertex wide for thousands of levels, unbounded, with
+    and without a barred middle vertex."""
+    graph = generators.path(3000)
+    csr = CSRGraph.from_graph(graph)
+    assert bidirectional_distance(csr, 0, 2999) == 2999
+    assert bidirectional_distance(csr, 2999, 17) == 2982
+    assert bidirectional_distance(csr, 0, 2999, excluded={1500}) == INF
+    assert bidirectional_distance(csr, 0, 1499, excluded=(1500,)) == 1499
+    assert bidirectional_distance(csr, 0, 2999, excluded=[1500], bound=9) == 9
+
+
 def test_isolated_vertices_and_trivial_cases():
     graph = generators.path(1)
     csr = CSRGraph.from_graph(graph)

@@ -489,6 +489,27 @@ def test_require_validates_against_capabilities():
         )
 
 
+def test_only_hcl_sharded_advertises_parallel(capsys):
+    """Only hcl-sharded is built on a pool, so only it declares
+    ``parallel``: ``repro oracles`` lists hcl without it, and hcl refuses a
+    parallel requirement before building."""
+    from repro.cli import main
+
+    assert not oracle_spec("hcl").capabilities.parallel
+    assert oracle_spec("hcl-sharded").capabilities.parallel
+    with pytest.raises(CapabilityError, match="parallel"):
+        open_oracle(
+            "hcl", make_graph("undirected", n=10), require=("parallel",)
+        )
+    assert main(["oracles"]) == 0
+    rows = {
+        line.split()[0]: line.split()[1:6]
+        for line in capsys.readouterr().out.splitlines()[2:]
+    }
+    assert rows["hcl"] == ["-", "-", "yes", "-", "yes"]
+    assert rows["hcl-sharded"] == ["-", "-", "yes", "yes", "yes"]
+
+
 def test_unsupported_config_key_raises():
     with pytest.raises(OracleConfigError, match="num_landmarks"):
         open_oracle("bibfs", make_graph("undirected", n=10), num_landmarks=4)

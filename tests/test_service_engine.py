@@ -12,6 +12,7 @@ from repro import (
     FlushPolicy,
     HighwayCoverIndex,
     IndexStateError,
+    OracleConfigError,
 )
 from repro.service.engine import EpochStore
 
@@ -21,9 +22,11 @@ def path_graph(n: int) -> DynamicGraph:
 
 
 def make_service(graph=None, **kwargs) -> DistanceService:
-    kwargs.setdefault("num_landmarks", 2)
+    source = graph or path_graph(6)
+    if isinstance(source, DynamicGraph):  # a prebuilt oracle takes none
+        kwargs.setdefault("num_landmarks", 2)
     kwargs.setdefault("policy", FlushPolicy(max_batch=100, max_delay=None))
-    return DistanceService(graph or path_graph(6), **kwargs)
+    return DistanceService(source, **kwargs)
 
 
 def test_answers_match_index_before_any_update():
@@ -173,6 +176,29 @@ def test_prebuilt_writer_stays_open_after_close():
 def test_service_rejects_other_sources():
     with pytest.raises(IndexStateError):
         DistanceService([(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        {"oracle": "hcl"},
+        {"oracle": "hcl-sharded"},
+        {"oracle_config": {"num_shards": 2}},
+        {"oracle_config": {}},
+        {"num_landmarks": 20},
+        {"landmarks": (1, 2, 3)},
+    ],
+)
+def test_prebuilt_writer_rejects_oracle_options(option):
+    """A prebuilt oracle is configured already: an oracle option passed
+    with it would be ignored, so it raises, even when it names the
+    default a graph source gets."""
+    index = HighwayCoverIndex(path_graph(10), num_landmarks=2)
+    with pytest.raises(OracleConfigError, match=next(iter(option))):
+        DistanceService(index, **option)
+    with DistanceService(index) as service:  # no option: served as built
+        assert service.current_snapshot().index.landmarks == index.landmarks
+        assert service.distance(0, 9) == 9
 
 
 def test_background_writer_flushes_on_age_trigger():
