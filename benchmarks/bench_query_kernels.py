@@ -18,7 +18,9 @@ against that kernel through the *real* query algorithm (labelling bound
 * ``batched distances()`` — shared-source query groups: the per-pair
   Python path vs the CSR path with source-grouped sweep amortisation;
 * ``sssp sweep`` — one full single-source BFS (the amortised unit);
-* ``landmark bfs`` — the landmark-flagged construction BFS per landmark.
+* ``landmark bfs`` — the landmark-flagged construction BFS: the Python
+  BFS per landmark vs one bit-packed sweep over all of them (the CSR
+  p50 column is the sweep's time per landmark).
 
 The default instance is a ≥50k-edge grid — the road-network-shaped
 workload where distance oracles earn their keep and Python traversal is
@@ -28,8 +30,11 @@ raw bidirectional kernels on uniformly random pairs, landmark exclusion
 included, on the grid and on a Barabási–Albert graph of as many
 vertices: most grid searches go wide and run in numpy, while BA searches
 under a tight bound stay in the set-algebra phase, so the sweep covers
-both.  The CSV lands in ``results/query_kernels.csv`` (CI uploads it as
-an artifact from a smoke-size run).
+both.  The same two graphs check the construction sweep: every column
+of one sweep over 65 roots (the landmarks and random others, so the
+sweep crosses its 64-root word) equals the per-root Python BFS.  The
+CSV lands in ``results/query_kernels.csv`` (CI uploads it as an
+artifact from a smoke-size run).
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_query_kernels.py
 Smoke mode:      PYTHONPATH=src python benchmarks/bench_query_kernels.py --smoke
@@ -43,6 +48,8 @@ import random
 import statistics
 import time
 
+import numpy as np
+
 from repro.api.registry import open_oracle
 from repro.bench.reporting import ResultTable
 from repro.constants import INF
@@ -54,7 +61,7 @@ from repro.graph.csr import (
     CSRGraph,
     bfs_distances as csr_bfs_distances,
     bidirectional_distance,
-    landmark_lengths as csr_landmark_lengths,
+    landmark_sweep,
 )
 from repro.graph.traversal import (
     bfs_distances,
@@ -63,6 +70,9 @@ from repro.graph.traversal import (
 from repro.obs import configure_logging, get_logger
 
 _log = get_logger("repro.bench.query_kernels")
+
+#: Roots in the sweep agreement check: past one 64-root word.
+SWEEP_CHECK_ROOTS = 65
 
 
 def _timed(fn, items):
@@ -110,6 +120,29 @@ def kernel_agreement(graph, csr, landmark_set, num_pairs: int, seed: int) -> int
     return checked
 
 
+def sweep_agreement(graph, csr, landmarks, num_roots: int, seed: int) -> int:
+    """Assert one landmark sweep equals the per-root Python BFS.
+
+    The roots are ``landmarks`` followed by random vertices up to
+    ``num_roots``; the landmark set is ``landmarks``.  Returns the number
+    of roots checked; raises AssertionError on the first differing
+    column.
+    """
+    rng = random.Random(seed)
+    n = graph.num_vertices
+    is_landmark = np.zeros(n, dtype=bool)
+    is_landmark[list(landmarks)] = True
+    roots = list(landmarks)
+    roots += [rng.randrange(n) for _ in range(num_roots - len(roots))]
+    sweep = landmark_sweep(csr, roots, is_landmark)
+    for i, root in enumerate(roots):
+        dist, flag = bfs_landmark_lengths(graph, root, is_landmark)
+        assert (sweep.dist[:, i] == dist).all() and (
+            sweep.flag[:, i] == flag
+        ).all(), f"landmark sweep column {i} (root {root}) diverged"
+    return len(roots)
+
+
 def experiment_query_kernels(
     side: int = 330,
     num_landmarks: int = 16,
@@ -145,17 +178,21 @@ def experiment_query_kernels(
 
     checked = kernel_agreement(graph, csr, landmark_set, agree_pairs, seed)
     ba = generators.barabasi_albert(n, 4, seed=seed)
+    ba_csr = CSRGraph.from_graph(ba)
+    ba_landmarks = select_landmarks(ba, num_landmarks)
     ba_checked = kernel_agreement(
-        ba,
-        CSRGraph.from_graph(ba),
-        frozenset(select_landmarks(ba, num_landmarks)),
-        agree_pairs,
-        seed,
+        ba, ba_csr, frozenset(ba_landmarks), agree_pairs, seed
     )
     table.add_note(
         f"agreement: python == CSR on {checked} randomized grid pairs and"
         f" {ba_checked} on a {n}-vertex BA graph (m=4)"
         " (bounded/unbounded, with/without landmark exclusion)"
+    )
+    roots = sweep_agreement(graph, csr, index.landmarks, SWEEP_CHECK_ROOTS, seed)
+    ba_roots = sweep_agreement(ba, ba_csr, ba_landmarks, SWEEP_CHECK_ROOTS, seed)
+    table.add_note(
+        f"agreement: one landmark sweep == per-root python BFS on {roots}"
+        f" grid roots and {ba_roots} BA roots"
     )
     if check_only:
         return table
@@ -236,18 +273,29 @@ def experiment_query_kernels(
         assert (a == b).all(), "sssp sweeps diverged"
     add_row("sssp sweep", py_times, csr_times)
 
-    # -- landmark-flagged construction BFS -----------------------------
+    # -- landmark-flagged construction: per-root BFS vs one sweep ------
     is_landmark = labelling.is_landmark
     roots = list(index.landmarks)
     py_times, py_cols = _timed(
         lambda r: bfs_landmark_lengths(graph, r, is_landmark), roots
     )
-    csr_times, csr_cols = _timed(
-        lambda r: csr_landmark_lengths(csr, r, is_landmark), roots
+    started = time.perf_counter()
+    sweep = landmark_sweep(csr, roots, is_landmark)
+    sweep_s = time.perf_counter() - started
+    for i, (dist, flag) in enumerate(py_cols):
+        assert (sweep.dist[:, i] == dist).all() and (
+            sweep.flag[:, i] == flag
+        ).all(), "landmark sweep diverged"
+    table.add_row(
+        kernel="landmark bfs",
+        items=len(roots),
+        python_p50_ms=statistics.median(py_times) * 1e3,
+        csr_p50_ms=sweep_s / len(roots) * 1e3,
+        p50_speedup=statistics.median(py_times) * len(roots) / sweep_s,
+        python_total_s=sum(py_times),
+        csr_total_s=sweep_s,
+        total_speedup=sum(py_times) / sweep_s,
     )
-    for (d1, f1), (d2, f2) in zip(py_cols, csr_cols):
-        assert (d1 == d2).all() and (f1 == f2).all(), "landmark BFS diverged"
-    add_row("landmark bfs", py_times, csr_times)
     return table
 
 
@@ -261,7 +309,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-only",
         action="store_true",
-        help="run only the randomized kernel-agreement sweep (no timings)",
+        help="run only the randomized kernel and sweep agreement checks"
+        " (no timings)",
     )
     parser.add_argument("--side", type=int, default=None, help="grid side")
     parser.add_argument("--pairs", type=int, default=None, help="single pairs")

@@ -1,24 +1,29 @@
 """Static construction of the minimal highway cover labelling.
 
-One landmark-flagged BFS per landmark: level-synchronous so that a vertex's
-flag (does *some* shortest path from the root pass through another landmark?)
-is final before its children are expanded.  A vertex receives an ``r``-label
-iff it is reachable, is not itself a landmark, and its flag is False — which
-is exactly the minimal labelling characterised by Lemma 5.14.  The BFS
-distances themselves become the labelling's landmark-distance matrix D.
-Total cost is O(|R| (V + E)) time and O(|R| V) space, matching Table 1.
+One landmark-flagged level sweep over the frozen CSR view builds every
+landmark's column (:func:`repro.graph.csr.landmark_sweep`).  Each vertex
+carries one bit per landmark, up to 64 to a word, and each level is one
+gather over the arcs out of the union frontier, so a vertex's flag (does
+*some* shortest path from the root pass through another landmark?) is
+final before its children are expanded.  A vertex receives an ``r``-label
+iff it is reachable, is not itself a landmark, and its flag is False —
+which is exactly the minimal labelling characterised by Lemma 5.14.  The
+sweep's distances themselves become the labelling's landmark-distance
+matrix D, written in place.  Total cost is O(|R| (V + E)) time and
+O(|R| V) space, matching Table 1; where the landmarks' BFS levels
+coincide (the hubs of a scale-free graph) one gather serves them all.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.constants import INF, NO_LABEL
 from repro.core.labelling import HighwayCoverLabelling
-from repro.graph.csr import CSRGraph, as_csr
-from repro.graph.csr import landmark_lengths as csr_landmark_lengths
+from repro.graph.csr import CSRGraph, LandmarkSweep, as_csr, landmark_sweep
+from repro.obs.trace import span
 
 
 def bfs_landmark_lengths(
@@ -57,21 +62,33 @@ def bfs_landmark_lengths(
     return dist, flag
 
 
-def landmark_column(
-    csr: CSRGraph, root: int, is_landmark: np.ndarray, landmark_list: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One landmark's minimal label column, highway row and D column.
+def landmark_columns(
+    csr: CSRGraph,
+    roots: Sequence[int],
+    is_landmark: np.ndarray,  # shape: (V,) bool
+    landmarks: Sequence[int],
+    labels: np.ndarray,  # shape: (V, K) int64
+    highway: np.ndarray,  # shape: (K, R) int64
+    dist: np.ndarray,  # shape: (V, K) int64
+) -> LandmarkSweep:
+    """The minimal label columns, highway rows and D columns of ``roots``.
 
-    The Lemma 5.14 rule in one place (shared by the sequential build and
-    the worker-process build shards): a vertex gets an ``r``-label iff it
-    is reachable, not a landmark, and flag-False; the highway row is the
-    root's distance to every landmark, and the D column the BFS distances
-    themselves.  Runs the vectorised frontier kernel over the frozen
-    ``csr``.
+    The Lemma 5.14 rule in one place, shared by the sequential build and
+    the worker-process build shards: a vertex gets an ``r``-label iff it
+    is reachable, not a landmark, and flag-False; a highway row is its
+    root's distance to every one of ``landmarks``, and a D column the
+    sweep's distances themselves.  Writes into ``labels``, ``highway``
+    and ``dist`` (C-order, one column or row per root) in one sweep over
+    the frozen ``csr``, and returns it.
     """
-    dist, flag = csr_landmark_lengths(csr, root, is_landmark)
-    eligible = (~is_landmark) & (dist < INF) & (~flag)
-    return np.where(eligible, dist, NO_LABEL), dist[landmark_list], dist
+    sweep = landmark_sweep(csr, roots, is_landmark, dist)
+    eligible = dist < INF
+    eligible &= ~sweep.flag
+    eligible[is_landmark] = False
+    labels.fill(NO_LABEL)
+    np.copyto(labels, dist, where=eligible)
+    highway[...] = dist[list(landmarks)].T
+    return sweep
 
 
 def build_labelling(
@@ -82,26 +99,31 @@ def build_labelling(
     """Build the minimal highway cover labelling of ``graph`` over ``landmarks``.
 
     With ``pool``, a :class:`~repro.parallel.pool.LandmarkShardPool`, the
-    per-landmark BFS trees run on its worker processes.  Construction is
-    embarrassingly parallel: each landmark's column and highway row
-    depend only on the graph and the landmark set.
+    landmarks are split into shards, each swept on a worker process.
+    Construction is embarrassingly parallel: each landmark's column and
+    highway row depend only on the graph and the landmark set.
+
+    The build is one ``build_labelling`` span with the number of
+    ``landmarks``; in process it also carries the sweep's ``levels`` and
+    the ``arcs`` it gathered.  A graph's first freeze is its child, and
+    the sweep is its self time.
     """
-    if pool is not None:
-        return pool.build(graph, tuple(landmarks))
-    n = graph.num_vertices
-    labelling = HighwayCoverLabelling.empty(n, landmarks)
-    is_landmark = labelling.is_landmark
-    landmark_list = list(landmarks)
-    # One frozen CSR view serves every landmark's BFS tree (the mutable
-    # graph is only read here); the vectorised kernel runs per landmark.
-    # A graph that maintains its own view lends it, so the writer's next
-    # freeze rewrites rows instead of starting over.
-    view = as_csr(graph)
-    for i, root in enumerate(landmarks):
-        column, highway_row, dist = landmark_column(
-            view, root, is_landmark, landmark_list
+    landmarks = tuple(landmarks)
+    with span("build_labelling", landmarks=len(landmarks)) as traced:
+        if pool is not None:
+            return pool.build(graph, landmarks)
+        labelling = HighwayCoverLabelling.empty(graph.num_vertices, landmarks)
+        # A graph that maintains its own view lends it, so the writer's
+        # next freeze rewrites rows instead of starting over.
+        sweep = landmark_columns(
+            as_csr(graph),
+            landmarks,
+            labelling.is_landmark,
+            landmarks,
+            labelling.labels,
+            labelling.highway,
+            labelling.dist,
         )
-        labelling.labels[:, i] = column
-        labelling.highway[i, :] = highway_row
-        labelling.dist[:, i] = dist
+        if traced is not None:
+            traced.set(levels=sweep.levels, arcs=sweep.arcs)
     return labelling

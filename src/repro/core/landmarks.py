@@ -12,6 +12,8 @@ from typing import Any
 
 import random
 
+import numpy as np
+
 from repro.errors import IndexStateError
 from repro.utils.rng import make_rng
 
@@ -38,8 +40,10 @@ def select_landmarks(
             f"cannot select {count} landmarks from {n} vertices"
         )
     if strategy == "degree":
-        order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-        return tuple(order[:count])
+        degrees = np.fromiter(map(graph.degree, range(n)), np.int64, count=n)
+        # A stable sort keeps equal degrees in vertex order.
+        order = np.argsort(-degrees, kind="stable")
+        return tuple(order[:count].tolist())
     if strategy == "random":
         rng = make_rng(seed)
         return tuple(rng.sample(range(n), count))

@@ -1,7 +1,7 @@
 """Frozen CSR adjacency and vectorized (numpy frontier) query kernels.
 
 Every read path in the library — single-pair queries, batched
-``distances()``, per-landmark construction BFS, batch-search traversal,
+``distances()``, the construction sweep, batch-search traversal,
 epoch snapshots published by the serving engine, and the worker-process
 shard tasks — runs over a *frozen* view of the graph.  This module is
 that view: a :class:`CSRGraph` holds one int64 ``indices`` array and, per
@@ -11,10 +11,12 @@ that advance whole frontiers as numpy arrays instead of walking Python
 dict-of-set adjacency one vertex at a time:
 
 * :func:`bfs_distances` / :func:`bfs_distances_multi` — full sweeps, used
-  by construction and by source-grouped batched queries (one sweep
-  answers every query that shares the source);
-* :func:`landmark_lengths` — the landmark-flagged BFS of the static
-  construction (Lemma 5.14), bit-identical to the Python reference in
+  by source-grouped batched queries (one sweep answers every query that
+  shares the source);
+* :func:`landmark_sweep` — the landmark-flagged BFS of the static
+  construction (Lemma 5.14) from every landmark in one level sweep, one
+  bit per root in a uint64 word per vertex, each column bit-identical
+  to the per-root Python reference in
   :func:`repro.core.construction.bfs_landmark_lengths`;
 * :func:`bidirectional_distance` — the distance-bounded bidirectional BFS
   of the query algorithm (Section 4) over ``G[V \\ excluded]``: frontier
@@ -40,8 +42,8 @@ ships the same three arrays across process boundaries.
 from __future__ import annotations
 
 import time
-from itertools import chain
-from typing import Any, Collection, Iterable
+from itertools import chain, count, pairwise
+from typing import Any, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -365,21 +367,6 @@ def _gather_targets(
     return indices[positions] if positions.size else _EMPTY
 
 
-def _gather(
-    csr: "CSRGraph", frontier: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All arcs out of ``frontier`` as ``(sources, targets)`` arrays.
-
-    ``sources[k]`` is the frontier vertex whose row contributed
-    ``targets[k]``.
-    """
-    counts = csr.ends[frontier] - csr.starts[frontier]
-    targets = _gather_targets(
-        csr.starts, csr.ends, csr.indices, frontier, csr._iota()
-    )
-    return np.repeat(frontier, counts), targets
-
-
 # ----------------------------------------------------------------------
 # kernels
 # ----------------------------------------------------------------------
@@ -414,49 +401,142 @@ def bfs_distances_multi(csr: CSRGraph, sources: Iterable[int]) -> np.ndarray:
     return dist
 
 
-def landmark_lengths(
-    csr: CSRGraph, root: int, is_landmark: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Landmark-flagged BFS :math:`d^L_G(root, \\cdot)` over a CSR view.
+#: Roots per pass of :func:`landmark_sweep`: one bit of a uint64 word
+#: per root, so more roots run in successive groups of this many.
+SWEEP_ROOTS = 64
 
-    Returns ``(dist, flag)`` exactly as
-    :func:`repro.core.construction.bfs_landmark_lengths`: ``flag[v]`` is
-    True iff some shortest root-v path passes through a landmark other
-    than the root (endpoints count, the root does not).  Per level, a
-    vertex's flag is the OR over all its shortest-path predecessors of
-    ``flag[pred] | is_landmark[v]`` — computed with one bincount over the
-    level's arc list instead of a Python predecessor loop.
+#: Arcs a sweep gathers per step: a wider level runs in steps, so its
+#: scratch stays a few MB whatever the frontier's width.
+_SWEEP_ARCS = 1 << 16
+
+_ZERO, _ONE = np.uint64(0), np.uint64(1)
+
+
+class LandmarkSweep(NamedTuple):
+    """The landmark lengths of several roots, and what the sweep cost."""
+
+    #: ``dist[v, i] = d(roots[i], v)``, INF where unreachable.
+    dist: np.ndarray  # shape: (V, K) int64
+    #: ``flag[v, i]``: some shortest ``roots[i]``-v path passes through a
+    #: landmark other than ``roots[i]``.
+    flag: np.ndarray  # shape: (V, K) bool
+    #: Frontier expansions, summed over the root groups.
+    levels: int
+    #: Arcs those expansions gathered.
+    arcs: int
+
+
+def landmark_sweep(
+    csr: CSRGraph,
+    roots: Sequence[int],
+    is_landmark: np.ndarray,  # shape: (V,) bool
+    dist: np.ndarray | None = None,  # shape: (V, K) int64
+) -> LandmarkSweep:
+    """Landmark-flagged BFS :math:`d^L_G(r, \\cdot)` from every root at once.
+
+    Column ``i`` of the result is exactly
+    :func:`repro.core.construction.bfs_landmark_lengths` from
+    ``roots[i]``: the distances, and a flag that is True iff some
+    shortest path passes through a landmark other than the root
+    (endpoints count, the root does not).  ``dist``, when given, is the
+    C-order (V, K) int64 array, K = ``len(roots)``, the distances are
+    written into.  Duplicate roots give equal columns.
+
+    Up to :data:`SWEEP_ROOTS` roots sweep together, root ``j`` as bit
+    ``j`` of a uint64 word per vertex; more run in successive groups.
+    Per vertex a group keeps ``visited`` and the flags; per frontier
+    vertex, the bits that reached it at the previous level (``new``) and
+    which of those are flagged.  A level gathers the arcs out of the
+    union frontier once, ORs ``new[src] & ~visited[dst]`` and its flagged
+    bits into each target, flags every new bit on a landmark head
+    (Lemma 5.14), and writes the level into ``dist`` for each new bit.
     """
     n = csr.num_vertices
-    dist = np.full(n, INF, dtype=np.int64)  # shape: (V,) int64
-    flag = np.zeros(n, dtype=bool)  # shape: (V,) bool
-    dist[root] = 0
-    frontier = np.array([root], dtype=np.int64)  # shape: (*,) int64
-    level = 0
-    while frontier.size:
-        level += 1
-        sources, targets = _gather(csr, frontier)
-        if not targets.size:
-            break
-        fresh = targets[dist[targets] >= INF]
-        if fresh.size:
-            fresh = np.unique(fresh)
-            dist[fresh] = level
-        # Every arc frontier->w with dist[w] == level is a shortest-path
-        # predecessor edge (the frontier is the complete previous level).
-        at_level = dist[targets] == level
-        if at_level.any():
-            heads = targets[at_level]
-            contrib = flag[sources[at_level]] | is_landmark[heads]
-            low = int(heads.min())
-            votes = np.bincount(
-                heads - low,
-                weights=contrib.astype(np.float64),
-                minlength=int(heads.max()) - low + 1,
+    width = len(roots)
+    if dist is None:
+        dist = np.empty((n, width), dtype=np.int64)  # shape: (V, K) int64
+    if dist.shape != (n, width) or not dist.flags.c_contiguous:
+        raise ValueError("dist must be a C-order (V, len(roots)) array")
+    dist.fill(INF)
+    flag = np.empty((n, width), dtype=bool)  # shape: (V, K) bool
+    cells = dist.reshape(-1)  # row v holds cells v * width + i
+    starts, ends, indices = csr.starts, csr.ends, csr.indices
+    iota = csr._iota()
+    levels = arcs = 0
+    for base in range(0, width, SWEEP_ROOTS):
+        group = np.asarray(roots[base : base + SWEEP_ROOTS], dtype=np.int64)
+        k = len(group)
+        visited = np.zeros(n, dtype=np.uint64)  # shape: (V,) uint64
+        flags = np.zeros(n, dtype=np.uint64)  # shape: (V,) uint64
+        reach = np.zeros(n, dtype=np.uint64)  # shape: (V,) uint64
+        carry = np.zeros(n, dtype=np.uint64)  # shape: (V,) uint64
+        stamp = np.empty(n, dtype=np.int64)  # shape: (V,) int64
+        np.bitwise_or.at(visited, group, _ONE << np.arange(k, dtype=np.uint64))
+        cells[group * width + base + np.arange(k)] = 0
+        frontier = np.flatnonzero(visited)
+        new = visited[frontier]
+        new_flags = np.zeros(len(frontier), dtype=np.uint64)
+        for level in count(1):
+            levels += 1
+            lo = starts[frontier]
+            counts = ends[frontier] - lo
+            cum = np.cumsum(counts)
+            arcs += int(cum[-1])
+            cuts = np.searchsorted(
+                cum, np.arange(_SWEEP_ARCS, cum[-1], _SWEEP_ARCS), side="right"
             )
-            flag[low : low + len(votes)] |= votes > 0
-        frontier = fresh
-    return dist, flag
+            pieces = []
+            for a, b in pairwise([0, *cuts.tolist(), len(frontier)]):
+                targets = indices[gather_positions(lo[a:b], counts[a:b], iota)]
+                fresh = np.repeat(new[a:b], counts[a:b])
+                fresh &= ~visited[targets]
+                live = np.flatnonzero(fresh)
+                if not live.size:
+                    continue
+                targets, fresh = targets[live], fresh[live]
+                flagged = np.repeat(new_flags[a:b], counts[a:b])[live]
+                flagged &= fresh
+                # Each target once: the arc that stamped it last; and only
+                # if no earlier step of this level reached it.
+                ramp = iota[: len(targets)]
+                stamp[targets] = ramp
+                firsts = targets[stamp[targets] == ramp]
+                pieces.append(firsts[reach[firsts] == 0])
+                np.bitwise_or.at(reach, targets, fresh)
+                np.bitwise_or.at(carry, targets, flagged)
+            if not pieces:
+                break
+            frontier = np.concatenate(pieces)
+            new = reach[frontier]
+            new_flags = np.where(is_landmark[frontier], new, carry[frontier])
+            reach[frontier] = carry[frontier] = 0
+            visited[frontier] |= new
+            flags[frontier] |= new_flags
+            _write_bits(cells, frontier * width + base, new, level)
+        flag[:, base : base + k] = np.unpackbits(
+            flags.astype("<u8", copy=False).view(np.uint8).reshape(n, 8),
+            axis=1,
+            count=k,
+            bitorder="little",
+        )
+    return LandmarkSweep(dist, flag, levels, arcs)
+
+
+def _write_bits(
+    cells: np.ndarray,  # shape: (*,) int64
+    rows: np.ndarray,  # shape: (*,) int64
+    words: np.ndarray,  # shape: (*,) uint64
+    value: int,
+) -> None:
+    """``cells[rows[j] + b] = value`` for every set bit ``b`` of
+    ``words[j]``, one lowest bit per round."""
+    while rows.size:
+        low = words & (_ZERO - words)
+        # A power of two converts to float64 exactly; its exponent is b.
+        cells[rows + (low.astype(np.float64).view(np.int64) >> 52) - 1023] = value
+        words = words ^ low
+        more = np.flatnonzero(words)
+        rows, words = rows[more], words[more]
 
 
 #: Frontier width at which the adaptive bidirectional kernel switches

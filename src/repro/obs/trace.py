@@ -65,7 +65,13 @@ NOOP_SPAN = _NoopSpan()
 
 
 class _Span:
-    """A live span; records a complete event on exit."""
+    """A live span; records a complete event on exit.
+
+    The start clock is read first on entry and the end clock once the
+    event is built, so a span's duration counts its own bookkeeping (the
+    stack, the id, the event); only the ring append after the end clock
+    lands in its parent's self time.
+    """
 
     __slots__ = ("tracer", "name", "args", "span_id", "parent_id", "start_us")
 
@@ -82,11 +88,11 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         tracer = self.tracer
+        self.start_us = tracer._now_us()
         stack = tracer._stack()
         self.parent_id = stack[-1] if stack else None
         self.span_id = tracer._next_id()
         stack.append(self.span_id)
-        self.start_us = tracer._now_us()
         return self
 
     def __exit__(
@@ -96,29 +102,28 @@ class _Span:
         tb: TracebackType | None,
     ) -> bool:
         tracer = self.tracer
-        end_us = tracer._now_us()
         stack = tracer._stack()
         if stack and stack[-1] == self.span_id:
             stack.pop()
         args = dict(self.args)
         if exc_type is not None:
             args["error"] = exc_type.__name__
-        tracer._append(
-            {
-                "name": self.name,
-                "ph": "X",
-                "ts": self.start_us,
-                "dur": max(0, end_us - self.start_us),
-                "pid": tracer.pid,
-                "tid": threading.current_thread().name,
-                "cat": "repro",
-                "args": {
-                    "span_id": self.span_id,
-                    "parent_id": self.parent_id,
-                    **args,
-                },
-            }
-        )
+        event: dict[str, Any] = {
+            "name": self.name,
+            "ph": "X",
+            "ts": self.start_us,
+            "dur": 0,
+            "pid": tracer.pid,
+            "tid": threading.current_thread().name,
+            "cat": "repro",
+            "args": {
+                "span_id": self.span_id,
+                "parent_id": self.parent_id,
+                **args,
+            },
+        }
+        event["dur"] = max(0, tracer._now_us() - self.start_us)
+        tracer._append(event)
         return False
 
     def set(self, **fields: Any) -> None:

@@ -418,7 +418,7 @@ class LandmarkShardPool:
     def build(
         self, graph: "DynamicGraph", landmarks: tuple[int, ...]
     ) -> HighwayCoverLabelling:
-        """Parallel static construction: one BFS tree per worker task."""
+        """Parallel static construction: one landmark sweep per shard."""
         landmarks = tuple(landmarks)
         shards = partition_landmarks(
             len(landmarks), self.num_shards or default_num_shards(len(landmarks))

@@ -43,14 +43,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.constants import INF
 from repro.core.batch_search import OrientedUpdate
 from repro.core.batchhl import (
     changed_entries,
     edge_kernels,
     process_one_landmark,
 )
-from repro.core.construction import landmark_column
+from repro.core.construction import landmark_columns
 from repro.core.labelling import HighwayCoverLabelling
 from repro.graph.csr import CSRGraph
 from repro.parallel.snapshot import STATE_FIELDS, ShardStateMeta
@@ -315,34 +314,34 @@ def run_build_shard(
     landmarks: tuple[int, ...],
     shard: list[int],
 ) -> BuildShardResult:
-    """One landmark-flagged BFS tree per landmark in ``shard``.
+    """The label columns, highway rows and D columns of ``shard``'s
+    landmarks, from one landmark sweep over all of them.
 
     The minimality rule is per landmark (Lemma 5.14: label a vertex iff
     reachable, not a landmark, flag False), so construction shards are
     fully independent given the graph and the landmark set.  The arrays
-    are wrapped as a :class:`CSRGraph` directly — the vectorised BFS
-    kernel reads them without expanding Python adjacency lists.  Dense
-    columns are the right payload here: construction writes every cell
-    once, so there is no delta to ship.
+    are wrapped as a :class:`CSRGraph` directly — the sweep reads them
+    without expanding Python adjacency lists.  Dense columns are the
+    right payload here: construction writes every cell once, so there is
+    no delta to ship.
     """
     t0 = time.perf_counter()
     graph = CSRGraph.from_rows(starts, ends, indices)
     n = graph.num_vertices
     is_landmark = np.zeros(n, dtype=bool)
-    for r in landmarks:
-        is_landmark[r] = True
-    landmark_list = list(landmarks)
-
+    is_landmark[list(landmarks)] = True
     columns = np.empty((n, len(shard)), dtype=np.int64)
-    highway_rows = np.full((len(shard), len(landmarks)), INF, dtype=np.int64)
+    highway_rows = np.empty((len(shard), len(landmarks)), dtype=np.int64)
     dist_columns = np.empty((n, len(shard)), dtype=np.int64)
-    for position, i in enumerate(shard):
-        column, highway_row, dist = landmark_column(
-            graph, landmark_list[i], is_landmark, landmark_list
-        )
-        columns[:, position] = column
-        highway_rows[position, :] = highway_row
-        dist_columns[:, position] = dist
+    landmark_columns(
+        graph,
+        [landmarks[i] for i in shard],
+        is_landmark,
+        landmarks,
+        columns,
+        highway_rows,
+        dist_columns,
+    )
     return BuildShardResult(
         shard=list(shard),
         columns=columns,

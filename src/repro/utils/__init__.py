@@ -1,7 +1,5 @@
-"""Small shared utilities: stamped arrays, timers, deterministic RNG."""
+"""Small shared utilities: deterministic RNG."""
 
-from repro.utils.arrays import StampedDistances, grow_int_array
 from repro.utils.rng import make_rng
-from repro.utils.timer import Timer
 
-__all__ = ["StampedDistances", "grow_int_array", "make_rng", "Timer"]
+__all__ = ["make_rng"]

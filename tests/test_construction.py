@@ -12,6 +12,7 @@ from repro.constants import INF, NO_LABEL
 from repro.core.construction import bfs_landmark_lengths, build_labelling
 from repro.core.labelling import decode_distances
 from repro.graph import generators
+from repro.obs.trace import get_tracer
 from tests.conftest import landmark_arrays
 
 
@@ -123,3 +124,40 @@ def test_minimality_against_all_covers():
             assert decoded[v] > truth[v], (
                 f"entry ({r}, {v}) is redundant — labelling not minimal"
             )
+
+
+def test_a_traced_build_is_one_span_over_the_first_freeze_and_the_sweep():
+    """Building over a graph never frozen is one build_labelling span:
+    the graph's first freeze_csr is its only child, so its self time is
+    the sweep, and it carries the landmarks, the sweep's levels (one per
+    frontier expansion: the deepest level plus the one that finds
+    nothing new) and the arcs gathered (each row once per distinct level
+    at which some landmark reaches it)."""
+    from repro.graph.traversal import bfs_distances
+
+    graph = generators.barabasi_albert(120, 2, seed=3)
+    graph.ensure_vertex(121)  # two more vertices, one edge: unreachable
+    graph.add_edge(120, 121)
+    landmarks = (0, 1, 7, 120)
+    tracer = get_tracer()
+    tracer.enable()
+    tracer.clear()
+    try:
+        build_labelling(graph, landmarks)
+        events = tracer.events()
+    finally:
+        tracer.disable()
+        tracer.clear()
+    (build,) = [e for e in events if e["name"] == "build_labelling"]
+    children = [
+        e for e in events if e["args"]["parent_id"] == build["args"]["span_id"]
+    ]
+    assert [c["name"] for c in children] == ["freeze_csr"]
+    assert children[0]["args"]["rows"] == graph.num_vertices
+    dist = [bfs_distances(graph, r) for r in landmarks]
+    levels = {v: {int(d[v]) for d in dist if d[v] < INF} for v in range(122)}
+    assert build["args"]["landmarks"] == len(landmarks)
+    assert build["args"]["levels"] == max(max(ds) for ds in levels.values()) + 1
+    assert build["args"]["arcs"] == sum(
+        graph.degree(v) * len(ds) for v, ds in levels.items()
+    )

@@ -20,10 +20,11 @@ from repro.graph import generators, traversal
 from repro.graph.csr import (
     CSRGraph,
     CSRListView,
+    SWEEP_ROOTS,
     bfs_distances,
     bfs_distances_multi,
     bidirectional_distance,
-    landmark_lengths,
+    landmark_sweep,
 )
 from repro.graph.generators import to_directed
 
@@ -91,20 +92,144 @@ def test_bfs_kernels_match_python_on_random_graphs():
         ).all(), trial
 
 
+def assert_sweep_matches_python(graph, csr, roots, is_landmark):
+    """Every column of one sweep equals the per-root Python reference,
+    and the sweep hands back C-order (V, R) arrays."""
+    sweep = landmark_sweep(csr, roots, is_landmark)
+    shape = (graph.num_vertices, len(roots))
+    assert sweep.dist.shape == sweep.flag.shape == shape
+    assert sweep.dist.dtype == np.int64 and sweep.flag.dtype == bool
+    assert sweep.dist.flags.c_contiguous
+    for i, root in enumerate(roots):
+        dist, flag = bfs_landmark_lengths(graph, root, is_landmark)
+        assert (sweep.dist[:, i] == dist).all(), (i, root)
+        assert (sweep.flag[:, i] == flag).all(), (i, root)
+    return sweep
+
+
 def test_landmark_lengths_match_python_on_random_graphs():
+    """R roots in one sweep, for R in 1, 2, 20, 64, 65 and 130, so 65 and
+    130 cross the 64-root word; roots drawn with replacement, so
+    duplicates are common and at 130 certain, and the landmark set need
+    not contain the roots."""
     rng = random.Random(0xFACE)
-    for trial in range(25):
+    for num_roots in (1, 2, 20, 64, 65, 130):
+        for trial in range(12):
+            graph = random_graph(rng, trial)
+            csr = CSRGraph.from_graph(graph)
+            n = graph.num_vertices
+            is_landmark = np.zeros(n, dtype=bool)
+            for _ in range(rng.randint(1, max(1, n // 8))):
+                is_landmark[rng.randrange(n)] = True
+            roots = [rng.randrange(n) for _ in range(num_roots)]
+            if rng.random() < 0.5:  # as in construction: roots are landmarks
+                is_landmark[roots] = True
+            assert_sweep_matches_python(graph, csr, roots, is_landmark)
+
+
+def test_sweep_groups_roots_by_the_word():
+    assert SWEEP_ROOTS == 64
+    graph = generators.grid(9, 9)
+    csr = CSRGraph.from_graph(graph)
+    is_landmark = np.zeros(81, dtype=bool)
+    one = landmark_sweep(csr, [40], is_landmark)
+    # From the centre every vertex is reached by level 8 and the ninth
+    # expansion finds nothing new; each row is gathered once.
+    assert (one.levels, one.arcs) == (9, csr.num_arcs)
+    many = landmark_sweep(csr, [40] * 65, is_landmark)
+    assert (many.levels, many.arcs) == (18, 2 * csr.num_arcs)
+
+
+def test_sweep_steps_through_wide_levels(monkeypatch):
+    """A level with more arcs than one step gathers is swept in several
+    steps.  With 5-arc steps most levels of these small graphs take
+    several, and the columns, the level count and the arcs gathered stay
+    what one step per level gives."""
+    import repro.graph.csr as csr_module
+
+    rng = random.Random(0x5EED)
+    cases = []
+    for trial in range(10):
         graph = random_graph(rng, trial)
-        csr = CSRGraph.from_graph(graph)
         n = graph.num_vertices
         is_landmark = np.zeros(n, dtype=bool)
-        for _ in range(rng.randint(1, max(1, n // 8))):
-            is_landmark[rng.randrange(n)] = True
-        root = rng.randrange(n)
-        dist_a, flag_a = landmark_lengths(csr, root, is_landmark)
-        dist_b, flag_b = bfs_landmark_lengths(graph, root, is_landmark)
-        assert (dist_a == dist_b).all(), trial
-        assert (flag_a == flag_b).all(), trial
+        roots = [rng.randrange(n) for _ in range(rng.choice([3, 20, 70]))]
+        is_landmark[roots] = True
+        csr = CSRGraph.from_graph(graph)
+        cases.append((graph, csr, roots, is_landmark))
+    wide = [landmark_sweep(csr, roots, lm) for _, csr, roots, lm in cases]
+    monkeypatch.setattr(csr_module, "_SWEEP_ARCS", 5)
+    for (graph, csr, roots, is_landmark), one_step in zip(cases, wide):
+        stepped = assert_sweep_matches_python(graph, csr, roots, is_landmark)
+        assert (stepped.levels, stepped.arcs) == (one_step.levels, one_step.arcs)
+
+
+def test_sweep_flags_adjacent_landmarks_and_the_only_path():
+    """A path 0-1-...-7 with landmarks 2 and 3 side by side: from 0 every
+    vertex past 2 is flagged; from 3 the only path to 0 and 1 runs
+    through 2, and to 4..7 through no other landmark."""
+    graph = generators.path(8)
+    is_landmark = np.zeros(8, dtype=bool)
+    is_landmark[[2, 3]] = True
+    sweep = assert_sweep_matches_python(
+        graph, CSRGraph.from_graph(graph), [0, 2, 3], is_landmark
+    )
+    assert sweep.dist[:, 2].tolist() == [3, 2, 1, 0, 1, 2, 3, 4]
+    assert sweep.flag[:, 0].tolist() == [False] * 2 + [True] * 6
+    assert sweep.flag[:, 1].tolist() == [False] * 3 + [True] * 5
+    assert sweep.flag[:, 2].tolist() == [True] * 3 + [False] * 5
+
+
+def test_sweep_isolated_root_components_and_duplicate_roots():
+    """Two components and an isolated vertex: a root reaches only its own
+    component (INF and unflagged elsewhere), the isolated root only
+    itself, and duplicate roots give equal columns."""
+    graph = generators.path(4)
+    graph.ensure_vertex(8)
+    graph.add_edge(5, 6)
+    graph.add_edge(6, 7)
+    graph.add_edge(7, 8)  # components {0..3}, {4}, {5..8}
+    is_landmark = np.zeros(9, dtype=bool)
+    is_landmark[[1, 4, 6]] = True
+    roots = [4, 0, 6, 0, 4, 6]
+    sweep = assert_sweep_matches_python(
+        graph, CSRGraph.from_graph(graph), roots, is_landmark
+    )
+    isolated = sweep.dist[:, 0]
+    assert isolated[4] == 0 and (np.delete(isolated, 4) == INF).all()
+    assert (sweep.dist[5:, 1] == INF).all() and (sweep.dist[:5, 2] == INF).all()
+    assert not sweep.flag[:, 0].any()
+    for a, b in ((1, 3), (0, 4), (2, 5)):
+        assert (sweep.dist[:, a] == sweep.dist[:, b]).all()
+        assert (sweep.flag[:, a] == sweep.flag[:, b]).all()
+
+
+def test_sweep_follows_digraph_out_and_in_rows():
+    rng = random.Random(0xD1)
+    for trial in range(10):
+        base = generators.erdos_renyi(rng.randint(5, 70), 0.08, seed=trial)
+        digraph = to_directed(base, reciprocal_p=0.3, seed=trial)
+        forward, backward = CSRGraph.from_digraph(digraph)
+        n = digraph.num_vertices
+        is_landmark = np.zeros(n, dtype=bool)
+        roots = [rng.randrange(n) for _ in range(rng.choice([3, 70]))]
+        is_landmark[roots] = True
+        assert_sweep_matches_python(digraph.out_view(), forward, roots, is_landmark)
+        assert_sweep_matches_python(digraph.in_view(), backward, roots, is_landmark)
+
+
+def test_sweep_writes_into_the_given_array():
+    graph = generators.erdos_renyi(30, 0.1, seed=4)
+    csr = CSRGraph.from_graph(graph)
+    is_landmark = np.zeros(30, dtype=bool)
+    out = np.zeros((30, 3), dtype=np.int64)
+    sweep = landmark_sweep(csr, [0, 5, 9], is_landmark, out)
+    assert sweep.dist is out
+    assert (out == landmark_sweep(csr, [0, 5, 9], is_landmark).dist).all()
+    with pytest.raises(ValueError):
+        landmark_sweep(csr, [0, 5, 9], is_landmark, np.zeros((3, 30), np.int64).T)
+    with pytest.raises(ValueError):
+        landmark_sweep(csr, [0, 5], is_landmark, out)
 
 
 @pytest.mark.parametrize("switch_width", [0, 2, 64])

@@ -96,6 +96,37 @@ def test_span_set_attaches_fields(tracer):
     assert event["args"]["applied"] == 9
 
 
+def test_spans_count_their_own_bookkeeping(tracer, monkeypatch):
+    """On an injected clock that advances only inside the tracer's
+    bookkeeping (1 us per span-stack read, 10 us per id), an empty span
+    lasts its own bookkeeping, and a parent's self time is only its own:
+    none of its child's bookkeeping lands in it."""
+    clock = [0]
+    stack, next_id = tracer._stack, tracer._next_id
+
+    def costly(step, call):
+        def wrapped():
+            clock[0] += step
+            return call()
+
+        return wrapped
+
+    monkeypatch.setattr(tracer, "_now_us", lambda: clock[0])
+    monkeypatch.setattr(tracer, "_stack", costly(1, stack))
+    monkeypatch.setattr(tracer, "_next_id", costly(10, next_id))
+    with tracer.span("empty"):
+        pass
+    with tracer.span("parent"):
+        with tracer.span("child"):
+            clock[0] += 100
+    events = {e["name"]: e for e in tracer.events()}
+    own = 1 + 10 + 1  # stack and id on entry, stack on exit
+    assert events["empty"]["dur"] == own
+    assert events["child"]["dur"] == 100 + own
+    assert events["parent"]["dur"] - events["child"]["dur"] == own
+    assert events["child"]["ts"] == events["parent"]["ts"] + 1 + 10
+
+
 def test_record_complete_synthesizes_on_named_track(tracer):
     parent = tracer.record_complete("shard", 100, 50, tid="shard-3")
     child = tracer.record_complete(

@@ -71,6 +71,19 @@ def test_parallel_construction_matches_sequential(shard_pool):
     assert reference.equals(parallel)
 
 
+def test_parallel_construction_past_one_sweep_word_matches_sequential(
+    shard_pool,
+):
+    """200 landmarks on 3 shards: each shard sweeps 66 or 67 roots, two
+    root groups, and the pool's labelling equals the sequential build."""
+    from repro.core.landmarks import select_landmarks
+
+    graph = generators.barabasi_albert(300, 2, seed=4)
+    landmarks = select_landmarks(graph, 200)
+    reference = build_labelling(graph, landmarks)
+    assert reference.equals(build_labelling(graph, landmarks, pool=shard_pool))
+
+
 def test_run_batch_update_runs_on_the_given_pool(shard_pool):
     """A pool handed to the driver runs the pass on its workers, one
     ShardTiming per shard, and repairs what the sequential pass does."""

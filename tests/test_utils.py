@@ -1,57 +1,9 @@
-"""Utility-layer tests: stamped arrays, timers, rng plumbing."""
+"""Utility-layer tests: rng plumbing and the INF helpers."""
 
 import random
-import time
 
 from repro.constants import INF, externalise, is_inf
-from repro.utils.arrays import StampedDistances, grow_int_array
 from repro.utils.rng import make_rng
-from repro.utils.timer import Timer
-
-import numpy as np
-
-
-def test_stamped_distances_reset_is_cheap_and_correct():
-    dist = StampedDistances(10)
-    dist.reset()
-    dist[3] = 7
-    assert dist[3] == 7
-    assert dist[4] == INF
-    assert 3 in dist and 4 not in dist
-    dist.reset()
-    assert dist[3] == INF, "reset must invalidate previous epoch"
-    dist[3] = 1
-    assert dict(dist.items()) == {3: 1}
-
-
-def test_stamped_distances_resize():
-    dist = StampedDistances(4)
-    dist.reset()
-    dist[1] = 5
-    dist.resize(8)
-    assert len(dist) == 8
-    assert dist[1] == 5
-    assert dist[7] == INF
-
-
-def test_grow_int_array():
-    arr = np.array([1, 2, 3], dtype=np.int64)
-    grown = grow_int_array(arr, 5, fill=-1)
-    assert list(grown) == [1, 2, 3, -1, -1]
-    assert grow_int_array(grown, 2, fill=0) is grown
-
-
-def test_timer_accumulates():
-    timer = Timer()
-    with timer:
-        time.sleep(0.01)
-    first = timer.elapsed
-    assert first > 0
-    with timer:
-        time.sleep(0.01)
-    assert timer.elapsed > first
-    timer.restart()
-    assert timer.elapsed == 0.0
 
 
 def test_make_rng():
