@@ -6,10 +6,14 @@ Asserts the Prometheus exposition parses and covers the serving metric
 families, among them both buffer-recycling counters with a recycled
 sample each, and that the trace JSONL parses line-by-line with a flush
 span nesting per-shard search/repair children (the processes backend's
-synthesized shard tracks).
+synthesized shard tracks).  The query counts and the latency histogram
+must be one source: each ``repro_queries_total{cache}`` sample equals
+the histogram's ``_count`` for that outcome, and the bucket bounds span
+1 us to 1 s with adjacent bounds within the stated ratio, 2**(1/8).
 """
 
 import json
+import re
 import sys
 
 from repro.obs.metrics import parse_prometheus
@@ -46,9 +50,37 @@ def check_metrics(path: str) -> None:
             f"{path}: no sample for family prefix {prefix!r}"
         )
     assert samples["repro_queries_total{cache=\"miss\"}"] > 0
+    check_query_latency(path, samples)
     for key in RECYCLED_SAMPLES:
         assert samples.get(key, 0) > 0, f"{path}: no {key} sample"
     print(f"{path}: {len(samples)} samples across all required families")
+
+
+def check_query_latency(path: str, samples: dict) -> None:
+    for outcome in ("hit", "miss"):
+        counted = samples[f'repro_queries_total{{cache="{outcome}"}}']
+        observed = samples[
+            f'repro_query_latency_seconds_count{{cache="{outcome}"}}'
+        ]
+        assert counted == observed, (
+            f"{path}: {outcome} queries {counted} != histogram count {observed}"
+        )
+    bound = re.compile(
+        r'repro_query_latency_seconds_bucket\{cache="miss",le="([^"]+)"\}'
+    )
+    bounds = sorted(
+        float(m.group(1)) for key in samples if (m := bound.fullmatch(key))
+    )
+    # The stated ladder, written out here so a coarser one fails.
+    step = 2.0 ** (1 / 8) * (1 + 1e-9)
+    inside = [b for b in bounds if 1e-6 / step <= b <= step]
+    assert inside and inside[0] <= 1e-6 and inside[-1] >= 1.0, (
+        f"{path}: query-latency buckets do not span 1us..1s"
+    )
+    for low, high in zip(inside, inside[1:]):
+        assert high / low <= step, (
+            f"{path}: query-latency buckets {low} -> {high} wider than {step}"
+        )
 
 
 def check_trace(path: str) -> None:

@@ -8,8 +8,9 @@ child.  Three instrument kinds, mirroring the Prometheus data model:
 
 * :class:`Counter`   — monotone ``inc``;
 * :class:`Gauge`     — ``set``/``inc``/``dec`` to any value;
-* :class:`Histogram` — ``observe`` into cumulative buckets (default
-  exponential, :func:`exponential_buckets`) plus ``_sum``/``_count``.
+* :class:`Histogram` — ``observe`` into cumulative buckets plus
+  ``_sum``/``_count``; the default :data:`LOG_BUCKETS` are fine enough
+  that :meth:`HistogramState.quantile` reads p50/p90/p99 within 4.4%.
 
 Reads are *snapshots*: :meth:`MetricsRegistry.snapshot` returns one flat
 ``{sample_key: value}`` dict whose keys are exactly the Prometheus sample
@@ -17,9 +18,8 @@ syntax (``name{label="v"}``), and :meth:`MetricsRegistry.delta` subtracts
 a previous snapshot so callers get windowed rates (gauges pass through as
 their current value — a delta of a level is meaningless).  Exports:
 
-* ``to_json()`` / ``write_json(path)`` — the flat snapshot plus metadata;
-* ``render_prometheus()`` / ``write_prometheus(path)`` — text exposition
-  format (version 0.0.4) with ``# HELP``/``# TYPE`` headers;
+* ``render_prometheus()`` — text exposition format (version 0.0.4) with
+  ``# HELP``/``# TYPE`` headers;
 * module-level :func:`write_metrics` picks the format from the file
   suffix (``.json`` vs ``.prom``/anything else) and can merge several
   registries into one file (the service's private registry plus the
@@ -36,9 +36,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 import time
 from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TypeVar, cast
 
@@ -46,16 +49,26 @@ F = TypeVar("F", bound="_Family")
 
 INF = float("inf")
 
+#: Default histogram resolution: bucket bounds grow by 2**(1/8) ≈ 1.09.
+BUCKETS_PER_OCTAVE = 8
+
+#: Default bucket bounds: 2**(k / BUCKETS_PER_OCTAVE) from 2**-21 s
+#: (0.48 us, below a cache hit) to 2**7 s (128 s, above a slow flush).
+LOG_BUCKETS = tuple(
+    2.0 ** (k / BUCKETS_PER_OCTAVE)
+    for k in range(-21 * BUCKETS_PER_OCTAVE, 7 * BUCKETS_PER_OCTAVE + 1)
+)
+
+#: Worst relative error of a quantile read on :data:`LOG_BUCKETS`: a
+#: bucket's geometric midpoint is within 2**(1/16) - 1 ≈ 4.4% of its values.
+RELATIVE_ERROR = 2.0 ** (0.5 / BUCKETS_PER_OCTAVE) - 1.0
+
 
 def exponential_buckets(
     start: float = 1e-5, factor: float = 4.0, count: int = 10
 ) -> tuple[float, ...]:
-    """``count`` exponentially growing upper bounds starting at ``start``.
-
-    The defaults (10us * 4^k, ten buckets) span 10us .. ~2.6s — wide
-    enough for both query latencies and flush repairs.  The implicit
-    ``+Inf`` bucket is appended by :class:`Histogram`, not here.
-    """
+    """``count`` explicit bounds ``start * factor**i`` (a histogram given
+    none uses :data:`LOG_BUCKETS`); :class:`Histogram` appends ``+Inf``."""
     if start <= 0 or factor <= 1 or count < 1:
         raise ValueError(
             "exponential_buckets needs start > 0, factor > 1, count >= 1"
@@ -274,9 +287,58 @@ class Gauge(_Family):
         yield sample_key(self.name, labels), self.value
 
 
+@dataclass(frozen=True)
+class HistogramState:
+    """One consistent read of a histogram: bucket counts (the last slot is
+    ``+Inf``), sum and largest observation.  States with the same bounds
+    add up, so a report reads each child once and merges them."""
+
+    bounds: tuple[float, ...]
+    counts: tuple[int, ...]
+    sum: float = 0.0
+    max: float = 0.0
+
+    @property
+    def count(self) -> int:
+        return sum(self.counts)
+
+    def __add__(self, other: "HistogramState") -> "HistogramState":
+        return HistogramState(
+            self.bounds,
+            tuple(map(operator.add, self.counts, other.counts)),
+            self.sum + other.sum,
+            max(self.max, other.max),
+        )
+
+    def quantile(self, q: float) -> float:
+        """Nearest-rank percentile (q in [0, 100]); 0.0 when empty.
+
+        Reads the bucket of the rank ⌈q/100·n⌉ observation at its
+        geometric midpoint, capped at the largest observation (the first
+        bucket reads its upper bound, ``+Inf`` the largest observation):
+        on :data:`LOG_BUCKETS` within :data:`RELATIVE_ERROR` of exact.
+        """
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"quantile q must be in [0, 100], got {q}")
+        cumulative = list(accumulate(self.counts))
+        if not cumulative[-1]:
+            return 0.0
+        rank = max(1, math.ceil(q / 100.0 * cumulative[-1]))
+        slot = bisect_left(cumulative, rank)
+        if slot == len(self.bounds):
+            return self.max
+        upper = self.bounds[slot]
+        if slot:
+            upper = math.sqrt(self.bounds[slot - 1] * upper)
+        return min(upper, self.max)
+
+
 class Histogram(_Family):
     """Cumulative-bucket histogram (Prometheus semantics: ``le`` is an
     inclusive upper bound; an implicit ``+Inf`` bucket catches the tail).
+
+    ``buckets`` defaults to :data:`LOG_BUCKETS`.  Reads on a labelled
+    family merge its children.
     """
 
     kind = "histogram"
@@ -289,15 +351,15 @@ class Histogram(_Family):
         buckets: Sequence[float] | None = None,
     ) -> None:
         super().__init__(name, help, labelnames)
-        bounds = tuple(buckets) if buckets is not None else exponential_buckets()
+        bounds = tuple(buckets) if buckets is not None else LOG_BUCKETS
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError(f"bucket bounds must strictly increase: {bounds}")
         if bounds and bounds[-1] == INF:
             bounds = bounds[:-1]
         self.bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)  # last slot = +Inf
-        self._sum = 0.0
-        self._count = 0
+        self._counts = [0] * (len(bounds) + 1)  # guarded-by: _cell_lock
+        self._sum = 0.0  # guarded-by: _cell_lock
+        self._max = 0.0  # guarded-by: _cell_lock
         self._cell_lock = threading.Lock()
 
     def _make_child(self, values: tuple[str, ...]) -> "Histogram":
@@ -317,31 +379,36 @@ class Histogram(_Family):
         with self._cell_lock:
             self._counts[slot] += 1
             self._sum += value
-            self._count += 1
+            if value > self._max:
+                self._max = value
+
+    def state(self) -> HistogramState:
+        """The counts, sum and max, read under one lock per child."""
+        if self.labelnames:
+            empty = HistogramState(self.bounds, (0,) * (len(self.bounds) + 1))
+            return sum(
+                (child.state() for _, child in self._iter_children()), empty
+            )
+        with self._cell_lock:
+            return HistogramState(
+                self.bounds, tuple(self._counts), self._sum, self._max
+            )
 
     @property
     def count(self) -> int:
-        with self._cell_lock:
-            return self._count
+        return self.state().count
 
     @property
     def sum(self) -> float:
-        with self._cell_lock:
-            return self._sum
+        return self.state().sum
 
     def bucket_counts(self) -> dict[float, int]:
         """Cumulative counts keyed by upper bound (ending at ``inf``)."""
-        with self._cell_lock:
-            raw = list(self._counts)
-        out: dict[float, int] = {}
-        running = 0
-        for bound, n in zip((*self.bounds, INF), raw):
-            running += n
-            out[bound] = running
-        return out
+        return dict(zip((*self.bounds, INF), accumulate(self.state().counts)))
 
     def _samples(self, labels: dict[str, str]) -> Iterator[tuple[str, float]]:
-        for bound, cumulative in self.bucket_counts().items():
+        state = self.state()
+        for bound, cumulative in zip((*self.bounds, INF), accumulate(state.counts)):
             yield (
                 sample_key(
                     self.name + "_bucket",
@@ -349,10 +416,8 @@ class Histogram(_Family):
                 ),
                 cumulative,
             )
-        with self._cell_lock:
-            total, count = self._sum, self._count
-        yield sample_key(self.name + "_sum", labels), total
-        yield sample_key(self.name + "_count", labels), count
+        yield sample_key(self.name + "_sum", labels), state.sum
+        yield sample_key(self.name + "_count", labels), state.count
 
 
 class MetricsRegistry:
@@ -361,7 +426,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
         self._lock = threading.Lock()
-        self.created_at = time.time()
 
     def _register(
         self,
@@ -443,24 +507,8 @@ class MetricsRegistry:
 
     # -- exports --------------------------------------------------------
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "exported_at": time.time(),
-            "uptime_s": time.time() - self.created_at,
-            "metrics": self.snapshot(),
-        }
-
-    def write_json(self, path: str | Path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
     def render_prometheus(self) -> str:
         return render_prometheus(self)
-
-    def write_prometheus(self, path: str | Path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.render_prometheus())
 
 
 def render_prometheus(*registries: MetricsRegistry) -> str:

@@ -22,7 +22,7 @@ See :mod:`repro.service.engine` for the consistency contract and
 
 from repro.service.cache import QueryCache
 from repro.service.engine import DistanceService, EpochSnapshot, EpochStore
-from repro.service.metrics import LatencyRecorder, ServiceMetrics, percentile
+from repro.service.metrics import ServiceMetrics, percentile
 from repro.service.scheduler import (
     CoalescingScheduler,
     FlushPolicy,
@@ -47,7 +47,6 @@ __all__ = [
     "FlushPolicy",
     "FlushTrigger",
     "ServiceMetrics",
-    "LatencyRecorder",
     "percentile",
     "ClosedLoopGenerator",
     "OpenLoopGenerator",

@@ -8,6 +8,11 @@ every hit is provably an answer the current snapshot would give.  Evicting
 only the entries that touch the batch's affected vertices would not be: a
 batch can change ``d(s, t)`` without touching ``s`` or ``t``.
 
+A clear is O(1): it bumps a *generation* that every entry is tagged
+with, and ``get`` misses on older entries without touching them.  Every
+current entry was put or touched after the bump, so LRU eviction reaches
+old entries first, and hits and misses are exactly those of a clear.
+
 Keys are canonicalised ``(min(s,t), max(s,t))`` pairs when the fronted
 oracle's distances are symmetric (the undirected default).  A directed
 writer constructs the cache with ``symmetric=False`` and keys stay ordered
@@ -45,9 +50,12 @@ class QueryCache:
             raise WorkloadError("cache capacity must be >= 0")
         self.capacity = capacity
         self.symmetric = symmetric
-        self._entries: OrderedDict[tuple[int, int], float] = OrderedDict()  # guarded-by: _lock
+        # key -> (distance, generation); _live counts current entries.
+        self._entries: OrderedDict[tuple[int, int], tuple[float, int]] = OrderedDict()  # guarded-by: _lock
         self._lock = threading.Lock()
         self._epoch = 0  # guarded-by: _lock
+        self._generation = 0  # guarded-by: _lock
+        self._live = 0  # guarded-by: _lock
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self.invalidated = 0  # guarded-by: _lock
@@ -118,13 +126,13 @@ class QueryCache:
             return None
         key = self._key(s, t)
         with self._lock:
-            value = self._entries.get(key)
-            if value is None:
+            entry = self._entries.get(key)
+            if entry is None or entry[1] != self._generation:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return value
+            return entry[0]
 
     def put(self, s: int, t: int, distance: float, epoch: int = 0) -> None:
         """Install an answer computed under ``epoch`` (dropped if stale)."""
@@ -135,10 +143,16 @@ class QueryCache:
             if epoch != self._epoch:
                 self.stale_puts_dropped += 1
                 return
-            self._entries[key] = distance
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            entries, generation = self._entries, self._generation
+            old = entries.get(key)
+            if old is None or old[1] != generation:
+                self._live += 1
+            entries[key] = (distance, generation)
+            entries.move_to_end(key)
+            if len(entries) > self.capacity:
+                _, (_, evicted) = entries.popitem(last=False)
+                if evicted == generation:
+                    self._live -= 1
 
     # -- invalidation ---------------------------------------------------
 
@@ -154,32 +168,25 @@ class QueryCache:
         """
         with self._lock:
             self._epoch = epoch
-            if not self._entries or (
+            if not self._live or (
                 affected_vertices is not None and not affected_vertices
             ):
                 return 0
-            dropped = self._clear_locked()
+            dropped = self._live
+            self._generation += 1
+            self._live = 0
+            self.invalidated += dropped
+            self.clears += 1
         _log.debug(
             "cache invalidated", extra={"epoch": epoch, "dropped": dropped}
         )
         return dropped
 
-    def _clear_locked(self) -> int:
-        dropped = len(self._entries)
-        self._entries.clear()
-        self.invalidated += dropped
-        self.clears += 1
-        return dropped
-
-    def clear(self) -> int:
-        with self._lock:
-            return self._clear_locked()
-
     # -- introspection --------------------------------------------------
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return self._live
 
     @property
     def hit_rate(self) -> float:

@@ -1,11 +1,8 @@
 """Serving-side instrumentation: throughput, latency percentiles, staleness.
 
 The offline bench layer times whole experiments; the serving layer needs
-per-operation observability instead.  :class:`LatencyRecorder` keeps a
-bounded reservoir of latency samples (algorithm R, deterministic seed) so
-percentile reports stay O(1) in memory no matter how long a service runs,
-and :class:`ServiceMetrics` aggregates the counters every component of
-:mod:`repro.service` emits:
+per-operation observability instead.  :class:`ServiceMetrics` aggregates
+the counters every component of :mod:`repro.service` emits:
 
 * query/update throughput over the metrics window;
 * query latency p50/p90/p99 (cache hits and misses both count — that is
@@ -15,39 +12,36 @@ and :class:`ServiceMetrics` aggregates the counters every component of
   writer was already building epoch N+1, i.e. answers that were exact for
   the previous published topology but not for the in-flight one.
 
-Since the observability PR, :class:`ServiceMetrics` is a facade over a
-:class:`~repro.obs.metrics.MetricsRegistry` — every count lives in a
-registry family (``repro_queries_total{cache=...}``,
-``repro_flush_latency_seconds``, ...), so the whole service exports as
-Prometheus text or flat JSON through the CLI's ``--metrics-out`` while
-the long-standing ``summary()`` / ``format_report()`` API keeps working
-unchanged.  Each ServiceMetrics owns a *private* registry by default so
-concurrent services (the test suite runs dozens per process) never
-pollute each other's counts; pass ``registry=`` to share one.
+Every count lives in a :class:`~repro.obs.metrics.MetricsRegistry`
+family, exported through the CLI's ``--metrics-out``, and ``summary()``
+/ ``format_report()`` read the same numbers.  Latencies have one source,
+the log-bucketed obs histograms: a served query is one observation into
+``repro_query_latency_seconds{cache="hit"|"miss"}``, and
+``repro_queries_total{cache}``, the hit/miss split and the report's
+count, mean, max and p50/p90/p99 (within 4.4%) are read from those two
+children.  Each ServiceMetrics owns a *private* registry by default so
+concurrent services never pollute each other's counts; pass
+``registry=`` to share one.
 
 Windowed reads: :meth:`interval_summary` returns the delta since its
 previous call — *current* qps/ups/hit-rate for a live stats line —
 computed from registry snapshots, while :meth:`summary` stays the
 lifetime aggregate.
 
-All methods are thread-safe; recording is a few dict/float operations
-under locks, cheap relative to a distance query.
+All methods are thread-safe.  Recording a query takes one histogram
+lock (plus the stale counter's, for a stale answer).
 """
 
 from __future__ import annotations
 
 import math
-import random
 import threading
 import time
 from typing import Sequence
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import HistogramState, MetricsRegistry, exponential_buckets
 
-#: Query latencies: 1us .. ~1s.  Flushes: 100us .. ~1.6min.
-QUERY_LATENCY_BUCKETS = tuple(1e-6 * 4**i for i in range(10))
-FLUSH_LATENCY_BUCKETS = tuple(1e-4 * 4**i for i in range(10))
-BATCH_SIZE_BUCKETS = tuple(float(2**i) for i in range(12))
+BATCH_SIZE_BUCKETS = exponential_buckets(1.0, 2.0, 12)
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -66,116 +60,53 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return ordered[max(0, min(len(ordered) - 1, rank))]
 
 
-class LatencyRecorder:
-    """Bounded reservoir of latency samples with percentile reads.
-
-    Every read — including :meth:`max` and :meth:`summary` — takes the
-    recorder lock: ``_count``/``_max_seen``/``_total`` are multi-field
-    state updated together in :meth:`record`, and unlocked reads could
-    observe a count that includes a sample whose max/total update had
-    not landed yet (a torn read under free-threaded Python, and a stale
-    one even under the GIL).
-    """
-
-    def __init__(self, max_samples: int = 8192, seed: int = 0) -> None:
-        if max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
-        self._max = max_samples
-        self._rng = random.Random(seed)
-        self._samples: list[float] = []
-        self._count = 0
-        self._total = 0.0
-        self._max_seen = 0.0
-        self._lock = threading.Lock()
-
-    def record(self, seconds: float) -> None:
-        with self._lock:
-            self._count += 1
-            self._total += seconds
-            if seconds > self._max_seen:
-                self._max_seen = seconds
-            if len(self._samples) < self._max:
-                self._samples.append(seconds)
-            else:
-                # Reservoir sampling keeps the kept set uniform over all
-                # recorded samples, so percentiles stay unbiased.
-                slot = self._rng.randrange(self._count)
-                if slot < self._max:
-                    self._samples[slot] = seconds
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    def mean(self) -> float:
-        with self._lock:
-            return self._total / self._count if self._count else 0.0
-
-    def max(self) -> float:
-        with self._lock:
-            return self._max_seen
-
-    def quantiles(self, qs: Sequence[float] = (50.0, 90.0, 99.0)) -> dict:
-        with self._lock:
-            frozen = list(self._samples)
-        return {f"p{q:g}": percentile(frozen, q) for q in qs}
-
-    def summary(self) -> dict:
-        # One lock acquisition for the scalar fields AND the sample
-        # freeze: count/mean/max and the percentiles all describe the
-        # same set of recorded samples.
-        with self._lock:
-            count = self._count
-            total = self._total
-            max_seen = self._max_seen
-            frozen = list(self._samples)
-        out = {
-            "count": count,
-            "mean_s": total / count if count else 0.0,
-            "max_s": max_seen,
-        }
-        for q in (50.0, 90.0, 99.0):
-            out[f"p{q:g}"] = percentile(frozen, q)
-        return out
+def _latency_summary(state: HistogramState) -> dict:
+    """Count, mean, max and p50/p90/p99 of one histogram read."""
+    count = state.count
+    out = {"count": count, "mean_s": state.sum / max(count, 1), "max_s": state.max}
+    for q in (50.0, 90.0, 99.0):
+        out[f"p{q:g}"] = state.quantile(q)
+    return out
 
 
 class ServiceMetrics:
-    """Aggregated counters + latency recorders for one DistanceService.
+    """Aggregated counters + latency histograms for one DistanceService.
 
     All counts live in ``self.registry`` (a private
     :class:`~repro.obs.metrics.MetricsRegistry` unless one is passed in);
     the attribute-style reads (``metrics.cache_hits`` etc.) are
     properties over the registry so existing consumers keep working.
-    Recording methods take ``self._lock`` around the whole multi-metric
-    update, and :meth:`summary` takes it around the whole read, so a
-    report never shows e.g. a query counted in ``queries_served`` but
-    missing from the hit/miss split.
+    The submit/flush/publish hooks take ``self._lock`` around their
+    multi-metric updates, and :meth:`summary` around its read of them.
+    Query counts are the two query histogram children's counts.
     """
 
-    def __init__(
-        self, max_samples: int = 8192, registry: MetricsRegistry | None = None
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self._lock = threading.Lock()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.query_latency = LatencyRecorder(max_samples, seed=1)
-        self.flush_latency = LatencyRecorder(max_samples, seed=2)
         r = self.registry
-        self._queries = r.counter(
+        query_seconds = r.histogram(
+            "repro_query_latency_seconds",
+            "client-observed query latency, split by cache outcome",
+            ("cache",),
+        )
+        self._hit_seconds = query_seconds.labels(cache="hit")
+        self._miss_seconds = query_seconds.labels(cache="miss")
+        self._observe_hit = self._hit_seconds.observe
+        self._observe_miss = self._miss_seconds.observe
+        # Derived from the histogram children at sample time: a query
+        # costs no counter update.
+        queries = r.counter(
             "repro_queries_total",
             "queries served, split by cache outcome",
             ("cache",),
         )
-        self._query_hits = self._queries.labels(cache="hit")
-        self._query_misses = self._queries.labels(cache="miss")
+        children = {"hit": self._hit_seconds, "miss": self._miss_seconds}
+        for outcome, child in children.items():
+            queries.labels(cache=outcome).set_function(lambda c=child: c.count)
         self._stale = r.counter(
             "repro_stale_queries_total",
             "queries answered against epoch N while N+1 was being built",
-        )
-        self._query_seconds = r.histogram(
-            "repro_query_latency_seconds",
-            "client-observed query latency",
-            buckets=QUERY_LATENCY_BUCKETS,
         )
         self._submitted = r.counter(
             "repro_updates_submitted_total",
@@ -194,7 +125,6 @@ class ServiceMetrics:
         self._flush_seconds = r.histogram(
             "repro_flush_latency_seconds",
             "drain + batch_update + publish wall time",
-            buckets=FLUSH_LATENCY_BUCKETS,
         )
         self._batch_sizes = r.histogram(
             "repro_flush_batch_size",
@@ -221,12 +151,9 @@ class ServiceMetrics:
     def record_query(
         self, seconds: float, cache_hit: bool, stale: bool
     ) -> None:
-        self.query_latency.record(seconds)
-        with self._lock:
-            (self._query_hits if cache_hit else self._query_misses).inc()
-            if stale:
-                self._stale.inc()
-            self._query_seconds.observe(seconds)
+        (self._observe_hit if cache_hit else self._observe_miss)(seconds)
+        if stale:
+            self._stale.inc()
 
     def record_submit(self, coalesced: bool) -> None:
         with self._lock:
@@ -239,7 +166,6 @@ class ServiceMetrics:
     def record_flush(
         self, seconds: float, batch_size: int, applied: int, trigger: str
     ) -> None:
-        self.flush_latency.record(seconds)
         with self._lock:
             self._flushes.labels(trigger=trigger).inc()
             self._applied.inc(applied)
@@ -260,15 +186,15 @@ class ServiceMetrics:
 
     @property
     def queries_served(self) -> int:
-        return int(self._queries.value)
+        return self.cache_hits + self.cache_misses
 
     @property
     def cache_hits(self) -> int:
-        return int(self._query_hits.value)
+        return self._hit_seconds.count
 
     @property
     def cache_misses(self) -> int:
-        return int(self._query_misses.value)
+        return self._miss_seconds.count
 
     @property
     def stale_queries(self) -> int:
@@ -313,19 +239,23 @@ class ServiceMetrics:
     def summary(self) -> dict:
         """One flat dict with everything a load-test report needs."""
         elapsed = max(self.elapsed(), 1e-9)
+        # A stale answer is observed before it is counted stale, so
+        # reading the stale count first keeps it within the queries.
+        stale = self.stale_queries
+        hit, miss = self._hit_seconds.state(), self._miss_seconds.state()
+        query = hit + miss
+        queries, hits = query.count, hit.count
         # The recording lock keeps this read consistent with in-flight
-        # record_* calls (each mutates several families at once).
+        # record_submit/flush/publish calls (each mutates several
+        # families at once).
         with self._lock:
-            queries = self.queries_served
-            hits = self.cache_hits
-            stale = self.stale_queries
             submitted = self.updates_submitted
             out = {
                 "elapsed_s": elapsed,
                 "queries_served": queries,
                 "query_throughput_qps": queries / elapsed,
                 "cache_hits": hits,
-                "cache_misses": self.cache_misses,
+                "cache_misses": miss.count,
                 "cache_hit_rate": hits / queries if queries else 0.0,
                 "stale_queries": stale,
                 "stale_fraction": stale / queries if queries else 0.0,
@@ -338,9 +268,10 @@ class ServiceMetrics:
                 "largest_batch": self.largest_batch,
                 "flush_triggers": dict(self.flush_triggers),
             }
-        for key, value in self.query_latency.summary().items():
+            flush = self._flush_seconds.state()
+        for key, value in _latency_summary(query).items():
             out[f"query_{key}"] = value
-        for key, value in self.flush_latency.summary().items():
+        for key, value in _latency_summary(flush).items():
             out[f"flush_{key}"] = value
         return out
 
@@ -363,8 +294,10 @@ class ServiceMetrics:
         def delta(key: str) -> float:
             return snapshot.get(key, 0) - previous.get(key, 0)
 
-        hits = delta('repro_queries_total{cache="hit"}')
-        misses = delta('repro_queries_total{cache="miss"}')
+        # Queries skip self._lock: the histogram's _count comes from the
+        # same state() read as its _sum, so the mean is of one set.
+        hits = delta('repro_query_latency_seconds_count{cache="hit"}')
+        misses = delta('repro_query_latency_seconds_count{cache="miss"}')
         queries = hits + misses
         submitted = delta(
             'repro_updates_submitted_total{coalesced="no"}'
@@ -375,7 +308,8 @@ class ServiceMetrics:
             if key.startswith("repro_flushes_total{")
         )
         flush_s = delta("repro_flush_latency_seconds_sum")
-        query_s = delta("repro_query_latency_seconds_sum")
+        query_s = delta('repro_query_latency_seconds_sum{cache="hit"}')
+        query_s += delta('repro_query_latency_seconds_sum{cache="miss"}')
         return {
             "interval_s": interval,
             "queries": int(queries),

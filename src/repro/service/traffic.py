@@ -15,6 +15,8 @@ Two driver shapes, mirroring standard load-testing practice:
   a target rate regardless of completion, and the reported *response*
   latency is measured from the scheduled arrival, so queueing delay when
   the service falls behind is charged honestly (no coordinated omission).
+  Response times go into the same log-bucketed obs
+  :class:`~repro.obs.metrics.Histogram` the service's own latencies use.
 
 :func:`replay` is the single-threaded variant used for validation: with
 ``validate=True`` every query's answer is checked against a BFS oracle on
@@ -34,8 +36,8 @@ from repro.graph.batch import EdgeUpdate
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.traversal import bfs_distance_pair
 from repro.constants import INF
+from repro.obs.metrics import Histogram
 from repro.service.engine import DistanceService
-from repro.service.metrics import LatencyRecorder
 from repro.utils.rng import make_rng
 from repro.workloads.queries import (
     sample_query_pairs,
@@ -250,7 +252,7 @@ class OpenLoopGenerator:
     def run(
         self, service: DistanceService, ops: Iterable[Op]
     ) -> dict[str, Any]:
-        response = LatencyRecorder(seed=3)
+        response = Histogram("response_seconds")
         scheduled = time.monotonic()
         counts = {"queries": 0, "updates": 0}
         behind = 0
@@ -262,14 +264,14 @@ class OpenLoopGenerator:
             else:
                 behind += 1
             op.apply(service)
-            response.record(time.monotonic() - scheduled)
+            response.observe(time.monotonic() - scheduled)
             counts["queries" if op.is_query else "updates"] += 1
-        summary = response.summary()
+        state = response.state()
         return {
             **counts,
             "target_rate": self.rate,
             "arrivals_behind_schedule": behind,
-            "response_p50_s": summary["p50"],
-            "response_p99_s": summary["p99"],
-            "response_max_s": summary["max_s"],
+            "response_p50_s": state.quantile(50.0),
+            "response_p99_s": state.quantile(99.0),
+            "response_max_s": state.max,
         }

@@ -168,7 +168,7 @@ def test_loadtest_observability_exports(capsys, tmp_path):
         "repro_epochs_published_total",
         "repro_cache_misses_total",
         "repro_scheduler_offered_total",
-        "repro_query_latency_seconds_count",
+        'repro_query_latency_seconds_count{cache="miss"}',
     ):
         assert family in samples, f"missing {family}"
     assert any(k.startswith("repro_flushes_total{") for k in samples)

@@ -25,6 +25,7 @@ from repro.graph.csr import (
     bfs_distances_multi,
     bidirectional_distance,
     landmark_sweep,
+    sorted_unique,
 )
 from repro.graph.generators import to_directed
 
@@ -105,6 +106,25 @@ def assert_sweep_matches_python(graph, csr, roots, is_landmark):
         assert (sweep.dist[:, i] == dist).all(), (i, root)
         assert (sweep.flag[:, i] == flag).all(), (i, root)
     return sweep
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        [],
+        [7],
+        [3, 3, 3, 3],
+        [0, 1, 1, 2, 5, 5, 9],
+        [9, 5, 5, 2, 1, 1, 0],
+        list(np.random.default_rng(3).integers(0, 50, 500)),
+    ],
+    ids=["empty", "single", "all-equal", "sorted", "reversed", "random"],
+)
+def test_sorted_unique_equals_np_unique(ids):
+    array = np.array(ids, dtype=np.int64)
+    got = sorted_unique(array)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(array))
 
 
 def test_landmark_lengths_match_python_on_random_graphs():

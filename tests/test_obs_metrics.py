@@ -2,11 +2,15 @@
 
 import json
 import math
+import random
 import threading
 
 import pytest
 
 from repro.obs.metrics import (
+    BUCKETS_PER_OCTAVE,
+    LOG_BUCKETS,
+    RELATIVE_ERROR,
     Counter,
     Gauge,
     Histogram,
@@ -20,6 +24,7 @@ from repro.obs.metrics import (
     sample_key,
     write_metrics,
 )
+from repro.service.metrics import percentile
 
 
 # -- helpers ------------------------------------------------------------
@@ -156,6 +161,109 @@ def test_labelled_histogram():
     assert samples['repro_h_bucket{op="read",le="1"}'] == 1
     assert samples['repro_h_bucket{op="write",le="1"}'] == 0
     assert samples['repro_h_bucket{op="write",le="+Inf"}'] == 1
+
+
+def test_log_buckets_are_a_fixed_ladder_with_the_stated_error():
+    assert BUCKETS_PER_OCTAVE == 8
+    assert RELATIVE_ERROR == pytest.approx(0.0443, abs=5e-5)
+    assert Histogram("repro_h").bounds == LOG_BUCKETS
+    ratios = [b / a for a, b in zip(LOG_BUCKETS, LOG_BUCKETS[1:])]
+    step = 2.0 ** (1 / BUCKETS_PER_OCTAVE)
+    assert all(r == pytest.approx(step, rel=1e-12) for r in ratios)
+    # Covers a sub-microsecond cache hit through a two-minute flush.
+    assert LOG_BUCKETS[0] < 0.5e-6 and LOG_BUCKETS[-1] > 100.0
+
+
+def test_histogram_quantiles_match_exact_percentiles():
+    """Nearest-rank quantiles read from the buckets stay within the
+    stated error of the exact percentile of the same samples, here
+    log-uniform over 0.5 us .. 10 s, at every rank of a long stream."""
+    rng = random.Random(11)
+    low, high = math.log(0.5e-6), math.log(10.0)
+    for n in (1, 2, 7, 1000, 50_000):
+        h = Histogram("repro_h")
+        samples = [math.exp(rng.uniform(low, high)) for _ in range(n)]
+        for value in samples:
+            h.observe(value)
+        state = h.state()
+        assert state.count == n
+        assert state.max == max(samples)
+        assert state.sum == pytest.approx(sum(samples))
+        for q in (0, 1, 10, 25, 50, 75, 90, 99, 99.9, 100):
+            exact = percentile(samples, q)
+            read = state.quantile(q)
+            assert abs(read / exact - 1) <= RELATIVE_ERROR + 1e-12, (n, q)
+            assert h.state().quantile(q) == read
+
+
+def test_histogram_state_reads_count_mean_max_and_quantiles():
+    h = Histogram("repro_h")
+    assert h.state().quantile(50) == 0.0  # empty
+    for value in (0.1, 0.2, 0.3, 0.4):
+        h.observe(value)
+    state = h.state()
+    assert state.count == 4
+    assert state.sum / state.count == pytest.approx(0.25)
+    assert state.max == 0.4
+    assert abs(state.quantile(50) / 0.2 - 1) <= RELATIVE_ERROR
+    assert abs(state.quantile(99) / 0.4 - 1) <= RELATIVE_ERROR
+    assert state.quantile(100) <= state.max
+    with pytest.raises(ValueError):
+        state.quantile(101)
+
+
+def test_histogram_quantile_reads_the_edge_buckets():
+    h = Histogram("repro_h", buckets=(1.0, 2.0, 4.0))
+    h.observe(2.5)  # (2, 4] reads its geometric midpoint, capped at the max
+    assert h.state().quantile(50) == 2.5
+    h.observe(3.0)
+    assert h.state().quantile(100) == pytest.approx(math.sqrt(8.0))
+    h.observe(0.5)  # the first bucket reads its upper bound
+    assert h.state().quantile(0) == 1.0
+    h.observe(9.0)  # +Inf reads the largest observation
+    assert h.state().quantile(100) == 9.0
+
+
+def test_labelled_histogram_state_merges_children():
+    h = Histogram("repro_h", labelnames=("op",), buckets=(1.0, 2.0))
+    h.labels("read").observe(0.5)
+    h.labels("write").observe(1.5)
+    h.labels("write").observe(7.0)
+    merged = h.state()
+    assert merged.counts == (1, 1, 1)
+    assert merged.sum == pytest.approx(9.0)
+    assert merged.max == 7.0
+    assert h.count == 3
+    assert merged == h.labels("read").state() + h.labels("write").state()
+
+
+def test_histogram_concurrent_observations_are_not_torn():
+    """counts, sum and max update together: after concurrent observing
+    the state is internally consistent (count, mean and max exact)."""
+    h = Histogram("repro_h")
+    per_thread, threads = 5_000, 4
+
+    def work(base):
+        for i in range(per_thread):
+            h.observe(base + i * 1e-9)
+
+    workers = [
+        threading.Thread(target=work, args=(0.001 * (t + 1),))
+        for t in range(threads)
+    ]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    state = h.state()
+    assert state.count == per_thread * threads
+    expected_total = sum(
+        0.001 * (t + 1) + i * 1e-9
+        for t in range(threads)
+        for i in range(per_thread)
+    )
+    assert state.sum == pytest.approx(expected_total)
+    assert state.max == pytest.approx(0.001 * threads + (per_thread - 1) * 1e-9)
 
 
 # -- registry -----------------------------------------------------------

@@ -1,5 +1,8 @@
 """Query cache: LRU behaviour, epoch fencing, exact invalidation."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -110,3 +113,80 @@ def test_counts_snapshot_matches_counter_attributes():
         "clears": cache.clears,
         "stale_puts_dropped": cache.stale_puts_dropped,
     }
+
+
+class _ClearingCache:
+    """Reference: the LRU that empties its dict on every invalidation."""
+
+    def __init__(self, capacity, symmetric):
+        self.capacity, self.symmetric = capacity, symmetric
+        self.entries = OrderedDict()
+        self.epoch = 0
+        self.tallies = dict.fromkeys(
+            ("hits", "misses", "invalidated", "clears", "stale_puts_dropped"),
+            0,
+        )
+
+    def _key(self, s, t):
+        return (min(s, t), max(s, t)) if self.symmetric else (s, t)
+
+    def get(self, s, t):
+        value = self.entries.get(self._key(s, t))
+        if value is None:
+            self.tallies["misses"] += 1
+            return None
+        self.entries.move_to_end(self._key(s, t))
+        self.tallies["hits"] += 1
+        return value
+
+    def put(self, s, t, distance, epoch):
+        if self.capacity == 0:
+            return
+        if epoch != self.epoch:
+            self.tallies["stale_puts_dropped"] += 1
+            return
+        self.entries[self._key(s, t)] = distance
+        self.entries.move_to_end(self._key(s, t))
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+
+    def on_epoch(self, affected, epoch):
+        self.epoch = epoch
+        if not self.entries or (affected is not None and not affected):
+            return 0
+        dropped = len(self.entries)
+        self.entries.clear()
+        self.tallies["invalidated"] += dropped
+        self.tallies["clears"] += 1
+        return dropped
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("capacity", [0, 1, 2, 8])
+def test_generation_invalidation_matches_a_clearing_cache(capacity, symmetric):
+    """A random get/put/on_epoch stream answers, counts and sizes exactly
+    as a cache that empties itself: old-generation entries are misses
+    and are evicted before any current one."""
+    rng = random.Random(capacity * 2 + symmetric)
+    cache = QueryCache(capacity=capacity, symmetric=symmetric)
+    ref = _ClearingCache(capacity, symmetric)
+    epoch = 0
+    for step in range(4000):
+        s, t = rng.randrange(6), rng.randrange(6)
+        roll = rng.random()
+        if roll < 0.45:
+            assert cache.get(s, t) == ref.get(s, t), step
+        elif roll < 0.85:
+            # Mostly current-epoch puts; some computed under an old epoch.
+            put_epoch = epoch if rng.random() < 0.9 else max(0, epoch - 1)
+            value = float(rng.randrange(10))
+            cache.put(s, t, value, put_epoch)
+            ref.put(s, t, value, put_epoch)
+        else:
+            epoch += 1
+            affected = rng.choice([None, set(), {rng.randrange(6)}])
+            assert cache.on_epoch(affected, epoch) == ref.on_epoch(
+                affected, epoch
+            ), step
+        assert cache.counts() == ref.tallies, step
+        assert len(cache) == len(ref.entries), step

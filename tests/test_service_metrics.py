@@ -1,16 +1,13 @@
-"""Percentiles, the latency reservoir, and the aggregated service report."""
+"""Percentiles and the aggregated service report."""
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.obs.metrics import parse_prometheus
-from repro.service.metrics import (
-    LatencyRecorder,
-    ServiceMetrics,
-    percentile,
-)
+from repro.obs.metrics import RELATIVE_ERROR, parse_prometheus
+from repro.service.metrics import ServiceMetrics, percentile
 
 
 def test_percentile_edge_cases():
@@ -23,36 +20,6 @@ def test_percentile_edge_cases():
     assert percentile(samples, 100) == 100.0
     with pytest.raises(ValueError):
         percentile(samples, 101)
-
-
-def test_latency_recorder_basic_stats():
-    recorder = LatencyRecorder()
-    for value in (0.1, 0.2, 0.3, 0.4):
-        recorder.record(value)
-    assert recorder.count == 4
-    assert recorder.mean() == pytest.approx(0.25)
-    assert recorder.max() == 0.4
-    summary = recorder.summary()
-    assert summary["count"] == 4
-    assert summary["p50"] == 0.2
-    assert summary["p99"] == 0.4
-
-
-def test_latency_recorder_reservoir_is_bounded():
-    recorder = LatencyRecorder(max_samples=64)
-    for i in range(10_000):
-        recorder.record(i / 10_000)
-    assert recorder.count == 10_000
-    assert len(recorder._samples) == 64
-    assert recorder.max() == pytest.approx(0.9999)
-    # The reservoir stays representative: the median of a uniform ramp
-    # should land near the middle.
-    assert 0.2 < recorder.quantiles([50.0])["p50"] < 0.8
-
-
-def test_latency_recorder_validates_capacity():
-    with pytest.raises(ValueError):
-        LatencyRecorder(max_samples=0)
 
 
 def test_service_metrics_counters_and_summary():
@@ -115,53 +82,6 @@ def test_percentile_uses_ceil_nearest_rank():
     assert percentile([float(i) for i in range(1, 14)], 50) == 7.0
 
 
-def test_reservoir_stays_uniform_over_a_long_stream():
-    """Algorithm R: after n >> capacity records of a uniform ramp, every
-    decile of the kept set should be near the corresponding stream
-    decile (a biased reservoir would skew early or late)."""
-    recorder = LatencyRecorder(max_samples=512, seed=7)
-    n = 50_000
-    for i in range(n):
-        recorder.record(i / n)
-    qs = recorder.quantiles([10.0, 25.0, 50.0, 75.0, 90.0])
-    for q, value in (("p10", 0.1), ("p25", 0.25), ("p50", 0.5),
-                     ("p75", 0.75), ("p90", 0.9)):
-        assert qs[q] == pytest.approx(value, abs=0.08), (q, qs)
-
-
-def test_latency_recorder_concurrent_records_are_not_torn():
-    """count/total/max update atomically: after concurrent recording the
-    summary must be internally consistent (mean exact, max exact)."""
-    recorder = LatencyRecorder(max_samples=128)
-    per_thread, threads = 5_000, 4
-
-    def work(base):
-        for i in range(per_thread):
-            recorder.record(base + i * 1e-9)
-
-    workers = [
-        threading.Thread(target=work, args=(0.001 * (t + 1),))
-        for t in range(threads)
-    ]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    summary = recorder.summary()
-    assert summary["count"] == per_thread * threads
-    expected_total = sum(
-        0.001 * (t + 1) + i * 1e-9
-        for t in range(threads)
-        for i in range(per_thread)
-    )
-    assert summary["mean_s"] == pytest.approx(
-        expected_total / (per_thread * threads)
-    )
-    assert summary["max_s"] == pytest.approx(
-        0.001 * threads + (per_thread - 1) * 1e-9
-    )
-
-
 def test_service_metrics_concurrent_recording_consistency():
     """Hammer every record_* hook from several threads; lifetime counters
     must add up exactly and the summary must not tear (e.g. a query in
@@ -209,7 +129,10 @@ def test_service_metrics_concurrent_recording_consistency():
     assert metrics.updates_coalesced == total // 4
     assert metrics.batches_flushed == threads * (per_thread // 100)
     assert metrics.updates_applied == 2 * threads * (per_thread // 100)
-    assert metrics.query_latency.count == total
+    query_seconds = metrics.registry.histogram(
+        "repro_query_latency_seconds", labelnames=("cache",)
+    )
+    assert query_seconds.count == total
 
 
 def test_service_metrics_exports_prometheus():
@@ -223,7 +146,10 @@ def test_service_metrics_exports_prometheus():
     assert parsed["repro_epoch"] == 2
     assert parsed["repro_flush_batch_size_sum"] == 3
     # Histogram buckets are cumulative and end at +Inf.
-    assert parsed['repro_query_latency_seconds_bucket{le="+Inf"}'] == 1
+    assert (
+        parsed['repro_query_latency_seconds_bucket{cache="hit",le="+Inf"}']
+        == 1
+    )
 
 
 def test_interval_summary_windows_rates():
@@ -255,3 +181,77 @@ def test_interval_summary_windows_rates():
     assert third["flush_seconds"] == pytest.approx(0.01, rel=0.3)
     assert third["epoch"] == 5
     assert metrics.format_interval_line()  # renders without error
+
+
+def test_interval_query_mean_reads_one_histogram_state():
+    """Queries are recorded without the service lock, so a window's query
+    count must come from the same histogram read as its latency sum: with
+    one latency value, every window's mean is exactly that value."""
+    metrics = ServiceMetrics()
+    stop = threading.Event()
+    means = []
+
+    def writer():
+        while not stop.is_set():
+            metrics.record_query(1e-4, cache_hit=True, stale=False)
+            metrics.record_query(1e-4, cache_hit=False, stale=False)
+
+    workers = [threading.Thread(target=writer) for _ in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        deadline = time.monotonic() + 0.5
+        while time.monotonic() < deadline:
+            window = metrics.interval_summary()
+            if window["queries"]:
+                means.append(window["query_mean_s"])
+    finally:
+        stop.set()
+        for w in workers:
+            w.join(timeout=10)
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers)
+    assert means
+    assert all(mean == pytest.approx(1e-4, rel=1e-9) for mean in means)
+
+
+def test_a_query_is_one_observation_and_the_counts_derive_from_it():
+    """The query counter, the hit/miss split and the report all read the
+    two histogram children; only a stale answer touches another series."""
+    metrics = ServiceMetrics()
+    for i in range(30):
+        metrics.record_query(1e-6 * (i + 1), cache_hit=i % 3 != 0, stale=False)
+    metrics.record_query(5e-5, cache_hit=False, stale=True)
+    parsed = parse_prometheus(metrics.registry.render_prometheus())
+    for outcome, expected in (("hit", 20), ("miss", 11)):
+        assert parsed[f'repro_queries_total{{cache="{outcome}"}}'] == expected
+        assert (
+            parsed[f'repro_query_latency_seconds_count{{cache="{outcome}"}}']
+            == expected
+        )
+    assert parsed["repro_stale_queries_total"] == 1
+    assert metrics.queries_served == 31
+    assert (metrics.cache_hits, metrics.cache_misses) == (20, 11)
+    summary = metrics.summary()
+    assert summary["query_count"] == 31
+    assert summary["query_max_s"] == 5e-5
+    assert summary["query_mean_s"] == pytest.approx(
+        (sum(1e-6 * (i + 1) for i in range(30)) + 5e-5) / 31
+    )
+    samples = [1e-6 * (i + 1) for i in range(30)] + [5e-5]
+    for q in (50.0, 90.0, 99.0):
+        exact = percentile(samples, q)
+        assert abs(summary[f"query_p{q:g}"] / exact - 1) <= RELATIVE_ERROR
+
+
+def test_flush_latency_reads_from_its_histogram():
+    metrics = ServiceMetrics()
+    for ms in (2, 4, 8, 16):
+        metrics.record_flush(ms * 1e-3, batch_size=1, applied=1, trigger="size")
+    summary = metrics.summary()
+    assert summary["flush_count"] == 4
+    assert summary["flush_max_s"] == 16e-3
+    assert summary["flush_mean_s"] == pytest.approx(7.5e-3)
+    assert abs(summary["flush_p50"] / 4e-3 - 1) <= RELATIVE_ERROR
